@@ -2,15 +2,33 @@
 
 Bits are filled most-significant-first within each byte; unused trailing
 bits of the final byte are zero.
+
+Prefix codes decode chunk by chunk (``decode_chunks``). For every bit
+position of a chunk of ``CHUNK_BITS`` positions, a coder computes with
+numpy where a codeword starting at that position would end. A tight walk
+over those next-start offsets, from the current stream position, picks the
+true codeword starts, and one gather decodes them. Each chunk sees
+``LOOKAHEAD_BITS`` past its last position, enough for the longest codeword
+and a 64-bit field window, so per-position arrays are sized by the chunk,
+not the payload: working memory stays a few MB at any payload size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from ..errors import TruncatedStreamError
+from ..errors import FormatError, TruncatedStreamError
+
+CHUNK_BITS = 1 << 16
+LOOKAHEAD_BITS = 128
+_SEGMENT_BITS = CHUNK_BITS + LOOKAHEAD_BITS
+# A segment carries 16 bytes past its last bit and the buffer 32 bytes past
+# the payload, so every 64-bit window a decoder reads lies inside it.
+_SEGMENT_BYTES = _SEGMENT_BITS // 8 + 16
+_PAD_BYTES = 32
 
 
 @dataclass(frozen=True)
@@ -64,100 +82,107 @@ def pack_codes(codes: np.ndarray, lengths: np.ndarray, chunk: int = 1 << 16) -> 
     return BitStream(np.packbits(flat).tobytes(), int(lengths.sum()))
 
 
-class BitWriter:
-    """Incremental MSB-first bit writer for scalar encode paths."""
+def byte_windows(seg: np.ndarray, nbytes: int) -> np.ndarray:
+    """Big-endian 64-bit words starting at each of the first ``nbytes`` bytes.
 
-    def __init__(self):
-        self._out = bytearray()
-        self._acc = 0
-        self._nbits = 0
-
-    def write(self, value: int, nbits: int) -> None:
-        if nbits == 0:
-            return
-        self._acc = (self._acc << nbits) | (value & ((1 << nbits) - 1))
-        self._nbits += nbits
-        while self._nbits >= 8:
-            self._nbits -= 8
-            self._out.append((self._acc >> self._nbits) & 0xFF)
-        self._acc &= (1 << self._nbits) - 1
-
-    def getvalue(self) -> BitStream:
-        total = 8 * len(self._out) + self._nbits
-        if self._nbits:
-            tail = (self._acc << (8 - self._nbits)) & 0xFF
-            return BitStream(bytes(self._out) + bytes([tail]), total)
-        return BitStream(bytes(self._out), total)
+    ``seg`` must extend at least 14 bytes past ``nbytes``.
+    """
+    rows = -(-nbytes // 8)
+    words = np.empty(8 * rows, dtype=np.uint64)
+    for k in range(8):
+        words[k::8] = seg[k : k + 8 * rows].view(">u8")
+    return words[:nbytes]
 
 
-class BitReader:
-    """MSB-first bit reader over a byte buffer."""
+def read_fields(words: np.ndarray, start: np.ndarray, nbits: np.ndarray) -> np.ndarray:
+    """Fields of ``nbits[i]`` <= 57 bits starting at bit ``start[i]``, as uint64.
 
-    __slots__ = ("_data", "_nbits", "_pos")
+    ``words`` comes from ``byte_windows`` over the same bytes.
+    """
+    offset = (start & 7).astype(np.uint64)
+    n = nbits.astype(np.uint64)
+    window = words[start >> 3]
+    return (window >> (np.uint64(64) - offset - n)) & ((np.uint64(1) << n) - np.uint64(1))
 
-    def __init__(self, data: bytes, bit_length: int | None = None):
-        self._data = data
-        self._nbits = 8 * len(data) if bit_length is None else bit_length
-        self._pos = 0
 
-    @property
-    def position(self) -> int:
-        return self._pos
+# step(seg, limit, avail) -> (ends, finish). ``seg`` holds the chunk's bytes
+# from a byte-aligned base bit; ``avail`` is the number of stream bits from
+# there. ``ends[j]``, for j < limit, is where a codeword starting at bit j
+# ends, which is also where the next one starts; a position holding no valid
+# codeword must point at or past ``limit``. ``finish(starts)`` validates the
+# codewords at those starts and returns their values.
+Step = Callable[[np.ndarray, int, int], tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]
 
-    @property
-    def remaining(self) -> int:
-        return self._nbits - self._pos
 
-    def read(self, nbits: int) -> int:
-        end = self._pos + nbits
-        if end > self._nbits:
+def decode_chunks(stream: BitStream | bytes, count: int, step: Step) -> np.ndarray:
+    """Decode ``count`` codewords of a code spending >= 1 bit per codeword."""
+    if isinstance(stream, BitStream):
+        data, nbits = stream.data, stream.bit_length
+    else:
+        data, nbits = stream, 8 * len(stream)
+    # Checked before allocating: every codeword spends at least one bit.
+    if count > nbits:
+        raise TruncatedStreamError("truncated stream")
+    out = np.empty(count, dtype=np.int64)
+    buf = np.zeros(len(data) + _PAD_BYTES, dtype=np.uint8)
+    buf[: len(data)] = np.frombuffer(data, dtype=np.uint8)
+    done = pos = 0
+    while done < count:
+        if pos >= nbits:
             raise TruncatedStreamError("truncated stream")
-        if nbits == 0:
-            return 0
-        first = self._pos >> 3
-        last = (end + 7) >> 3
-        chunk = int.from_bytes(self._data[first:last], "big")
-        val = (chunk >> ((last << 3) - end)) & ((1 << nbits) - 1)
-        self._pos = end
-        return val
+        base = pos & ~7
+        avail = nbits - base
+        limit = min(avail, CHUNK_BITS)
+        ends, finish = step(buf[base >> 3 : (base >> 3) + _SEGMENT_BYTES], limit, avail)
+        hops = memoryview(ends)
+        starts = []
+        append = starts.append
+        p = pos - base
+        while p < limit:
+            append(p)
+            p = hops[p]
+        del starts[count - done :]
+        at = np.array(starts, dtype=np.int64)
+        out[done : done + at.size] = finish(at)
+        done += at.size
+        pos = base + hops[starts[-1]]
+    return out
 
-    def count_zeros(self) -> int:
-        """Count and consume 0 bits up to (not including) the next 1 bit."""
-        zeros = 0
-        while True:
-            take = min(56, self._nbits - self._pos)
-            if take == 0:
-                raise TruncatedStreamError("truncated stream")
-            first = self._pos >> 3
-            last = (self._pos + take + 7) >> 3
-            chunk = int.from_bytes(self._data[first:last], "big")
-            window = (chunk >> ((last << 3) - (self._pos + take))) & ((1 << take) - 1)
-            if window == 0:
-                zeros += take
-                self._pos += take
-                continue
-            lead = take - window.bit_length()
-            zeros += lead
-            self._pos += lead
-            return zeros
 
-    def count_ones(self) -> int:
-        """Count and consume 1 bits up to (not including) the next 0 bit."""
-        ones = 0
-        while True:
-            take = min(56, self._nbits - self._pos)
-            if take == 0:
+def decode_prefix_codes(
+    stream: BitStream | bytes,
+    count: int,
+    stop_bit: int,
+    max_prefix: int,
+    value: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Decode codewords of k prefix bits, a stop bit, then k suffix bits.
+
+    The prefix bits are the complement of ``stop_bit``, so a codeword spends
+    2k+1 bits. ``value(k, suffix)`` maps each codeword's prefix length and
+    suffix (uint64) to its decoded value. A prefix longer than
+    ``max_prefix`` raises ``FormatError``.
+    """
+
+    def step(seg: np.ndarray, limit: int, avail: int):
+        width = min(avail, _SEGMENT_BITS)
+        bits = np.unpackbits(seg, count=width)
+        at = np.arange(width, dtype=np.int64)
+        # Index of the next stop bit at or after each position (``width``
+        # where none follows inside the segment).
+        stop = np.minimum.accumulate(np.where(bits == stop_bit, at, width)[::-1])[::-1][:limit]
+        ends = 2 * stop + 1 - at[:limit]
+        words = byte_windows(seg, (width >> 3) + 1)
+
+        def finish(starts: np.ndarray) -> np.ndarray:
+            if int(ends[starts].max()) > avail:
                 raise TruncatedStreamError("truncated stream")
-            first = self._pos >> 3
-            last = (self._pos + take + 7) >> 3
-            chunk = int.from_bytes(self._data[first:last], "big")
-            window = (chunk >> ((last << 3) - (self._pos + take))) & ((1 << take) - 1)
-            inverted = window ^ ((1 << take) - 1)
-            if inverted == 0:
-                ones += take
-                self._pos += take
-                continue
-            lead = take - inverted.bit_length()
-            ones += lead
-            self._pos += lead
-            return ones
+            q = stop[starts]
+            k = q - starts
+            if int(k.max()) > max_prefix:
+                raise FormatError(f"codeword prefix longer than {max_prefix} bits")
+            return value(k, read_fields(words, q + 1, k))
+
+        return ends, finish
+
+    return decode_chunks(stream, count, step)

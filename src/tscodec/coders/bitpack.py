@@ -5,6 +5,13 @@ length of the block maximum, 0..32) followed by ceil(count*w/8) bytes of
 w-bit values packed MSB-first. A final short block packs only its true
 count; the caller supplies the total count on decode. Signed inputs go
 through zigzag before reaching this coder.
+
+Decoding scans the width bytes in a short loop to find every block's
+offset, then unpacks full blocks that share a width in vectorized steps of
+up to ``_SLAB_BLOCKS`` blocks, mirroring the encoder; the slab bounds the
+unpacking temporaries to a few MB. The scan reaches the end of the data
+before the output is allocated, so a corrupt count cannot trigger a huge
+allocation.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from .bitio import bit_length_u64
 
 DEFAULT_BLOCK_SIZE = 128
 MAX_WIDTH = 32
+_SLAB_BLOCKS = 512
 
 
 def encode(values, block_size: int = DEFAULT_BLOCK_SIZE) -> bytes:
@@ -64,29 +72,44 @@ def encode(values, block_size: int = DEFAULT_BLOCK_SIZE) -> bytes:
     return out.tobytes()
 
 
+def _unpack(buf: np.ndarray, starts: np.ndarray, take: int, w: int) -> np.ndarray:
+    """``take`` w-bit values packed MSB-first from each of ``starts``."""
+    raw = buf[starts[:, None] + np.arange((take * w + 7) // 8)]
+    bits = np.unpackbits(raw, axis=1, count=take * w).reshape(starts.size, take, w)
+    wide = np.zeros((starts.size, take, 32), dtype=np.uint8)
+    wide[:, :, 32 - w :] = bits
+    return np.packbits(wide, axis=2).view(">u4").reshape(starts.size, take)
+
+
 def decode(data: bytes, count: int, block_size: int = DEFAULT_BLOCK_SIZE) -> np.ndarray:
-    out = np.empty(count, dtype=np.int64)
+    nblocks = -(-count // block_size)
+    last_take = count - (nblocks - 1) * block_size
+    widths = []
+    starts = []
     pos = 0
-    done = 0
-    buf = np.frombuffer(data, dtype=np.uint8)
-    while done < count:
+    for b in range(nblocks):
         if pos >= len(data):
             raise TruncatedStreamError("truncated stream")
         w = data[pos]
-        pos += 1
-        take = min(block_size, count - done)
         if w > MAX_WIDTH:
             raise FormatError("corrupt block header")
-        if w == 0:
-            out[done : done + take] = 0
-            done += take
-            continue
-        nbytes = (take * w + 7) // 8
-        if pos + nbytes > len(data):
-            raise TruncatedStreamError("truncated stream")
-        bits = np.unpackbits(buf[pos : pos + nbytes])[: take * w].reshape(take, w)
-        weights = (np.uint64(1) << np.arange(w - 1, -1, -1, dtype=np.uint64))
-        out[done : done + take] = (bits.astype(np.uint64) * weights).sum(axis=1)
-        pos += nbytes
-        done += take
+        widths.append(w)
+        starts.append(pos + 1)
+        pos += 1 + ((block_size if b < nblocks - 1 else last_take) * w + 7) // 8
+    if pos > len(data):
+        raise TruncatedStreamError("truncated stream")
+    out = np.zeros(count, dtype=np.int64)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    widths = np.array(widths)
+    starts = np.array(starts)
+    full = count // block_size
+    blocks = out[: full * block_size].reshape(full, block_size)
+    for w in np.unique(widths[:full]).tolist():
+        if w:
+            idx = np.flatnonzero(widths[:full] == w)
+            for s in range(0, idx.size, _SLAB_BLOCKS):
+                slab = idx[s : s + _SLAB_BLOCKS]
+                blocks[slab] = _unpack(buf, starts[slab], block_size, w)
+    if full < nblocks and widths[-1]:
+        out[full * block_size :] = _unpack(buf, starts[-1:], last_take, int(widths[-1]))[0]
     return out

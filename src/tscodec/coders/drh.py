@@ -12,6 +12,11 @@ fewer bits on smaller magnitudes:
 Magnitude bits follow the JPEG convention: the low k bits of v for
 positive values, the low k bits of v-1 (two's complement) for negative
 ones, so the top magnitude bit doubles as the sign.
+
+Decoding runs the shared chunked prefix kernel of ``bitio``: the category
+is ones ending at a 0, and the k bits after it are the magnitude bits.
+Working memory is bounded by ``bitio.CHUNK_BITS``, not by the payload. A
+category above ``MAX_MAGNITUDE_BITS`` raises ``FormatError``.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import as_samples
-from .bitio import BitReader, BitStream, bit_length_u64, pack_codes
+from .bitio import BitStream, bit_length_u64, decode_prefix_codes, pack_codes
 
 MAX_MAGNITUDE_BITS = 31
 
@@ -45,18 +50,12 @@ def encode(values) -> BitStream:
     return pack_codes(codes, lengths)
 
 
+def _value(k: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
+    m = magnitude.astype(np.int64)
+    full = np.int64(1) << k
+    # A clear top magnitude bit marks a negative value (k = 0 gives 0).
+    return np.where(m < full >> 1, m - full + 1, m)
+
+
 def decode(stream: BitStream | bytes, count: int) -> np.ndarray:
-    if isinstance(stream, BitStream):
-        reader = BitReader(stream.data, stream.bit_length)
-    else:
-        reader = BitReader(stream)
-    out = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        k = reader.count_ones()
-        reader.read(1)  # category terminator
-        if k == 0:
-            out[i] = 0
-            continue
-        m = reader.read(k)
-        out[i] = m if m >> (k - 1) else m - (1 << k) + 1
-    return out
+    return decode_prefix_codes(stream, count, 0, MAX_MAGNITUDE_BITS, _value)

@@ -4,6 +4,12 @@ A value n is written as L-1 zeros followed by the L-bit binary
 representation of n+1, where L = floor(log2(n+1)) + 1. The codeword for n
 therefore spends 2*floor(log2(n+1)) + 1 bits; signed inputs go through
 zigzag before reaching this coder.
+
+Decoding runs the shared chunked prefix kernel of ``bitio``: the prefix is
+zeros ending at a 1, and the codeword value is that 1 followed by the k
+suffix bits, minus one. Working memory is bounded by ``bitio.CHUNK_BITS``,
+not by the payload. Zigzagged int32 tokens fit in 33 bits, so a prefix of
+more than ``MAX_PREFIX`` zeros raises ``FormatError``.
 """
 
 from __future__ import annotations
@@ -11,7 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import as_samples
-from .bitio import BitReader, BitStream, bit_length_u64, pack_codes
+from .bitio import BitStream, bit_length_u64, decode_prefix_codes, pack_codes
+
+MAX_PREFIX = 32
 
 
 def code_length(value: int) -> int:
@@ -41,13 +49,9 @@ def encode(values) -> BitStream:
     return pack_codes(codes, lengths)
 
 
+def _value(k: np.ndarray, suffix: np.ndarray) -> np.ndarray:
+    return (suffix | (np.uint64(1) << k.astype(np.uint64))).astype(np.int64) - 1
+
+
 def decode(stream: BitStream | bytes, count: int) -> np.ndarray:
-    if isinstance(stream, BitStream):
-        reader = BitReader(stream.data, stream.bit_length)
-    else:
-        reader = BitReader(stream)
-    out = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        zeros = reader.count_zeros()
-        out[i] = reader.read(zeros + 1) - 1
-    return out
+    return decode_prefix_codes(stream, count, 1, MAX_PREFIX, _value)

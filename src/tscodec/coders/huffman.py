@@ -9,6 +9,15 @@ u8), sorted by symbol value, little-endian. A single-symbol alphabet gets a
 Headers grow linearly with cardinality (5 bytes per distinct symbol),
 which is exactly the effect that makes dynamic codes unattractive on
 high-cardinality data.
+
+Decoding is table-driven, as in zlib's inflate and zstd's Huff0, and runs
+chunk by chunk through ``bitio.decode_chunks``. For every bit position of a
+chunk, a primary table of at most ``TABLE_BITS`` bits, indexed by the bits
+at that position, gives the code length and symbol; positions that start a
+longer code are resolved by a ``searchsorted`` over the left-justified
+canonical codes. A walk over the resulting next-start offsets then picks
+the true codeword starts. The tables are built per call from the header;
+working memory is bounded by ``bitio.CHUNK_BITS``, not by the payload.
 """
 
 from __future__ import annotations
@@ -20,9 +29,15 @@ import numpy as np
 
 from ..core import as_samples
 from ..errors import FormatError, TruncatedStreamError
-from .bitio import BitStream, pack_codes
+from .bitio import BitStream, byte_windows, decode_chunks, pack_codes
 
 MAX_CODE_LENGTH = 32
+TABLE_BITS = 12
+# Code length recorded for a position where no codeword matches; the walk
+# steps past the chunk from there.
+_INVALID = 1 << 30
+# A 32-bit window at bit offset o of a byte is its 64-bit word >> (32 - o).
+_WINDOW_SHIFTS = np.arange(32, 24, -1, dtype=np.uint64)
 
 
 def code_lengths_from_counts(counts: np.ndarray) -> np.ndarray:
@@ -124,43 +139,47 @@ def header_size(cardinality: int) -> int:
 def decode(header: bytes, payload: BitStream | bytes, count: int) -> np.ndarray:
     symbols, lengths = parse_header(header)
     order = np.lexsort((symbols, lengths))
-    sorted_syms = symbols[order].tolist()
-    sorted_lens = lengths[order].tolist()
-    # Canonical decode tables: per length, the first code value and the
-    # index of its first symbol in canonical order.
-    first_code = {}
-    first_index = {}
-    count_at = {}
-    code = 0
-    prev_len = sorted_lens[0]
-    for i, ln in enumerate(sorted_lens):
-        code <<= ln - prev_len
-        if ln not in first_code:
-            first_code[ln] = code
-            first_index[ln] = i
-            count_at[ln] = 0
-        count_at[ln] += 1
-        code += 1
-        prev_len = ln
-    if isinstance(payload, BitStream):
-        data, nbits = payload.data, payload.bit_length
-    else:
-        data, nbits = payload, 8 * len(payload)
-    out = np.empty(count, dtype=np.int64)
-    pos = 0
-    for i in range(count):
-        code = 0
-        ln = 0
-        while True:
-            if pos >= nbits:
+    syms = symbols[order]
+    lens = lengths[order]
+    # In canonical order each code, left-justified to 32 bits, starts where
+    # the previous one's span of 2^(32 - length) windows ends; Kraft keeps
+    # the spans inside 2^32.
+    span = np.uint64(1) << (MAX_CODE_LENGTH - lens).astype(np.uint64)
+    first = np.zeros(lens.size, dtype=np.uint64)
+    np.cumsum(span[:-1], out=first[1:])
+    bits = min(TABLE_BITS, int(lens[-1]))
+    short = np.flatnonzero(lens <= bits)
+    reps = (span[short] >> np.uint64(MAX_CODE_LENGTH - bits)).astype(np.int64)
+    filled = int(reps.sum())
+    table_len = np.zeros(1 << bits, dtype=np.int64)
+    table_idx = np.zeros(1 << bits, dtype=np.int64)
+    table_len[:filled] = np.repeat(lens[short], reps)
+    table_idx[:filled] = np.repeat(short, reps)
+
+    def step(seg: np.ndarray, limit: int, avail: int):
+        words = byte_windows(seg, (limit + 7) >> 3)
+        window = ((words[:, None] >> _WINDOW_SHIFTS) & np.uint64(0xFFFFFFFF)).ravel()[:limit]
+        primary = (window >> np.uint64(MAX_CODE_LENGTH - bits)).astype(np.intp)
+        ln = table_len[primary]
+        idx = table_idx[primary]
+        longer = np.flatnonzero(ln == 0)
+        if longer.size:
+            w = window[longer]
+            i = np.searchsorted(first, w, side="right") - 1
+            ln[longer] = np.where(w - first[i] < span[i], lens[i], _INVALID)
+            idx[longer] = i
+        ends = np.arange(limit) + ln
+
+        def finish(starts: np.ndarray) -> np.ndarray:
+            ln_s = ln[starts]
+            # A position matching no code still needs MAX_CODE_LENGTH + 1
+            # bits before that shows.
+            if int((starts + np.minimum(ln_s, MAX_CODE_LENGTH + 1)).max()) > avail:
                 raise TruncatedStreamError("truncated stream")
-            code = (code << 1) | ((data[pos >> 3] >> (7 - (pos & 7))) & 1)
-            pos += 1
-            ln += 1
-            base = first_code.get(ln)
-            if base is not None and base <= code < base + count_at[ln]:
-                out[i] = sorted_syms[first_index[ln] + code - base]
-                break
-            if ln > MAX_CODE_LENGTH:
-                raise FormatError("invalid code table")
-    return out
+            if int(ln_s.max()) == _INVALID:
+                raise FormatError("invalid codeword")
+            return syms[idx[starts]]
+
+        return ends, finish
+
+    return decode_chunks(payload, count, step)

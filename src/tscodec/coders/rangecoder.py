@@ -10,12 +10,16 @@ the top byte once it is settled; when the range underflows the bottom
 threshold the range is clipped to the next boundary instead of carrying,
 which costs a fraction of a bit on rare occasions but keeps the stream
 strictly byte-oriented.
+
+Decoding is inherently sequential. Per symbol it looks the scaled target
+up in a 2^14-entry slot table (slot -> symbol index), fetches bytes
+inline, and collects symbol indices that are mapped to symbol values once
+at the end. The slot table is built per call from the header.
 """
 
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
 
 import numpy as np
 
@@ -52,9 +56,9 @@ def quantize_counts(counts: np.ndarray, n: int) -> np.ndarray:
     return q
 
 
-def _model_from_counts(symbols: np.ndarray, freqs: np.ndarray):
+def _model_from_counts(freqs: np.ndarray):
     cum = np.concatenate(([0], np.cumsum(freqs)))
-    return symbols.tolist(), freqs.tolist(), cum.tolist()
+    return freqs.tolist(), cum.tolist()
 
 
 def encode(values) -> tuple[bytes, bytes]:
@@ -67,7 +71,7 @@ def encode(values) -> tuple[bytes, bytes]:
     header = bytearray(struct.pack("<H", symbols.size))
     for s, f in zip(symbols.tolist(), freqs_q.tolist()):
         header += struct.pack("<iH", s, f)
-    _, freq_list, cum = _model_from_counts(symbols, freqs_q)
+    freq_list, cum = _model_from_counts(freqs_q)
     out = bytearray()
     low = 0
     rng = MASK
@@ -116,31 +120,24 @@ def header_size(cardinality: int) -> int:
 
 def decode(header: bytes, payload: bytes, count: int) -> np.ndarray:
     symbols, freqs = parse_header(header)
-    sym_list, freq_list, cum = _model_from_counts(symbols, freqs)
-    pos = 0
+    freq_list, cum = _model_from_counts(freqs)
+    slot = np.repeat(np.arange(freqs.size), freqs).tolist()
     nbytes = len(payload)
-
-    def next_byte():
-        nonlocal pos
-        if pos >= nbytes:
-            raise TruncatedStreamError("truncated stream")
-        b = payload[pos]
-        pos += 1
-        return b
-
-    code = 0
-    for _ in range(4):
-        code = (code << 8) | next_byte()
+    if nbytes < 4:
+        raise TruncatedStreamError("truncated stream")
+    code = int.from_bytes(payload[:4], "big")
+    pos = 4
     low = 0
     rng = MASK
-    out = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        r = rng // TOTAL
+    indices = []
+    append = indices.append
+    for _ in range(count):
+        r = rng >> TOTAL_BITS
         dv = (code - low) // r
         if dv < 0 or dv >= TOTAL:
             raise FormatError("corrupt stream")
-        idx = bisect_right(cum, dv) - 1
-        out[i] = sym_list[idx]
+        idx = slot[dv]
+        append(idx)
         low += r * cum[idx]
         rng = r * freq_list[idx]
         while True:
@@ -150,7 +147,10 @@ def decode(header: bytes, payload: bytes, count: int) -> np.ndarray:
                 rng = -low & (BOT - 1)
             else:
                 break
-            code = ((code << 8) | next_byte()) & MASK
+            if pos >= nbytes:
+                raise TruncatedStreamError("truncated stream")
+            code = ((code << 8) | payload[pos]) & MASK
+            pos += 1
             low = (low << 8) & MASK
             rng <<= 8
-    return out
+    return symbols[np.array(indices, dtype=np.intp)]

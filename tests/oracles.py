@@ -1,0 +1,254 @@
+"""Scalar reference decoders, kept only as test oracles.
+
+These are the one-bit-or-one-codeword-at-a-time loops the vectorized
+decoders in ``tscodec.coders`` replaced. They read the same formats and
+raise ``TruncatedStreamError`` when a stream runs out, but they apply no
+bound on prefix lengths or token counts. The differential tests require the
+vectorized decoders to return exactly what these return on valid streams.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_right
+
+import numpy as np
+
+from tscodec.coders import huffman, rangecoder
+from tscodec.coders.bitio import BitStream
+from tscodec.errors import FormatError, TruncatedStreamError
+
+
+class BitWriter:
+    """Incremental MSB-first bit writer."""
+
+    def __init__(self):
+        self._out = bytearray()
+        self._acc = 0
+        self._nbits = 0
+
+    def write(self, value: int, nbits: int) -> None:
+        if nbits == 0:
+            return
+        self._acc = (self._acc << nbits) | (value & ((1 << nbits) - 1))
+        self._nbits += nbits
+        while self._nbits >= 8:
+            self._nbits -= 8
+            self._out.append((self._acc >> self._nbits) & 0xFF)
+        self._acc &= (1 << self._nbits) - 1
+
+    def getvalue(self) -> BitStream:
+        total = 8 * len(self._out) + self._nbits
+        if self._nbits:
+            tail = (self._acc << (8 - self._nbits)) & 0xFF
+            return BitStream(bytes(self._out) + bytes([tail]), total)
+        return BitStream(bytes(self._out), total)
+
+
+class BitReader:
+    """MSB-first bit reader over a byte buffer."""
+
+    __slots__ = ("_data", "_nbits", "_pos")
+
+    def __init__(self, data: bytes, bit_length: int | None = None):
+        self._data = data
+        self._nbits = 8 * len(data) if bit_length is None else bit_length
+        self._pos = 0
+
+    def read(self, nbits: int) -> int:
+        end = self._pos + nbits
+        if end > self._nbits:
+            raise TruncatedStreamError("truncated stream")
+        if nbits == 0:
+            return 0
+        first = self._pos >> 3
+        last = (end + 7) >> 3
+        chunk = int.from_bytes(self._data[first:last], "big")
+        val = (chunk >> ((last << 3) - end)) & ((1 << nbits) - 1)
+        self._pos = end
+        return val
+
+    def count_zeros(self) -> int:
+        """Count and consume 0 bits up to (not including) the next 1 bit."""
+        zeros = 0
+        while True:
+            take = min(56, self._nbits - self._pos)
+            if take == 0:
+                raise TruncatedStreamError("truncated stream")
+            first = self._pos >> 3
+            last = (self._pos + take + 7) >> 3
+            chunk = int.from_bytes(self._data[first:last], "big")
+            window = (chunk >> ((last << 3) - (self._pos + take))) & ((1 << take) - 1)
+            if window == 0:
+                zeros += take
+                self._pos += take
+                continue
+            lead = take - window.bit_length()
+            zeros += lead
+            self._pos += lead
+            return zeros
+
+    def count_ones(self) -> int:
+        """Count and consume 1 bits up to (not including) the next 0 bit."""
+        ones = 0
+        while True:
+            take = min(56, self._nbits - self._pos)
+            if take == 0:
+                raise TruncatedStreamError("truncated stream")
+            first = self._pos >> 3
+            last = (self._pos + take + 7) >> 3
+            chunk = int.from_bytes(self._data[first:last], "big")
+            window = (chunk >> ((last << 3) - (self._pos + take))) & ((1 << take) - 1)
+            inverted = window ^ ((1 << take) - 1)
+            if inverted == 0:
+                ones += take
+                self._pos += take
+                continue
+            lead = take - inverted.bit_length()
+            ones += lead
+            self._pos += lead
+            return ones
+
+
+def _reader(stream: BitStream | bytes) -> BitReader:
+    if isinstance(stream, BitStream):
+        return BitReader(stream.data, stream.bit_length)
+    return BitReader(stream)
+
+
+def expgolomb_decode(stream: BitStream | bytes, count: int) -> np.ndarray:
+    reader = _reader(stream)
+    out = np.empty(count, dtype=np.int64)
+    for i in range(count):
+        zeros = reader.count_zeros()
+        out[i] = reader.read(zeros + 1) - 1
+    return out
+
+
+def drh_decode(stream: BitStream | bytes, count: int) -> np.ndarray:
+    reader = _reader(stream)
+    out = np.empty(count, dtype=np.int64)
+    for i in range(count):
+        k = reader.count_ones()
+        reader.read(1)  # category terminator
+        if k == 0:
+            out[i] = 0
+            continue
+        m = reader.read(k)
+        out[i] = m if m >> (k - 1) else m - (1 << k) + 1
+    return out
+
+
+def huffman_decode(header: bytes, payload: BitStream | bytes, count: int) -> np.ndarray:
+    symbols, lengths = huffman.parse_header(header)
+    order = np.lexsort((symbols, lengths))
+    sorted_syms = symbols[order].tolist()
+    sorted_lens = lengths[order].tolist()
+    # Canonical decode tables: per length, the first code value and the
+    # index of its first symbol in canonical order.
+    first_code = {}
+    first_index = {}
+    count_at = {}
+    code = 0
+    prev_len = sorted_lens[0]
+    for i, ln in enumerate(sorted_lens):
+        code <<= ln - prev_len
+        if ln not in first_code:
+            first_code[ln] = code
+            first_index[ln] = i
+            count_at[ln] = 0
+        count_at[ln] += 1
+        code += 1
+        prev_len = ln
+    if isinstance(payload, BitStream):
+        data, nbits = payload.data, payload.bit_length
+    else:
+        data, nbits = payload, 8 * len(payload)
+    out = np.empty(count, dtype=np.int64)
+    pos = 0
+    for i in range(count):
+        code = 0
+        ln = 0
+        while True:
+            if pos >= nbits:
+                raise TruncatedStreamError("truncated stream")
+            code = (code << 1) | ((data[pos >> 3] >> (7 - (pos & 7))) & 1)
+            pos += 1
+            ln += 1
+            base = first_code.get(ln)
+            if base is not None and base <= code < base + count_at[ln]:
+                out[i] = sorted_syms[first_index[ln] + code - base]
+                break
+            if ln > huffman.MAX_CODE_LENGTH:
+                raise FormatError("invalid code table")
+    return out
+
+
+def range_decode(header: bytes, payload: bytes, count: int) -> np.ndarray:
+    symbols, freqs = rangecoder.parse_header(header)
+    sym_list, freq_list = symbols.tolist(), freqs.tolist()
+    cum = np.concatenate(([0], np.cumsum(freqs))).tolist()
+    pos = 0
+    nbytes = len(payload)
+
+    def next_byte():
+        nonlocal pos
+        if pos >= nbytes:
+            raise TruncatedStreamError("truncated stream")
+        b = payload[pos]
+        pos += 1
+        return b
+
+    code = 0
+    for _ in range(4):
+        code = (code << 8) | next_byte()
+    low = 0
+    rng = rangecoder.MASK
+    out = np.empty(count, dtype=np.int64)
+    for i in range(count):
+        r = rng // rangecoder.TOTAL
+        dv = (code - low) // r
+        if dv < 0 or dv >= rangecoder.TOTAL:
+            raise FormatError("corrupt stream")
+        idx = bisect_right(cum, dv) - 1
+        out[i] = sym_list[idx]
+        low += r * cum[idx]
+        rng = r * freq_list[idx]
+        while True:
+            if (low ^ (low + rng)) < rangecoder.TOP:
+                pass
+            elif rng < rangecoder.BOT:
+                rng = -low & (rangecoder.BOT - 1)
+            else:
+                break
+            code = ((code << 8) | next_byte()) & rangecoder.MASK
+            low = (low << 8) & rangecoder.MASK
+            rng <<= 8
+    return out
+
+
+def bitpack_decode(data: bytes, count: int, block_size: int = 128) -> np.ndarray:
+    out = np.empty(count, dtype=np.int64)
+    pos = 0
+    done = 0
+    buf = np.frombuffer(data, dtype=np.uint8)
+    while done < count:
+        if pos >= len(data):
+            raise TruncatedStreamError("truncated stream")
+        w = data[pos]
+        pos += 1
+        take = min(block_size, count - done)
+        if w > 32:
+            raise FormatError("corrupt block header")
+        if w == 0:
+            out[done : done + take] = 0
+            done += take
+            continue
+        nbytes = (take * w + 7) // 8
+        if pos + nbytes > len(data):
+            raise TruncatedStreamError("truncated stream")
+        bits = np.unpackbits(buf[pos : pos + nbytes])[: take * w].reshape(take, w)
+        weights = np.uint64(1) << np.arange(w - 1, -1, -1, dtype=np.uint64)
+        out[done : done + take] = (bits.astype(np.uint64) * weights).sum(axis=1)
+        pos += nbytes
+        done += take
+    return out

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tscodec.coders import bitpack, drh, expgolomb, huffman, lzss, rangecoder
-from tscodec.coders.bitio import BitReader, BitStream, BitWriter, bit_length_u64, pack_codes
+from tscodec.coders.bitio import BitStream, bit_length_u64, pack_codes
 from tscodec.errors import FormatError, TruncatedStreamError
+
+from oracles import BitReader, BitWriter
 
 
 def entropy_oracle(values) -> float:

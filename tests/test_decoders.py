@@ -1,0 +1,193 @@
+"""Differential tests of the vectorized decoders against the scalar oracles.
+
+On valid streams every decoder must return exactly what its oracle in
+``oracles.py`` returns. On truncated, bit-flipped or spliced streams it may
+instead raise a ``FormatError`` subclass, but never any other exception,
+and never return something the oracle would not.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from tscodec.coders import bitio, bitpack, drh, expgolomb, huffman, rangecoder
+from tscodec.errors import FormatError, TruncatedStreamError
+
+
+def _eg_encode(values):
+    return b"", expgolomb.encode(values).data
+
+
+def _drh_encode(values):
+    return b"", drh.encode(values).data
+
+
+def _huffman_encode(values):
+    header, payload = huffman.encode(values)
+    return header, payload.data
+
+
+CODERS = {
+    # name: (encode -> (header, payload), new decode, oracle decode, value range)
+    "expgolomb": (
+        _eg_encode,
+        lambda h, p, n: expgolomb.decode(p, n),
+        lambda h, p, n: oracles.expgolomb_decode(p, n),
+        (0, 2**32 - 2),
+    ),
+    "drh": (
+        _drh_encode,
+        lambda h, p, n: drh.decode(p, n),
+        lambda h, p, n: oracles.drh_decode(p, n),
+        (-(2**31) + 1, 2**31 - 1),
+    ),
+    "huffman": (_huffman_encode, huffman.decode, oracles.huffman_decode, (-(2**31), 2**31 - 1)),
+    "range": (rangecoder.encode, rangecoder.decode, oracles.range_decode, (-(2**31), 2**31 - 1)),
+    "bitpack": (
+        lambda v: (b"", bitpack.encode(v)),
+        lambda h, p, n: bitpack.decode(p, n),
+        lambda h, p, n: oracles.bitpack_decode(p, n),
+        (0, 2**32 - 1),
+    ),
+}
+
+
+@st.composite
+def token_streams(draw, lo, hi):
+    """Token lists mixing small values, repeats and the full range."""
+    n = draw(st.integers(1, 400))
+    scale = draw(st.sampled_from([1, 4, 16, 31]))
+    wide_share = draw(st.sampled_from([0.0, 0.05, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    small = rng.integers(max(lo, -(2**scale)), min(hi, 2**scale) + 1, n)
+    wide = rng.integers(lo, hi + 1, n)
+    return np.where(rng.random(n) < wide_share, wide, small).tolist()
+
+
+def _same_or_format_error(new, oracle, header, payload, count):
+    try:
+        got = new(header, payload, count)
+    except FormatError:
+        return
+    want = oracle(header, payload, count)
+    assert got.dtype == np.int64
+    assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("name", list(CODERS))
+class TestAgainstOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_valid_streams_match(self, name, data):
+        encode, new, oracle, (lo, hi) = CODERS[name]
+        values = data.draw(token_streams(lo, hi))
+        header, payload = encode(values)
+        got = new(header, payload, len(values))
+        assert got.tolist() == oracle(header, payload, len(values)).tolist() == values
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_damaged_streams_match_or_raise_format_error(self, name, data):
+        encode, new, oracle, (lo, hi) = CODERS[name]
+        values = data.draw(token_streams(lo, hi))
+        header, payload = encode(values)
+        damage_header = bool(header) and data.draw(st.booleans())
+        blob = bytearray(header if damage_header else payload)
+        kind = data.draw(st.sampled_from(["truncate", "flip", "splice"]))
+        if kind == "truncate":
+            del blob[data.draw(st.integers(0, max(0, len(blob) - 1))) :]
+        elif kind == "flip" and blob:
+            bit = data.draw(st.integers(0, 8 * len(blob) - 1))
+            blob[bit >> 3] ^= 0x80 >> (bit & 7)
+        else:
+            at = data.draw(st.integers(0, len(blob)))
+            blob[at:at] = data.draw(st.binary(min_size=1, max_size=16))
+        if damage_header:
+            header = bytes(blob)
+        else:
+            payload = bytes(blob)
+        count = len(values) + data.draw(st.sampled_from([0, 0, 1, -1]))
+        _same_or_format_error(new, oracle, header, payload, max(count, 0))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", ["expgolomb", "drh", "huffman"])
+def test_streams_spanning_many_chunks(name, seed):
+    """Codewords straddle chunk boundaries at every offset the data gives."""
+    encode, new, oracle, (lo, hi) = CODERS[name]
+    rng = np.random.default_rng(seed)
+    n = 40_000
+    bits = rng.integers(0, 31, n)
+    values = np.clip(rng.integers(0, 1 << 30, n) >> (30 - bits), lo, hi)
+    if lo < 0:
+        values = np.where(rng.random(n) < 0.5, -values, values)
+    header, payload = encode(values)
+    assert 8 * len(payload) > 4 * bitio.CHUNK_BITS
+    got = new(header, payload, n)
+    assert np.array_equal(got, oracle(header, payload, n))
+    assert np.array_equal(got, values)
+
+
+def test_bitpack_width_groups_spanning_many_slabs():
+    """Width groups larger than one unpacking slab, plus a short last block."""
+    rng = np.random.default_rng(0)
+    n = 3 * bitpack._SLAB_BLOCKS * bitpack.DEFAULT_BLOCK_SIZE + 77
+    # Per-block widths of (almost surely) 0, 3 or 17.
+    widths = rng.choice([0, 3, 17], n // bitpack.DEFAULT_BLOCK_SIZE + 1, p=[0.1, 0.2, 0.7])
+    assert (widths == 17).sum() > 2 * bitpack._SLAB_BLOCKS
+    shifts = 17 - np.repeat(widths, bitpack.DEFAULT_BLOCK_SIZE)[:n]
+    values = rng.integers(0, 1 << 17, n) >> shifts
+    data = bitpack.encode(values)
+    got = bitpack.decode(data, n)
+    assert np.array_equal(got, oracles.bitpack_decode(data, n))
+    assert np.array_equal(got, values)
+
+
+def _bits(text: str) -> bytes:
+    """Bytes holding the bit string ``text``, zero-padded to a byte boundary."""
+    text += "0" * (-len(text) % 8)
+    return int(text, 2).to_bytes(len(text) // 8, "big")
+
+
+class TestBoundedDecode:
+    @pytest.mark.parametrize(
+        "decode",
+        [
+            expgolomb.decode,
+            drh.decode,
+            lambda payload, n: huffman.decode(huffman.encode([1, 2])[0], payload, n),
+        ],
+    )
+    def test_count_beyond_payload_bits_raises_before_allocating(self, decode):
+        with pytest.raises(TruncatedStreamError):
+            decode(b"\x80", 10**12)
+
+    def test_bitpack_scan_ends_before_allocating(self):
+        # One width-0 block header, then the data ends.
+        with pytest.raises(TruncatedStreamError):
+            bitpack.decode(b"\x00", 10**12)
+
+    def test_expgolomb_prefix_limit(self):
+        longest = bytes(4) + b"\xff" * 5  # 32 zeros, then a 1 and 32 suffix bits
+        assert expgolomb.decode(longest, 1).tolist() == [2**33 - 2]
+        for zeros in (33, 47, 79):
+            with pytest.raises(FormatError, match="prefix longer than 32"):
+                expgolomb.decode(_bits("0" * zeros + "1" * (zeros + 1)), 1)
+        # 47 zeros used to decode silently to 2**48 - 2.
+        with pytest.raises(FormatError, match="prefix longer than 32"):
+            expgolomb.decode(b"\x00" * 5 + b"\x01" + b"\xff" * 12, 1)
+
+    def test_drh_category_limit(self):
+        longest = b"\xff" * 3 + b"\xfe" + b"\xff" * 4  # category 31, then 31 ones
+        assert drh.decode(longest, 1).tolist() == [2**31 - 1]
+        with pytest.raises(FormatError, match="prefix longer than 31"):
+            drh.decode(b"\xff" * 9 + b"\x00" + b"\xff" * 12, 1)
+
+    def test_huffman_invalid_codeword(self):
+        header, _ = huffman.encode([7, 7, 7])  # one symbol, code "0"
+        assert huffman.decode(header, b"\x00", 8).tolist() == [7] * 8
+        with pytest.raises(FormatError, match="invalid codeword"):
+            huffman.decode(header, b"\xff" * 8, 1)
+        with pytest.raises(TruncatedStreamError):
+            huffman.decode(header, b"\xff", 1)
