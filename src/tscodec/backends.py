@@ -1,80 +1,57 @@
 """Adapters over external general-purpose and time-series compressors.
 
-Every backend is optional: the adapter imports its library lazily and
-raises :class:`BackendUnavailableError` when it is missing, so callers can
-mark the cell "n/a" instead of silently skipping it. Payloads use each
-format's standard framing, so outputs remain checkable with stock tooling.
+``BACKENDS`` is the one table of backends: per name, the compress and
+decompress adapters, the modules to import (the first importable one is
+passed to the adapter) and the default level. Its order fixes each
+backend's container id byte (see ``coders.registry``), so new backends go
+at the end.
 
-Default levels: deflate 9, zstd 19, brotli 10, bzip2 9, lzma 6, blosc 9,
-pcodec 12. All one-shot calls create a fresh (de)compressor, so concurrent
-use on distinct buffers is safe; backends with multithreaded modes are
-pinned to one worker thread to keep speed comparisons fair.
+Every backend is optional: its module is imported lazily and
+:class:`BackendUnavailableError` is raised when it is missing, so callers
+can mark the cell "n/a" instead of silently skipping it. Payloads use each
+format's standard framing, so outputs remain checkable with stock tooling.
+All one-shot calls create a fresh (de)compressor, so concurrent use on
+distinct buffers is safe; backends with multithreaded modes are pinned to
+one worker thread to keep speed comparisons fair.
 """
 
 from __future__ import annotations
 
-import bz2 as _bz2
-import lzma as _lzma
-import zlib as _zlib
-from dataclasses import dataclass, field
+import importlib
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .core import INT16_MAX, INT16_MIN, INT32_MAX, INT32_MIN, as_samples
 from .errors import BackendUnavailableError, TscodecError, UnknownBackendError
 
-BACKEND_IDS = (
-    "deflate",
-    "zstd",
-    "brotli",
-    "bzip2",
-    "lzma",
-    "lz4",
-    "snappy",
-    "blosc",
-    "sprintz",
-    "pcodec",
-)
-
-DEFAULT_LEVELS = {
-    "deflate": 9,
-    "zstd": 19,
-    "brotli": 10,
-    "bzip2": 9,
-    "lzma": 6,
-    "blosc": 9,
-    "pcodec": 12,
-}
-
 
 @dataclass(frozen=True)
 class BackendDescriptor:
-    """One backend selection: id, optional level, extra string options."""
+    """One backend selection: id, optional level, serialized sample width."""
 
     backend_id: str
     level: int | None = None
-    options: tuple[tuple[str, str], ...] = field(default=())
+    width: int = 2  # bytes per serialized sample, 2 or 4
 
     def __post_init__(self):
-        if self.backend_id not in BACKEND_IDS:
+        if self.backend_id not in BACKENDS:
             raise UnknownBackendError(f"unregistered backend {self.backend_id!r}")
 
     @property
     def effective_level(self) -> int | None:
         if self.level is not None:
             return self.level
-        return DEFAULT_LEVELS.get(self.backend_id)
+        return BACKENDS[self.backend_id].default_level
 
-    def option(self, key: str, default: str | None = None) -> str | None:
-        for k, v in self.options:
-            if k == key:
-                return v
-        return default
+    @property
+    def dtype(self) -> str:
+        """Little-endian numpy dtype of one serialized sample."""
+        return f"<i{self.width}"
 
 
 def _require(module_names):
-    import importlib
-
     last = None
     for name in module_names:
         try:
@@ -86,120 +63,72 @@ def _require(module_names):
     ) from last
 
 
-def _compress_deflate(data, desc):
-    return _zlib.compress(data, desc.effective_level)
+def _compress_leveled(mod, data, desc):
+    return mod.compress(data, desc.effective_level)
 
 
-def _decompress_deflate(data, desc):
-    return _zlib.decompress(data)
+def _compress_plain(mod, data, desc):
+    return mod.compress(data)
 
 
-def _compress_bzip2(data, desc):
-    return _bz2.compress(data, desc.effective_level)
+def _decompress_plain(mod, data, desc):
+    return mod.decompress(data)
 
 
-def _decompress_bzip2(data, desc):
-    return _bz2.decompress(data)
+def _compress_lzma(lzma, data, desc):
+    return lzma.compress(data, preset=desc.effective_level)
 
 
-def _compress_lzma(data, desc):
-    return _lzma.compress(data, preset=desc.effective_level)
-
-
-def _decompress_lzma(data, desc):
-    return _lzma.decompress(data)
-
-
-def _compress_zstd(data, desc):
-    zstd = _require(["zstandard"])
+def _compress_zstd(zstd, data, desc):
     return zstd.ZstdCompressor(level=desc.effective_level).compress(data)
 
 
-def _decompress_zstd(data, desc):
-    zstd = _require(["zstandard"])
+def _decompress_zstd(zstd, data, desc):
     return zstd.ZstdDecompressor().decompress(data)
 
 
-def _compress_brotli(data, desc):
-    brotli = _require(["brotli"])
+def _compress_brotli(brotli, data, desc):
     return brotli.compress(data, quality=desc.effective_level)
 
 
-def _decompress_brotli(data, desc):
-    brotli = _require(["brotli"])
-    return brotli.decompress(data)
-
-
-def _compress_lz4(data, desc):
-    frame = _require(["lz4.frame"])
-    return frame.compress(data)
-
-
-def _decompress_lz4(data, desc):
-    frame = _require(["lz4.frame"])
-    return frame.decompress(data)
-
-
-def _compress_snappy(data, desc):
-    snappy = _require(["snappy"])
-    return snappy.compress(data)
-
-
-def _decompress_snappy(data, desc):
-    snappy = _require(["snappy"])
-    return snappy.decompress(data)
-
-
-def _compress_blosc(data, desc):
+def _compress_blosc(blosc, data, desc):
     # BloscLZ dictionary coder with byte-shuffle on; typesize tells the
-    # shuffle the serialized sample width (default 2 bytes).
-    typesize = int(desc.option("typesize", "2"))
-    try:
-        blosc2 = _require(["blosc2"])
-        return blosc2.compress2(
+    # shuffle the serialized sample width.
+    if blosc.__name__ == "blosc2":
+        return blosc.compress2(
             data,
-            codec=blosc2.Codec.BLOSCLZ,
+            codec=blosc.Codec.BLOSCLZ,
             clevel=desc.effective_level,
-            filters=[blosc2.Filter.SHUFFLE],
-            typesize=typesize,
+            filters=[blosc.Filter.SHUFFLE],
+            typesize=desc.width,
             nthreads=1,
         )
-    except BackendUnavailableError:
-        blosc = _require(["blosc"])
-        blosc.set_nthreads(1)
-        return blosc.compress(
-            data,
-            typesize=typesize,
-            clevel=desc.effective_level,
-            shuffle=blosc.SHUFFLE,
-            cname="blosclz",
-        )
+    blosc.set_nthreads(1)
+    return blosc.compress(
+        data,
+        typesize=desc.width,
+        clevel=desc.effective_level,
+        shuffle=blosc.SHUFFLE,
+        cname="blosclz",
+    )
 
 
-def _decompress_blosc(data, desc):
-    try:
-        blosc2 = _require(["blosc2"])
-        return blosc2.decompress2(data)
-    except BackendUnavailableError:
-        blosc = _require(["blosc"])
-        return blosc.decompress(data)
+def _decompress_blosc(blosc, data, desc):
+    if blosc.__name__ == "blosc2":
+        return blosc.decompress2(data)
+    return blosc.decompress(data)
 
 
-def _compress_sprintz(data, desc):
-    sprintz = _require(["sprintz"])
-    arr = np.frombuffer(data, dtype="<i2")
-    return sprintz.compress(arr)
+def _compress_sprintz(sprintz, data, desc):
+    return sprintz.compress(np.frombuffer(data, dtype=desc.dtype))
 
 
-def _decompress_sprintz(data, desc):
-    sprintz = _require(["sprintz"])
-    return np.asarray(sprintz.decompress(data), dtype="<i2").tobytes()
+def _decompress_sprintz(sprintz, data, desc):
+    return np.asarray(sprintz.decompress(data), dtype=desc.dtype).tobytes()
 
 
-def _compress_pcodec(data, desc):
-    pcodec = _require(["pcodec"])
-    dtype = desc.option("dtype", "<i2")
-    arr = np.frombuffer(data, dtype=dtype)
+def _compress_pcodec(pcodec, data, desc):
+    arr = np.frombuffer(data, dtype=desc.dtype)
     return bytes(
         pcodec.standalone.simple_compress(
             arr, pcodec.ChunkConfig(compression_level=desc.effective_level)
@@ -207,44 +136,38 @@ def _compress_pcodec(data, desc):
     )
 
 
-def _decompress_pcodec(data, desc):
-    pcodec = _require(["pcodec"])
-    dtype = desc.option("dtype", "<i2")
-    return pcodec.standalone.simple_decompress(data).astype(dtype).tobytes()
+def _decompress_pcodec(pcodec, data, desc):
+    return pcodec.standalone.simple_decompress(data).astype(desc.dtype).tobytes()
 
 
-_ADAPTERS = {
-    "deflate": (_compress_deflate, _decompress_deflate),
-    "zstd": (_compress_zstd, _decompress_zstd),
-    "brotli": (_compress_brotli, _decompress_brotli),
-    "bzip2": (_compress_bzip2, _decompress_bzip2),
-    "lzma": (_compress_lzma, _decompress_lzma),
-    "lz4": (_compress_lz4, _decompress_lz4),
-    "snappy": (_compress_snappy, _decompress_snappy),
-    "blosc": (_compress_blosc, _decompress_blosc),
-    "sprintz": (_compress_sprintz, _decompress_sprintz),
-    "pcodec": (_compress_pcodec, _decompress_pcodec),
+class Backend(NamedTuple):
+    compress: Callable  # (module, data, descriptor) -> bytes
+    decompress: Callable  # (module, data, descriptor) -> bytes
+    modules: tuple[str, ...]  # import candidates, first importable wins
+    default_level: int | None
+
+
+BACKENDS: dict[str, Backend] = {
+    "deflate": Backend(_compress_leveled, _decompress_plain, ("zlib",), 9),
+    "zstd": Backend(_compress_zstd, _decompress_zstd, ("zstandard",), 19),
+    "brotli": Backend(_compress_brotli, _decompress_plain, ("brotli",), 10),
+    "bzip2": Backend(_compress_leveled, _decompress_plain, ("bz2",), 9),
+    "lzma": Backend(_compress_lzma, _decompress_plain, ("lzma",), 6),
+    "lz4": Backend(_compress_plain, _decompress_plain, ("lz4.frame",), None),
+    "snappy": Backend(_compress_plain, _decompress_plain, ("snappy",), None),
+    "blosc": Backend(_compress_blosc, _decompress_blosc, ("blosc2", "blosc"), 9),
+    "sprintz": Backend(_compress_sprintz, _decompress_sprintz, ("sprintz",), None),
+    "pcodec": Backend(_compress_pcodec, _decompress_pcodec, ("pcodec",), 12),
 }
 
-_IMPORT_PROBES = {
-    "deflate": ["zlib"],
-    "zstd": ["zstandard"],
-    "brotli": ["brotli"],
-    "bzip2": ["bz2"],
-    "lzma": ["lzma"],
-    "lz4": ["lz4.frame"],
-    "snappy": ["snappy"],
-    "blosc": ["blosc2", "blosc"],
-    "sprintz": ["sprintz"],
-    "pcodec": ["pcodec"],
-}
+BACKEND_IDS = tuple(BACKENDS)
 
 
 def is_available(backend_id: str) -> bool:
-    if backend_id not in BACKEND_IDS:
+    if backend_id not in BACKENDS:
         raise UnknownBackendError(f"unregistered backend {backend_id!r}")
     try:
-        _require(_IMPORT_PROBES[backend_id])
+        _require(BACKENDS[backend_id].modules)
         return True
     except BackendUnavailableError:
         return False
@@ -255,26 +178,24 @@ def availability_report() -> dict[str, bool]:
     return {b: is_available(b) for b in BACKEND_IDS}
 
 
+def _run(adapter: Callable, data: bytes, descriptor: BackendDescriptor) -> bytes:
+    mod = _require(BACKENDS[descriptor.backend_id].modules)
+    try:
+        return adapter(mod, data, descriptor)
+    except ValueError:
+        raise
+    except Exception as exc:
+        raise TscodecError(f"backend {descriptor.backend_id!r} failed: {exc}") from exc
+
+
 def backend_compress(data: bytes, descriptor: BackendDescriptor) -> bytes:
     if len(data) == 0:
         raise ValueError("undefined on empty input")
-    compress, _ = _ADAPTERS[descriptor.backend_id]
-    try:
-        return compress(data, descriptor)
-    except (BackendUnavailableError, ValueError):
-        raise
-    except Exception as exc:
-        raise TscodecError(f"backend {descriptor.backend_id!r} failed: {exc}") from exc
+    return _run(BACKENDS[descriptor.backend_id].compress, data, descriptor)
 
 
 def backend_decompress(data: bytes, descriptor: BackendDescriptor) -> bytes:
-    _, decompress = _ADAPTERS[descriptor.backend_id]
-    try:
-        return decompress(data, descriptor)
-    except (BackendUnavailableError, ValueError):
-        raise
-    except Exception as exc:
-        raise TscodecError(f"backend {descriptor.backend_id!r} failed: {exc}") from exc
+    return _run(BACKENDS[descriptor.backend_id].decompress, data, descriptor)
 
 
 def serialize_series(series, width: int | None = None) -> tuple[bytes, int]:

@@ -16,7 +16,7 @@ from pathlib import Path
 from .backends import availability_report
 from .coders.registry import CODERS, INTERNAL_CODER_NAMES
 from .container import build_container, read_container, validate_chain_order
-from .core import size_metrics
+from .core import size_metrics, source_bytes
 from .errors import BackendUnavailableError, TscodecError
 from .harness import (
     ABLATION_CHAINS,
@@ -64,7 +64,7 @@ def _cmd_compress(args) -> int:
     chain = _parse_chain(args)
     blob = build_container(dataset.channels, chain, args.coder, level=args.level)
     Path(args.output).write_bytes(blob)
-    report = size_metrics(sum(2 * len(ch) for ch in dataset.channels), len(blob))
+    report = size_metrics(source_bytes(dataset.channels), len(blob))
     print(
         f"{args.input} -> {args.output}: {report.original_bytes} -> "
         f"{report.compressed_bytes} bytes, cr {report.cr:.3f}, cs {report.cs:.4f}"

@@ -1,12 +1,16 @@
-"""Registry mapping coder names and container id bytes to codecs.
+"""The coder table: names, container id bytes and codecs.
 
 Symbol coders consume integer token streams; Exp-Golomb and bit packing
 have non-negative alphabets, so their adapters zigzag signed tokens on the
 way in and undo it on the way out. Byte coders (LZSS and the external
 backends) consume the fixed-width serialization of the token stream.
 
-Each adapter returns an (header, payload) pair of byte strings; headers
-are self-delimiting so the pair can be stored concatenated.
+Each encoder returns an (header, payload) pair of byte strings that the
+container stores concatenated; the entry's ``split`` rule separates them
+again on read. Internal coders have ids 1-6; the backends of
+``backends.BACKENDS`` follow from id 16 on, in that table's order.
+Backend entries carry no codec functions (``encode is None``): the
+container calls ``backend_compress``/``backend_decompress`` for them.
 """
 
 from __future__ import annotations
@@ -16,8 +20,25 @@ from typing import Callable
 
 import numpy as np
 
+from ..backends import BACKEND_IDS
 from ..transforms import unzigzag, zigzag
 from . import bitpack, drh, expgolomb, huffman, lzss, rangecoder
+
+
+def _no_header(blob: bytes) -> tuple[bytes, bytes]:
+    return b"", blob
+
+
+def _counted_table_split(header_size: Callable[[int], int]) -> Callable:
+    """Split rule for a header of a u16 entry count and fixed-size entries."""
+
+    def split(blob: bytes) -> tuple[bytes, bytes]:
+        # A blob too short for the count yields a short header, which the
+        # coder's header parser rejects with FormatError.
+        n = header_size(int.from_bytes(blob[:2], "little"))
+        return blob[:n], blob[n:]
+
+    return split
 
 
 @dataclass(frozen=True)
@@ -27,7 +48,7 @@ class CoderInfo:
     kind: str  # "symbol", "bytes", or "backend"
     encode: Callable | None = None
     decode: Callable | None = None
-    backend_id: str | None = None
+    split: Callable[[bytes], tuple[bytes, bytes]] = _no_header
 
 
 def _expgolomb_encode(tokens: np.ndarray):
@@ -51,24 +72,12 @@ def _huffman_encode(tokens: np.ndarray):
     return header, payload.data
 
 
-def _huffman_decode(header: bytes, payload: bytes, count: int):
-    return huffman.decode(header, payload, count)
-
-
 def _drh_encode(tokens: np.ndarray):
     return b"", drh.encode(tokens).data
 
 
 def _drh_decode(header: bytes, payload: bytes, count: int):
     return drh.decode(payload, count)
-
-
-def _range_encode(tokens: np.ndarray):
-    return rangecoder.encode(tokens)
-
-
-def _range_decode(header: bytes, payload: bytes, count: int):
-    return rangecoder.decode(header, payload, count)
 
 
 def _lzss_encode(data: bytes):
@@ -79,37 +88,25 @@ def _lzss_decode(header: bytes, payload: bytes, nbytes: int):
     return lzss.decompress(payload, nbytes)
 
 
-def _split_header(name: str, blob: bytes) -> tuple[bytes, bytes]:
-    """Split a stored header+payload blob using the coder's own framing."""
-    if name == "huffman":
-        if len(blob) < 2:
-            return blob, b""
-        n = huffman.header_size(int.from_bytes(blob[:2], "little"))
-        return blob[:n], blob[n:]
-    if name == "range":
-        if len(blob) < 2:
-            return blob, b""
-        n = rangecoder.header_size(int.from_bytes(blob[:2], "little"))
-        return blob[:n], blob[n:]
-    return b"", blob
-
-
 CODERS: dict[str, CoderInfo] = {
     "expgolomb": CoderInfo("expgolomb", 1, "symbol", _expgolomb_encode, _expgolomb_decode),
     "bitpack": CoderInfo("bitpack", 2, "symbol", _bitpack_encode, _bitpack_decode),
-    "huffman": CoderInfo("huffman", 3, "symbol", _huffman_encode, _huffman_decode),
+    "huffman": CoderInfo(
+        "huffman", 3, "symbol", _huffman_encode, huffman.decode,
+        _counted_table_split(huffman.header_size),
+    ),
     "drh": CoderInfo("drh", 4, "symbol", _drh_encode, _drh_decode),
-    "range": CoderInfo("range", 5, "symbol", _range_encode, _range_decode),
+    "range": CoderInfo(
+        "range", 5, "symbol", rangecoder.encode, rangecoder.decode,
+        _counted_table_split(rangecoder.header_size),
+    ),
     "lzss": CoderInfo("lzss", 6, "bytes", _lzss_encode, _lzss_decode),
 }
 
 INTERNAL_CODER_NAMES = tuple(CODERS)
 
-_BACKEND_BASE_ID = 16
-for _i, _backend in enumerate(
-    ("deflate", "zstd", "brotli", "bzip2", "lzma", "lz4", "snappy", "blosc", "sprintz", "pcodec")
-):
-    CODERS[_backend] = CoderInfo(_backend, _BACKEND_BASE_ID + _i, "backend", backend_id=_backend)
+for _i, _backend in enumerate(BACKEND_IDS):
+    CODERS[_backend] = CoderInfo(_backend, 16 + _i, "backend")
 
 CODER_BY_ID = {info.id_byte: info for info in CODERS.values()}
 
@@ -119,7 +116,3 @@ def get_coder(name: str) -> CoderInfo:
         return CODERS[name]
     except KeyError:
         raise ValueError(f"unknown coder {name!r}") from None
-
-
-def split_header(info: CoderInfo, blob: bytes) -> tuple[bytes, bytes]:
-    return _split_header(info.name, blob)

@@ -22,8 +22,10 @@ container decodes with no external information. Unknown versions, ids, or
 magic are rejected outright, never partially parsed.
 
 Accepted chains follow the fixed delta -> rle0 -> quars order (any prefix
-or subset of it): zero-run coding presupposes the zero runs delta creates,
-and the reshuffle map is fitted on the final token stream.
+or subset of it, each stage at most once): zero-run coding presupposes the
+zero runs delta creates, and the reshuffle map is fitted on the final token
+stream. The order is checked on read as on write, so a container whose
+transform ids are out of order or repeated is rejected, not decoded.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backends import BackendDescriptor, backend_compress, backend_decompress, deserialize_series, serialize_series
-from .coders.registry import CODER_BY_ID, CoderInfo, get_coder, split_header
+from .coders.registry import CODER_BY_ID, CoderInfo, get_coder
 from .core import TimeSeries, as_samples
 from .errors import FormatError
 from .transforms import TRANSFORM_ORDER, QuarsMap, TransformChain, chain_apply, chain_invert
@@ -68,7 +70,6 @@ class ChannelBlock:
     width: int
     side_bytes: bytes
     blob: bytes
-    header_bytes: int  # coder header portion of the blob
     payload_bytes: int  # coder payload portion of the blob
 
 
@@ -103,7 +104,7 @@ def encode_channel(
         if coder.kind == "bytes":
             header, payload = coder.encode(data)
         else:
-            desc = BackendDescriptor(coder.backend_id, level=level)
+            desc = BackendDescriptor(coder.name, level, width)
             header, payload = b"", backend_compress(data, desc)
         t3 = time.perf_counter()
     if timings is not None:
@@ -114,7 +115,6 @@ def encode_channel(
         width=width,
         side_bytes=side,
         blob=header + payload,
-        header_bytes=len(header),
         payload_bytes=len(payload),
     )
 
@@ -126,37 +126,23 @@ def decode_channel(
     blob: bytes,
     chain: TransformChain,
     coder: CoderInfo,
-    timings: dict | None = None,
 ) -> np.ndarray:
-    header, payload = split_header(coder, blob)
-    t0 = time.perf_counter()
+    header, payload = coder.split(blob)
     if coder.kind == "symbol":
         tokens = coder.decode(header, payload, block_tokens)
     else:
+        if width not in (2, 4):
+            raise FormatError(f"unsupported container: width {width}")
         nbytes = block_tokens * width
         if coder.kind == "bytes":
             data = coder.decode(header, payload, nbytes)
         else:
-            data = backend_decompress(payload, BackendDescriptor(coder.backend_id))
+            data = backend_decompress(payload, BackendDescriptor(coder.name, width=width))
         if len(data) != nbytes:
             raise FormatError("payload decoded to unexpected size")
-        tokens = None
-    t1 = time.perf_counter()
-    if tokens is None:
         tokens = deserialize_series(data, width, block_tokens)
     qmap = QuarsMap.from_bytes(side) if "quars" in chain.stages else None
-    t2 = time.perf_counter()
-    out = chain_invert(tokens, chain, qmap)
-    t3 = time.perf_counter()
-    if timings is not None:
-        timings["code_s"] = timings.get("code_s", 0.0) + (t1 - t0)
-        timings["transform_s"] = timings.get("transform_s", 0.0) + (t3 - t2)
-    return out
-
-
-def container_overhead(chain: TransformChain, channel_count: int) -> int:
-    """Framing bytes outside side headers and coder blobs."""
-    return 4 + 1 + 1 + len(chain.stages) + 1 + 2 + channel_count * (8 + 1 + 4 + 8)
+    return chain_invert(tokens, chain, qmap)
 
 
 def build_container(
@@ -199,31 +185,33 @@ class DecodedContainer:
 def read_container(blob: bytes) -> DecodedContainer:
     """Decode a container back to its channels.
 
-    Raises :class:`FormatError` on bad magic, unknown version or ids, and
-    surfaces coder errors (truncated payloads and the like) unchanged.
+    Raises :class:`FormatError` on bad magic, unknown version or ids, a
+    truncated header or a chain out of order, and surfaces coder errors
+    (truncated payloads and the like) unchanged.
     """
     if len(blob) < 9 or blob[:4] != MAGIC:
         raise FormatError("unsupported container: bad magic")
     if blob[4] != VERSION:
         raise FormatError(f"unsupported container: version {blob[4]}")
-    pos = 5
-    tcount = blob[pos]
-    pos += 1
+    pos = 6 + blob[5]
+    if pos + 3 > len(blob):
+        raise FormatError("unsupported container: truncated header")
     stages = []
-    for _ in range(tcount):
-        tid = blob[pos]
-        pos += 1
+    for tid in blob[6:pos]:
         if tid not in TRANSFORM_NAME:
             raise FormatError(f"unsupported container: transform id {tid}")
         stages.append(TRANSFORM_NAME[tid])
+    try:
+        validate_chain_order(stages)
+    except ValueError as exc:
+        raise FormatError(f"unsupported container: {exc}") from None
     coder_id = blob[pos]
-    pos += 1
     if coder_id not in CODER_BY_ID:
         raise FormatError(f"unsupported container: coder id {coder_id}")
     coder = CODER_BY_ID[coder_id]
     chain = TransformChain(tuple(stages))
-    (nch,) = struct.unpack_from("<H", blob, pos)
-    pos += 2
+    (nch,) = struct.unpack_from("<H", blob, pos + 1)
+    pos += 3
     channels = []
     for ch in range(nch):
         if pos + 13 > len(blob):

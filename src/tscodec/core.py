@@ -128,6 +128,11 @@ def entropy_and_limit(series, sample_bits: int = DEFAULT_SAMPLE_BITS) -> SeriesS
     )
 
 
+def source_bytes(channels) -> int:
+    """Uncompressed size of the channels at ``DEFAULT_SAMPLE_BITS`` per sample."""
+    return sum(len(ch) for ch in channels) * DEFAULT_SAMPLE_BITS // 8
+
+
 def size_metrics(original_bytes: int, compressed_bytes: int) -> SizeReport:
     """Compression ratio CR and score CS = 1 - 1/CR.
 

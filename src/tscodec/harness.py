@@ -27,8 +27,8 @@ import numpy as np
 from .version import __version__ as _version
 from .backends import availability_report
 from .coders.registry import INTERNAL_CODER_NAMES, get_coder
-from .container import ChannelBlock, build_container, container_overhead, encode_channel, read_container
-from .core import TimeSeries, as_samples, compression_speed_mb_s, entropy_and_limit, size_metrics
+from .container import ChannelBlock, build_container, encode_channel, read_container
+from .core import TimeSeries, as_samples, compression_speed_mb_s, entropy_and_limit, size_metrics, source_bytes
 from .errors import BackendUnavailableError, TscodecError
 from .synth import suite
 from .transforms import TransformChain, chain_apply
@@ -99,7 +99,7 @@ def run_job(
     """
     channels = _as_channels(data)
     coder = get_coder(coder_name)
-    original_bytes = sum(2 * len(ch) for ch in channels)
+    original_bytes = source_bytes(channels)
 
     best_enc = float("inf")
     best_dec = float("inf")
@@ -120,6 +120,7 @@ def run_job(
                     f"round-trip mismatch: {dataset_name} chain={chain.label()} coder={coder_name}"
                 )
     report = size_metrics(original_bytes, len(container))
+    payload_bytes = sum(b.payload_bytes for b in blocks)
     return BenchRecord(
         dataset=dataset_name,
         chain=chain.label(),
@@ -127,10 +128,8 @@ def run_job(
         level=level,
         original_bytes=original_bytes,
         compressed_bytes=len(container),
-        payload_bytes=sum(b.payload_bytes for b in blocks),
-        header_bytes=sum(b.header_bytes for b in blocks)
-        + sum(len(b.side_bytes) for b in blocks)
-        + container_overhead(chain, len(blocks)),
+        payload_bytes=payload_bytes,
+        header_bytes=len(container) - payload_bytes,
         cr=report.cr,
         cs=report.cs,
         compress_seconds=best_enc,
@@ -168,7 +167,7 @@ def _run_cell(args):
         return run_job(series, chain, coder_name, level, repetitions, dataset_name=name)
     except BackendUnavailableError as exc:
         return _na_record(name, chain, coder_name, level, str(exc))
-    except TscodecError as exc:
+    except (TscodecError, ValueError) as exc:
         return (f"{name}/{chain.label()}/{coder_name}", str(exc))
 
 

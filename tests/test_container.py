@@ -1,0 +1,112 @@
+"""Container framing: the coder id table, header splits, backend widths and
+rejection of malformed containers."""
+
+import struct
+
+import numpy as np
+import pytest
+
+from tscodec import container
+from tscodec.backends import is_available
+from tscodec.coders.registry import CODER_BY_ID, CODERS
+from tscodec.container import build_container, decode_channel, read_container
+from tscodec.core import TimeSeries
+from tscodec.errors import FormatError
+from tscodec.synth import SynthSpec, generate
+from tscodec.transforms import TransformChain
+
+AVAILABLE_CODERS = [
+    name for name, info in CODERS.items() if info.kind != "backend" or is_available(name)
+]
+
+
+def test_coder_ids_are_pinned():
+    # Id bytes are part of the format; backend ids follow BACKENDS' order.
+    assert {name: info.id_byte for name, info in CODERS.items()} == {
+        "expgolomb": 1,
+        "bitpack": 2,
+        "huffman": 3,
+        "drh": 4,
+        "range": 5,
+        "lzss": 6,
+        "deflate": 16,
+        "zstd": 17,
+        "brotli": 18,
+        "bzip2": 19,
+        "lzma": 20,
+        "lz4": 21,
+        "snappy": 22,
+        "blosc": 23,
+        "sprintz": 24,
+        "pcodec": 25,
+    }
+    assert CODER_BY_ID == {info.id_byte: info for info in CODERS.values()}
+
+
+@pytest.mark.parametrize("name", ["huffman", "range"])
+@pytest.mark.parametrize("blob", [b"", b"\x05"])
+def test_blob_shorter_than_the_table_count_is_rejected(name, blob):
+    with pytest.raises(FormatError):
+        decode_channel(3, 0, b"", blob, TransformChain(()), CODERS[name])
+
+
+@pytest.mark.parametrize("stages, width", [((), 2), (("delta",), 4)])
+def test_backend_descriptor_carries_the_serialized_width(monkeypatch, stages, width):
+    seen = []
+
+    def spy(real):
+        def call(data, desc):
+            seen.append(desc.width)
+            return real(data, desc)
+
+        return call
+
+    monkeypatch.setattr(container, "backend_compress", spy(container.backend_compress))
+    monkeypatch.setattr(container, "backend_decompress", spy(container.backend_decompress))
+    # Deltas of full-scale 16-bit swings need 17 bits, so they serialize at width 4.
+    series = TimeSeries(samples=[-32768, 32767, -32768, 32767])
+    blob = build_container([series], TransformChain(stages), "deflate")
+    assert read_container(blob).channels == [series]
+    assert seen == [width, width]
+
+
+def test_backend_width_byte_outside_2_and_4_is_rejected():
+    series = TimeSeries(samples=np.arange(50))
+    blob = bytearray(build_container([series], TransformChain(()), "deflate"))
+    # Empty chain: channel table at offset 9, token count u64 then width u8.
+    struct.pack_into("<QB", blob, 9, 100, 1)
+    with pytest.raises(FormatError, match="width"):
+        read_container(bytes(blob))
+
+
+def _delta_rle0_container() -> tuple[TimeSeries, bytearray]:
+    series = generate(SynthSpec(case="sine", n=300, seed=1))
+    return series, bytearray(build_container([series], TransformChain(("delta", "rle0")), "drh"))
+
+
+def test_chain_out_of_order_is_rejected_on_read():
+    series, blob = _delta_rle0_container()
+    assert np.array_equal(read_container(bytes(blob)).channels[0].samples, series.samples)
+    blob[6], blob[7] = blob[7], blob[6]  # rle0, delta
+    with pytest.raises(FormatError, match="chain order"):
+        read_container(bytes(blob))
+
+
+def test_repeated_transform_id_is_rejected_on_read():
+    _, blob = _delta_rle0_container()
+    blob[7] = blob[6]  # delta, delta
+    with pytest.raises(FormatError, match="chain order"):
+        read_container(bytes(blob))
+
+
+@pytest.mark.parametrize("coder", AVAILABLE_CODERS)
+def test_every_truncation_raises_format_error(coder):
+    channels = [
+        generate(SynthSpec(case="switching", n=120, seed=3)),
+        TimeSeries(samples=generate(SynthSpec(case="noise", n=40, seed=3)).samples, channel_id=1),
+    ]
+    blob = build_container(channels, TransformChain(("delta", "rle0", "quars")), coder)
+    assert read_container(blob).channels == channels
+    for cut in range(len(blob)):
+        with pytest.raises(FormatError):
+            read_container(blob[:cut])

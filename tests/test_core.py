@@ -11,6 +11,7 @@ from tscodec.core import (
     entropy_and_limit,
     entropy_bits,
     size_metrics,
+    source_bytes,
 )
 
 series_values = st.lists(st.integers(min_value=-32768, max_value=32767), min_size=1, max_size=200)
@@ -81,6 +82,10 @@ class TestSizeMetrics:
             size_metrics(0, 10)
         with pytest.raises(ValueError):
             size_metrics(10, 0)
+
+    def test_source_bytes_counts_16_bit_samples_over_all_channels(self):
+        channels = [TimeSeries(samples=[1, 2, 3]), TimeSeries(samples=[4], channel_id=1)]
+        assert source_bytes(channels) == 8
 
     @given(st.integers(1, 10**9), st.integers(1, 10**9))
     def test_cs_cr_identity(self, orig, comp):

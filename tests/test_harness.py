@@ -129,6 +129,22 @@ class TestRunMatrix:
         assert [r.level for r in result.records] == [1, 9]
         assert result.records[1].cs > result.records[0].cs
 
+    def test_value_error_in_one_cell_is_collected(self):
+        # 70,000 uniform int16 samples hold more distinct values than the
+        # range coder's 2^14-slot model; huffman handles them.
+        samples = np.random.default_rng(0).integers(-32768, 32768, 70000)
+        result = run_matrix(
+            {"noise": TimeSeries(samples=samples)},
+            [TransformChain(())],
+            ["range", "huffman"],
+            repetitions=1,
+        )
+        assert [r.coder for r in result.records] == ["huffman"]
+        assert len(result.failures) == 1
+        cell, message = result.failures[0]
+        assert cell == "noise/none/range"
+        assert "alphabet too large" in message
+
     def test_worker_pool_matches_serial(self, small_suite):
         datasets = {"sine": small_suite["sine"], "noise": small_suite["noise"]}
         chains = [TransformChain(()), TransformChain(("delta",))]
