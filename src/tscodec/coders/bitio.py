@@ -3,6 +3,14 @@
 Bits are filled most-significant-first within each byte; unused trailing
 bits of the final byte are zero.
 
+Codewords are packed a 64-bit word at a time (``pack_codes``), as fast
+integer codecs write bits. A ``cumsum`` of the lengths gives each code's
+start bit; the code, left-aligned, is shifted to its offset in the word
+where it starts, and the codes sharing a word are OR-ed together by one
+``bitwise_or.reduceat``. The low bits of a code that crosses into the next
+word go there in one scatter. The words are written big-endian and cut to
+whole bytes, so no per-bit array is ever built.
+
 Prefix codes decode chunk by chunk (``decode_chunks``). For every bit
 position of a chunk of ``CHUNK_BITS`` positions, a coder computes with
 numpy where a codeword starting at that position would end. A tight walk
@@ -44,18 +52,19 @@ class BitStream:
 
 
 def bit_length_u64(values: np.ndarray) -> np.ndarray:
-    """Vectorized bit length of non-negative integers (0 -> 0)."""
-    v = values.astype(np.uint64, copy=True)
-    bl = np.zeros(v.shape, dtype=np.int64)
-    for s in (32, 16, 8, 4, 2, 1):
-        big = v >= np.uint64(1 << s)
-        bl[big] += s
-        v[big] >>= np.uint64(s)
-    bl[v > 0] += 1
-    return bl
+    """Vectorized bit length of non-negative integers (0 -> 0).
+
+    ``frexp`` gives the bit length of an integer that float64 holds
+    exactly. Every 32-bit half does, so the high half is measured where it
+    is nonzero (plus 32) and the value itself elsewhere.
+    """
+    v = values.astype(np.uint64, copy=False)
+    high = v >> np.uint64(32)
+    wide = high > 0
+    return np.frexp(np.where(wide, high, v).astype(np.float64))[1] + np.where(wide, 32, 0)
 
 
-def pack_codes(codes: np.ndarray, lengths: np.ndarray, chunk: int = 1 << 16) -> BitStream:
+def pack_codes(codes: np.ndarray, lengths: np.ndarray) -> BitStream:
     """Concatenate variable-length codewords into one bit stream.
 
     ``codes[i]`` holds the codeword value in its low ``lengths[i]`` bits;
@@ -67,19 +76,25 @@ def pack_codes(codes: np.ndarray, lengths: np.ndarray, chunk: int = 1 << 16) -> 
         return BitStream(b"", 0)
     if int(lengths.min()) < 1 or int(lengths.max()) > 64:
         raise ValueError("codeword lengths must be in [1, 64]")
-    pieces = []
-    cols = np.arange(64)
-    for start in range(0, codes.size, chunk):
-        c = codes[start : start + chunk]
-        ln = lengths[start : start + chunk]
-        # Shift each code so its first bit sits at bit 63, then the first
-        # `len` unpacked bits of each row are exactly the codeword.
-        shifted = c << (64 - ln).astype(np.uint64)
-        bits = np.unpackbits(shifted.astype(">u8").view(np.uint8).reshape(-1, 8), axis=1)
-        mask = cols < ln[:, None]
-        pieces.append(bits[mask])
-    flat = np.concatenate(pieces)
-    return BitStream(np.packbits(flat).tobytes(), int(lengths.sum()))
+    ends = np.cumsum(lengths)
+    total = int(ends[-1])
+    starts = ends - lengths
+    word = starts >> 6
+    offset = (starts & 63).astype(np.uint64)
+    # Left-align each code (shift 0..63), then move it to its bit offset in
+    # the word where it starts (shift 0..63): bits past the word fall off.
+    aligned = codes << (np.uint64(64) - lengths.astype(np.uint64))
+    high = aligned >> offset
+    out = np.zeros((total + 63) >> 6, dtype=np.uint64)
+    # Starts are sorted, so the codes sharing a word are contiguous.
+    first = np.flatnonzero(np.concatenate(([True], word[1:] != word[:-1])))
+    out[word[first]] = np.bitwise_or.reduceat(high, first)
+    # The bits that fell off go to the top of the next word. Only a code
+    # with offset >= 1 can cross (shift 1..63), and at most one code crosses
+    # each boundary, so the scatter indices are unique.
+    cross = np.flatnonzero(ends > (word + 1) << 6)
+    out[word[cross] + 1] |= aligned[cross] << (np.uint64(64) - offset[cross])
+    return BitStream(out.astype(">u8").tobytes()[: (total + 7) >> 3], total)
 
 
 def byte_windows(seg: np.ndarray, nbytes: int) -> np.ndarray:

@@ -23,15 +23,16 @@ working memory is bounded by ``bitio.CHUNK_BITS``, not by the payload.
 from __future__ import annotations
 
 import heapq
-import struct
 
 import numpy as np
 
 from ..core import as_samples
 from ..errors import FormatError, TruncatedStreamError
+from . import symtable
 from .bitio import BitStream, byte_windows, decode_chunks, pack_codes
 
 MAX_CODE_LENGTH = 32
+_ENTRY = symtable.entry("u1")
 TABLE_BITS = 12
 # Code length recorded for a position where no codeword matches; the walk
 # steps past the chunk from there.
@@ -76,18 +77,27 @@ def code_lengths_from_counts(counts: np.ndarray) -> np.ndarray:
     return lengths
 
 
+def _left_justified(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spans and first windows of canonical codes, left-justified to 32 bits.
+
+    ``lengths`` is in canonical order (ascending). Code i covers the 32-bit
+    windows [first[i], first[i] + span[i]) with span[i] = 2^(32 - length):
+    each code starts where the previous one's span ends, and Kraft keeps
+    the spans inside 2^32.
+    """
+    span = np.uint64(1) << (MAX_CODE_LENGTH - lengths).astype(np.uint64)
+    first = np.zeros(lengths.size, dtype=np.uint64)
+    np.cumsum(span[:-1], out=first[1:])
+    return span, first
+
+
 def canonical_codes(symbols: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Assign canonical codewords: sorted by (length, symbol), counting up."""
     order = np.lexsort((symbols, lengths))
-    codes = np.zeros(symbols.size, dtype=np.uint64)
-    code = 0
-    prev_len = int(lengths[order[0]])
-    for idx in order.tolist():
-        ln = int(lengths[idx])
-        code <<= ln - prev_len
-        codes[idx] = code
-        code += 1
-        prev_len = ln
+    lens = lengths[order]
+    _, first = _left_justified(lens)
+    codes = np.empty(symbols.size, dtype=np.uint64)
+    codes[order] = first >> (MAX_CODE_LENGTH - lens).astype(np.uint64)
     return codes
 
 
@@ -105,27 +115,15 @@ def encode(values) -> tuple[bytes, BitStream]:
     symbols, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
     lengths = code_lengths_from_counts(counts)
     codes = canonical_codes(symbols, lengths)
-    header = bytearray(struct.pack("<H", symbols.size))
-    for s, ln in zip(symbols.tolist(), lengths.tolist()):
-        header += struct.pack("<iB", s, ln)
+    header = symtable.write(_ENTRY, symbols, lengths)
     payload = pack_codes(codes[inverse], lengths[inverse])
-    return bytes(header), payload
+    return header, payload
 
 
 def parse_header(header: bytes) -> tuple[np.ndarray, np.ndarray]:
-    if len(header) < 2:
-        raise FormatError("truncated code table")
-    (m,) = struct.unpack_from("<H", header, 0)
-    if m == 0:
+    symbols, lengths = symtable.read(_ENTRY, header, "code table")
+    if symbols.size == 0:
         raise FormatError("invalid code table")
-    if len(header) < 2 + 5 * m:
-        raise FormatError("truncated code table")
-    symbols = np.empty(m, dtype=np.int64)
-    lengths = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        s, ln = struct.unpack_from("<iB", header, 2 + 5 * i)
-        symbols[i] = s
-        lengths[i] = ln
     if int(lengths.min()) < 1 or int(lengths.max()) > MAX_CODE_LENGTH:
         raise FormatError("invalid code table")
     _check_kraft(lengths)
@@ -133,7 +131,7 @@ def parse_header(header: bytes) -> tuple[np.ndarray, np.ndarray]:
 
 
 def header_size(cardinality: int) -> int:
-    return 2 + 5 * cardinality
+    return 2 + _ENTRY.itemsize * cardinality
 
 
 def decode(header: bytes, payload: BitStream | bytes, count: int) -> np.ndarray:
@@ -141,12 +139,7 @@ def decode(header: bytes, payload: BitStream | bytes, count: int) -> np.ndarray:
     order = np.lexsort((symbols, lengths))
     syms = symbols[order]
     lens = lengths[order]
-    # In canonical order each code, left-justified to 32 bits, starts where
-    # the previous one's span of 2^(32 - length) windows ends; Kraft keeps
-    # the spans inside 2^32.
-    span = np.uint64(1) << (MAX_CODE_LENGTH - lens).astype(np.uint64)
-    first = np.zeros(lens.size, dtype=np.uint64)
-    np.cumsum(span[:-1], out=first[1:])
+    span, first = _left_justified(lens)
     bits = min(TABLE_BITS, int(lens[-1]))
     short = np.flatnonzero(lens <= bits)
     reps = (span[short] >> np.uint64(MAX_CODE_LENGTH - bits)).astype(np.int64)

@@ -19,18 +19,18 @@ at the end. The slot table is built per call from the header.
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
 from ..core import as_samples
 from ..errors import FormatError, TruncatedStreamError
+from . import symtable
 
 TOTAL_BITS = 14
 TOTAL = 1 << TOTAL_BITS
 TOP = 1 << 24
 BOT = 1 << 16
 MASK = (1 << 32) - 1
+_ENTRY = symtable.entry("<u2")
 
 
 def quantize_counts(counts: np.ndarray, n: int) -> np.ndarray:
@@ -68,9 +68,7 @@ def encode(values) -> tuple[bytes, bytes]:
         raise ValueError("undefined on empty input")
     symbols, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
     freqs_q = quantize_counts(counts, x.size)
-    header = bytearray(struct.pack("<H", symbols.size))
-    for s, f in zip(symbols.tolist(), freqs_q.tolist()):
-        header += struct.pack("<iH", s, f)
+    header = symtable.write(_ENTRY, symbols, freqs_q)
     freq_list, cum = _model_from_counts(freqs_q)
     out = bytearray()
     low = 0
@@ -92,30 +90,20 @@ def encode(values) -> tuple[bytes, bytes]:
     for _ in range(4):
         out.append((low >> 24) & 0xFF)
         low = (low << 8) & MASK
-    return bytes(header), bytes(out)
+    return header, bytes(out)
 
 
 def parse_header(header: bytes) -> tuple[np.ndarray, np.ndarray]:
-    if len(header) < 2:
-        raise FormatError("truncated frequency table")
-    (m,) = struct.unpack_from("<H", header, 0)
-    if m == 0:
+    symbols, freqs = symtable.read(_ENTRY, header, "frequency table")
+    if symbols.size == 0:
         raise FormatError("corrupt model")
-    if len(header) < 2 + 6 * m:
-        raise FormatError("truncated frequency table")
-    symbols = np.empty(m, dtype=np.int64)
-    freqs = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        s, f = struct.unpack_from("<iH", header, 2 + 6 * i)
-        symbols[i] = s
-        freqs[i] = f
     if int(freqs.sum()) != TOTAL or int(freqs.min()) < 1:
         raise FormatError("corrupt model")
     return symbols, freqs
 
 
 def header_size(cardinality: int) -> int:
-    return 2 + 6 * cardinality
+    return 2 + _ENTRY.itemsize * cardinality
 
 
 def decode(header: bytes, payload: bytes, count: int) -> np.ndarray:

@@ -1,0 +1,41 @@
+"""Symbol-table headers of the dynamic symbol coders (Huffman, range).
+
+Layout: symbol count as u16, then one packed little-endian entry per
+symbol, (value as i32, field as an unsigned integer), sorted by symbol
+value. Each coder names its entry as a packed structured dtype, so the
+table is written with one ``tobytes`` and read with one ``frombuffer``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from ..core import INT32_MAX, INT32_MIN
+from ..errors import FormatError
+
+
+def entry(field: str) -> np.dtype:
+    """Packed entry dtype: symbol ``<i4`` followed by ``field``."""
+    return np.dtype([("symbol", "<i4"), ("field", field)])
+
+
+def write(dtype: np.dtype, symbols: np.ndarray, fields: np.ndarray) -> bytes:
+    if symbols.size > 0xFFFF:
+        raise ValueError("alphabet too large for the symbol table")
+    if int(symbols[0]) < INT32_MIN or int(symbols[-1]) > INT32_MAX:
+        raise ValueError("symbol outside the int32 alphabet")
+    table = np.empty(symbols.size, dtype=dtype)
+    table["symbol"] = symbols
+    table["field"] = fields
+    return symbols.size.to_bytes(2, "little") + table.tobytes()
+
+
+def read(dtype: np.dtype, header: bytes, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """(symbols, fields) as int64; both are empty for a zero count."""
+    if len(header) < 2:
+        raise FormatError(f"truncated {what}")
+    m = int.from_bytes(header[:2], "little")
+    if len(header) < 2 + dtype.itemsize * m:
+        raise FormatError(f"truncated {what}")
+    table = np.frombuffer(header, dtype=dtype, count=m, offset=2)
+    return table["symbol"].astype(np.int64), table["field"].astype(np.int64)

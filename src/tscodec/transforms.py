@@ -121,6 +121,10 @@ def unzigzag(series) -> np.ndarray:
     return np.where(u & 1 == 0, u >> 1, -((u + 1) >> 1))
 
 
+# One serialized QuaRs bin: (lower bound, target offset), packed little-endian.
+_QUARS_BIN = np.dtype([("lower", "<i4"), ("target", "<i4")])
+
+
 @dataclass(frozen=True)
 class QuarsMap:
     """Bijective value remap fitted by :func:`quars_encode`.
@@ -171,11 +175,18 @@ class QuarsMap:
         All little-endian."""
         if self.bin_count > 0xFFFF:
             raise ValueError("too many bins to serialize")
-        parts = [struct.pack("<H", self.bin_count)]
-        for lo, off in zip(self.lower_bounds.tolist(), self.target_offsets.tolist()):
-            parts.append(struct.pack("<ii", lo, off))
-        parts.append(struct.pack("<i", self.upper_exclusive))
-        return b"".join(parts)
+        offs = self.target_offsets
+        lowest = min(int(self.lower_bounds[0]), int(offs.min()))
+        if lowest < INT32_MIN or max(self.upper_exclusive, int(offs.max())) > INT32_MAX:
+            raise ValueError("QuaRs map outside the int32 range")
+        bins = np.empty(self.bin_count, dtype=_QUARS_BIN)
+        bins["lower"] = self.lower_bounds
+        bins["target"] = offs
+        return (
+            struct.pack("<H", self.bin_count)
+            + bins.tobytes()
+            + struct.pack("<i", self.upper_exclusive)
+        )
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "QuarsMap":
@@ -185,15 +196,21 @@ class QuarsMap:
         need = 2 + 8 * count + 4
         if len(data) < need:
             raise FormatError("truncated QuaRs map")
-        lows = np.empty(count, dtype=np.int64)
-        offs = np.empty(count, dtype=np.int64)
-        for i in range(count):
-            lo, off = struct.unpack_from("<ii", data, 2 + 8 * i)
-            lows[i] = lo
-            offs[i] = off
+        bins = np.frombuffer(data, dtype=_QUARS_BIN, count=count, offset=2)
+        lows = bins["lower"].astype(np.int64)
+        offs = bins["target"].astype(np.int64)
         (upper,) = struct.unpack_from("<i", data, 2 + 8 * count)
         if count == 0 or np.any(np.diff(lows) <= 0) or upper <= lows[-1]:
             raise FormatError("invalid QuaRs map")
+        # A fitted map observed every lower bound and upper - 1 and maps the
+        # observed values one to one, so its targets are distinct and none
+        # falls inside the last bin's range. Full bin widths include
+        # unobserved gaps, so other target ranges may overlap in a valid map.
+        targets = np.sort(offs)
+        last = offs[-1]
+        inside_last = (targets > last) & (targets < last + upper - lows[-1])
+        if np.any(targets[1:] == targets[:-1]) or np.any(inside_last):
+            raise FormatError("overlapping QuaRs target ranges")
         return cls(lower_bounds=lows, target_offsets=offs, upper_exclusive=int(upper))
 
     @property

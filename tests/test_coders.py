@@ -6,6 +6,7 @@ the closed-form floor(log2) law, LZSS sizes via token-format arithmetic.
 """
 
 import math
+import struct
 from collections import Counter
 
 import numpy as np
@@ -41,18 +42,60 @@ class TestBitIO:
         for value, width in items:
             assert r.read(width) == value & ((1 << width) - 1)
 
+    @staticmethod
+    def written(codes, lengths) -> BitStream:
+        w = BitWriter()
+        for c, l in zip(codes, lengths):
+            w.write(c, l)
+        return w.getvalue()
+
     def test_pack_codes_matches_writer(self):
         rng = np.random.default_rng(0)
         lengths = rng.integers(1, 33, 500)
         codes = np.array([int(rng.integers(0, 1 << int(l))) for l in lengths], dtype=np.uint64)
-        w = BitWriter()
-        for c, l in zip(codes.tolist(), lengths.tolist()):
-            w.write(c, l)
-        assert w.getvalue() == pack_codes(codes, lengths)
+        assert self.written(codes.tolist(), lengths.tolist()) == pack_codes(codes, lengths)
+
+    @given(st.lists(st.integers(1, 64).flatmap(
+        lambda n: st.tuples(st.integers(0, (1 << n) - 1), st.just(n))), max_size=200))
+    def test_pack_codes_matches_writer_all_lengths(self, items):
+        codes = [c for c, _ in items]
+        lengths = [n for _, n in items]
+        packed = pack_codes(np.array(codes, dtype=np.uint64), np.array(lengths, dtype=np.int64))
+        assert packed == self.written(codes, lengths)
+
+    @pytest.mark.parametrize("offset", range(64))
+    def test_pack_codes_64_bit_code_at_every_offset(self, offset):
+        # A lead code puts the full-width codes at bit ``offset`` of a word;
+        # every one of them then crosses a 64-bit word boundary unless the
+        # offset is 0.
+        codes = [(1 << offset) - 1 if offset else 0, 2**64 - 1, 0x8000_0000_0000_0001, 0x0123_4567_89AB_CDEF]
+        lengths = [max(offset, 1), 64, 64, 64]
+        if not offset:
+            codes, lengths = codes[1:], lengths[1:]
+        packed = pack_codes(np.array(codes, dtype=np.uint64), np.array(lengths))
+        assert packed == self.written(codes, lengths)
+
+    def test_pack_codes_crossing_word_boundaries(self):
+        # Odd lengths walk the codes across every bit offset of the words.
+        lengths = [63, 5, 61, 7, 64, 1, 33, 31, 62, 3] * 7
+        codes = [((1 << n) - 1) >> (i % 3) for i, n in enumerate(lengths)]
+        packed = pack_codes(np.array(codes, dtype=np.uint64), np.array(lengths))
+        assert packed == self.written(codes, lengths)
+
+    def test_pack_codes_single_and_empty(self):
+        assert pack_codes(np.array([5], dtype=np.uint64), np.array([3])) == BitStream(b"\xa0", 3)
+        assert pack_codes(np.array([1], dtype=np.uint64), np.array([64])) == BitStream(bytes(7) + b"\x01", 64)
+        assert pack_codes(np.array([], dtype=np.uint64), np.array([], dtype=np.int64)) == BitStream(b"", 0)
+
+    @pytest.mark.parametrize("bad", [0, 65])
+    def test_pack_codes_rejects_lengths_outside_1_64(self, bad):
+        with pytest.raises(ValueError, match=r"\[1, 64\]"):
+            pack_codes(np.array([1, 1], dtype=np.uint64), np.array([3, bad]))
 
     def test_bit_length_matches_python(self):
-        v = np.array([0, 1, 2, 3, 255, 256, 65535, 2**31, 2**40 - 1], dtype=np.uint64)
-        assert bit_length_u64(v).tolist() == [int(x).bit_length() for x in v.tolist()]
+        v = [0, 1, 2, 3, 255, 256, 65535, 2**31, 2**40 - 1, 2**64 - 1]
+        v += [2**k + d for k in range(1, 64) for d in (-1, 0, 1)]
+        assert bit_length_u64(np.array(v, dtype=np.uint64)).tolist() == [x.bit_length() for x in v]
 
     def test_read_past_end_raises(self):
         r = BitReader(b"\xff", 3)
@@ -132,6 +175,64 @@ class TestBitpack:
     def test_short_final_block(self):
         v = list(range(130))
         assert bitpack.decode(bitpack.encode(v), 130).tolist() == v
+
+
+# Alphabets for the symbol-table header checks: one symbol, two, a wide
+# one, and the int32 extremes.
+HEADER_ALPHABETS = [
+    [7] * 9,
+    [5, -5] * 40,
+    list(range(-300, 300)) * 2 + [0] * 500,
+    [-(2**31), 2**31 - 1, 0, 0, 1],
+]
+
+
+def struct_table(entry: str, symbols, fields) -> bytes:
+    """The symbol-table header as a per-symbol ``struct`` loop writes it."""
+    header = struct.pack("<H", len(symbols))
+    for s, f in zip(symbols, fields):
+        header += struct.pack(entry, s, f)
+    return header
+
+
+class TestSymbolTableHeaders:
+    @pytest.mark.parametrize("x", HEADER_ALPHABETS)
+    def test_huffman_header_matches_struct_layout(self, x):
+        symbols, counts = np.unique(x, return_counts=True)
+        lengths = huffman.code_lengths_from_counts(counts)
+        header, _ = huffman.encode(x)
+        assert header == struct_table("<iB", symbols.tolist(), lengths.tolist())
+        parsed = huffman.parse_header(header)
+        assert parsed[0].tolist() == symbols.tolist() and parsed[1].tolist() == lengths.tolist()
+
+    @pytest.mark.parametrize("x", HEADER_ALPHABETS)
+    def test_range_header_matches_struct_layout(self, x):
+        symbols, counts = np.unique(x, return_counts=True)
+        freqs = rangecoder.quantize_counts(counts, len(x))
+        header, _ = rangecoder.encode(x)
+        assert header == struct_table("<iH", symbols.tolist(), freqs.tolist())
+        parsed = rangecoder.parse_header(header)
+        assert parsed[0].tolist() == symbols.tolist() and parsed[1].tolist() == freqs.tolist()
+
+    @pytest.mark.parametrize("encode", [huffman.encode, rangecoder.encode])
+    def test_symbol_outside_int32_rejected(self, encode):
+        with pytest.raises(ValueError, match="int32"):
+            encode([0, 2**31])
+
+    def test_canonical_codes_match_counting_loop(self):
+        rng = np.random.default_rng(4)
+        symbols = np.sort(rng.choice(np.arange(-5000, 5000), 300, replace=False))
+        lengths = huffman.code_lengths_from_counts(rng.integers(1, 10_000, 300))
+        expected = {}
+        code = 0
+        prev = None
+        for ln, sym in sorted(zip(lengths.tolist(), symbols.tolist())):
+            if prev is not None:
+                code = (code + 1) << (ln - prev)
+            expected[sym] = code
+            prev = ln
+        codes = huffman.canonical_codes(symbols, lengths)
+        assert codes.tolist() == [expected[s] for s in symbols.tolist()]
 
 
 class TestHuffman:

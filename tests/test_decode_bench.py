@@ -1,10 +1,10 @@
-"""Decode micro-benchmarks, one per internal coder.
+"""Encode and decode micro-benchmarks, one per internal coder.
 
-Each benchmark decodes the tokens of the synthetic ``noise`` series (n = 1e5,
-seed 0, chain delta,rle0,quars) through the coder registry, once, and checks
-the round trip. A plain pytest run uses them as round-trip tests;
-``pytest tests/test_decode_bench.py --benchmark-only`` prints the per-coder
-decode times.
+Each benchmark encodes or decodes the tokens of the synthetic ``noise``
+series (n = 1e5, seed 0, chain delta,rle0,quars) through the coder registry,
+once, and checks the round trip. A plain pytest run uses them as round-trip
+tests; ``pytest tests/test_decode_bench.py --benchmark-only`` prints the
+per-coder encode and decode times.
 """
 
 import numpy as np
@@ -24,19 +24,35 @@ def tokens():
     return tokens
 
 
-@pytest.mark.parametrize("name", INTERNAL_CODER_NAMES)
-def test_decode(benchmark, tokens, name):
-    info = get_coder(name)
+def coder_input(info, tokens):
+    """(input, token count) of a coder: tokens, or their serialization."""
     if info.kind == "symbol":
-        header, payload = info.encode(tokens)
-        expected, count = tokens, tokens.size
-    else:
-        expected, _ = serialize_series(tokens)
-        header, payload = info.encode(expected)
-        count = len(expected)
-    benchmark.group = "decode"
-    out = benchmark.pedantic(info.decode, args=(header, payload, count), rounds=1, iterations=1)
+        return tokens, tokens.size
+    data, _ = serialize_series(tokens)
+    return data, len(data)
+
+
+def check_roundtrip(info, out, expected):
     if info.kind == "symbol":
         assert np.array_equal(out, expected)
     else:
         assert out == expected
+
+
+@pytest.mark.parametrize("name", INTERNAL_CODER_NAMES)
+def test_encode(benchmark, tokens, name):
+    info = get_coder(name)
+    data, count = coder_input(info, tokens)
+    benchmark.group = "encode"
+    header, payload = benchmark.pedantic(info.encode, args=(data,), rounds=1, iterations=1)
+    check_roundtrip(info, info.decode(header, payload, count), data)
+
+
+@pytest.mark.parametrize("name", INTERNAL_CODER_NAMES)
+def test_decode(benchmark, tokens, name):
+    info = get_coder(name)
+    expected, count = coder_input(info, tokens)
+    header, payload = info.encode(expected)
+    benchmark.group = "decode"
+    out = benchmark.pedantic(info.decode, args=(header, payload, count), rounds=1, iterations=1)
+    check_roundtrip(info, out, expected)

@@ -5,6 +5,8 @@ The QuaRs expectations are frozen from a brute-force oracle (see
 placement independently of the library implementation.
 """
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -175,6 +177,8 @@ class TestQuars:
     def test_roundtrip(self, values, bins):
         mapped, qmap = quars_encode(values, bins)
         assert quars_decode(mapped, qmap).tolist() == values
+        # Every fitted map passes the read-side checks.
+        assert quars_decode(mapped, QuarsMap.from_bytes(qmap.to_bytes())).tolist() == values
 
     def test_thousand_random_roundtrips(self):
         rng = np.random.default_rng(11)
@@ -215,6 +219,30 @@ class TestQuars:
         restored = QuarsMap.from_bytes(qmap.to_bytes())
         assert np.array_equal(restored.invert(mapped), x)
         assert restored.byte_size == len(qmap.to_bytes())
+
+    def test_fitted_map_with_overlapping_full_widths_is_accepted(self):
+        # Bin [0, 5) observed only 0 and 1, so bin [5, 10) is placed at
+        # target 2: the full widths overlap, the observed values do not.
+        x = [0] * 4 + [1] * 4 + [5, 6, 7, 8, 9]
+        mapped, qmap = quars_encode(x, bin_count=2)
+        assert qmap.target_offsets.tolist() == [0, 2]
+        restored = QuarsMap.from_bytes(qmap.to_bytes())
+        assert restored.invert(mapped).tolist() == x
+
+    @pytest.mark.parametrize(
+        "bins",
+        [
+            [(0, 0), (5, 0)],  # two bins on one target
+            [(0, 3), (5, 0)],  # a target inside the last bin's range [0, 5)
+            [(0, 0), (5, -3)],  # the last bin's range [-3, 2) covers target 0
+        ],
+    )
+    def test_overlapping_target_ranges_rejected(self, bins):
+        raw = len(bins).to_bytes(2, "little")
+        raw += b"".join(struct.pack("<ii", lo, off) for lo, off in bins)
+        raw += struct.pack("<i", 10)
+        with pytest.raises(FormatError, match="overlapping"):
+            QuarsMap.from_bytes(raw)
 
     def test_map_serialization_is_little_endian(self):
         _, qmap = quars_encode([3, 3, 3])
