@@ -26,7 +26,7 @@ import heapq
 
 import numpy as np
 
-from ..core import as_samples
+from ..core import as_samples, token_histogram
 from ..errors import FormatError, TruncatedStreamError
 from . import symtable
 from .bitio import BitStream, byte_windows, decode_chunks, pack_codes
@@ -112,7 +112,7 @@ def encode(values) -> tuple[bytes, BitStream]:
     x = as_samples(values)
     if x.size == 0:
         raise ValueError("undefined on empty input")
-    symbols, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    symbols, counts, inverse = token_histogram(x)
     lengths = code_lengths_from_counts(counts)
     codes = canonical_codes(symbols, lengths)
     header = symtable.write(_ENTRY, symbols, lengths)

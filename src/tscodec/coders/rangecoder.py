@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import as_samples
+from ..core import as_samples, token_histogram
 from ..errors import FormatError, TruncatedStreamError
 from . import symtable
 
@@ -66,7 +66,7 @@ def encode(values) -> tuple[bytes, bytes]:
     x = as_samples(values)
     if x.size == 0:
         raise ValueError("undefined on empty input")
-    symbols, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    symbols, counts, inverse = token_histogram(x)
     freqs_q = quantize_counts(counts, x.size)
     header = symtable.write(_ENTRY, symbols, freqs_q)
     freq_list, cum = _model_from_counts(freqs_q)

@@ -4,6 +4,10 @@ A series is one channel of integer samples. Source data is expected to fit
 signed 16 bits; transform outputs may grow beyond that but must stay within
 signed 32 bits, which is the alphabet every coder accepts. Multichannel data
 is a list of :class:`TimeSeries`, one per channel, processed independently.
+
+:func:`token_histogram` is the one place that counts distinct values: the
+QuaRs fit and map, the Huffman and range models, and the statistics here
+all take their symbols, counts and per-token indices from it.
 """
 
 from __future__ import annotations
@@ -31,6 +35,28 @@ def as_samples(series) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError("series must be one-dimensional")
     return arr
+
+
+def token_histogram(series) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct values, their counts, and each sample's index into them.
+
+    The results equal ``np.unique(x, return_inverse=True, return_counts=True)``
+    (in the order symbols, counts, inverse). Tokens from 16-bit samples span
+    a few hundred values, so when ``max - min <= max(n, 2**16)`` one
+    ``bincount`` over ``x - min`` and a rank gather replace the sort; the
+    table then holds at most ``max(n, 2**16) + 1`` entries. Wider spans sort.
+    """
+    x = as_samples(series)
+    if x.size:
+        lo = int(x.min())
+        if int(x.max()) - lo <= max(x.size, 1 << 16):
+            shifted = x - lo
+            hist = np.bincount(shifted)
+            present = np.flatnonzero(hist)
+            rank = np.cumsum(hist > 0) - 1
+            return present + lo, hist[present], rank[shifted]
+    symbols, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return symbols, counts, inverse
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +114,7 @@ def cardinality(series) -> int:
     x = as_samples(series)
     if x.size == 0:
         return 0
-    return int(np.unique(x).size)
+    return int(token_histogram(x)[0].size)
 
 
 def aad(series) -> float:
@@ -104,7 +130,7 @@ def entropy_bits(series) -> float:
     x = as_samples(series)
     if x.size == 0:
         raise ValueError("undefined on empty input")
-    _, counts = np.unique(x, return_counts=True)
+    _, counts, _ = token_histogram(x)
     p = counts / x.size
     return float(-np.sum(p * np.log2(p)))
 

@@ -8,7 +8,8 @@ vanishing.
 
 Timing covers the transform stages plus the (de)coding call, single
 threaded, best of ``repetitions`` runs; ingestion and byte serialization
-are excluded. Compressed size counts every byte needed to decode (coder
+are excluded from encode timing. Decode timing, reported as
+``decode_mb_s`` beside ``speed_mb_s``, is one whole ``read_container``. Compressed size counts every byte needed to decode (coder
 headers, side maps, and container framing); ``payload_bytes`` isolates the
 coder payload so header effects stay visible.
 """
@@ -54,6 +55,7 @@ class BenchRecord:
     compress_seconds: float
     decompress_seconds: float
     speed_mb_s: float
+    decode_mb_s: float
     roundtrip_ok: bool
     status: str = "ok"  # "ok" or "n/a"
     note: str = ""
@@ -135,6 +137,7 @@ def run_job(
         compress_seconds=best_enc,
         decompress_seconds=best_dec,
         speed_mb_s=compression_speed_mb_s(original_bytes, best_enc),
+        decode_mb_s=compression_speed_mb_s(original_bytes, best_dec),
         roundtrip_ok=True,
     )
 
@@ -154,6 +157,7 @@ def _na_record(dataset_name, chain, coder_name, level, note) -> BenchRecord:
         compress_seconds=float("nan"),
         decompress_seconds=float("nan"),
         speed_mb_s=float("nan"),
+        decode_mb_s=float("nan"),
         roundtrip_ok=False,
         status="n/a",
         note=note,
@@ -277,6 +281,7 @@ _REPORT_FIELDS = [
     "compress_seconds",
     "decompress_seconds",
     "speed_mb_s",
+    "decode_mb_s",
     "roundtrip_ok",
     "status",
     "note",
@@ -325,18 +330,18 @@ def emit_report(
         meta_bits = ", ".join(f"{k}={v}" for k, v in sorted(metadata.items()) if k != "backends")
         lines.append(f"Report ({meta_bits})")
         lines.append("")
-        lines.append("| dataset | chain | coder | level | cs | speed MB/s |")
-        lines.append("|---|---|---|---|---|---|")
+        lines.append("| dataset | chain | coder | level | cs | speed MB/s | decode MB/s |")
+        lines.append("|---|---|---|---|---|---|---|")
         for r in ok_records:
             cs = max(0.0, r.cs)  # expansion shown as 0
             level = "" if r.level is None else str(r.level)
             lines.append(
                 f"| {r.dataset} | {r.chain} | {r.coder} | {level} "
-                f"| {cs:.3f} | {r.speed_mb_s:.1f} |"
+                f"| {cs:.3f} | {r.speed_mb_s:.1f} | {r.decode_mb_s:.1f} |"
             )
         for r in na_records:
             level = "" if r.level is None else str(r.level)
-            lines.append(f"| {r.dataset} | {r.chain} | {r.coder} | {level} | n/a | n/a |")
+            lines.append(f"| {r.dataset} | {r.chain} | {r.coder} | {level} | n/a | n/a | n/a |")
         lines.append("")
         return ("\n".join(lines)).encode()
 
@@ -348,6 +353,7 @@ def emit_report(
                 "chain": r.chain,
                 "cs": r.cs,
                 "speed_mb_s": r.speed_mb_s,
+                "decode_mb_s": r.decode_mb_s,
             }
             for r in ok_records
         ]

@@ -11,6 +11,9 @@ Three stages can be chained ahead of any coder, in this fixed order:
 ``zigzag``/``unzigzag`` map signed integers onto non-negative ones so that
 small magnitudes stay small; coders whose natural alphabet is non-negative
 apply it internally.
+
+QuaRs fits its bins and evaluates its map once per distinct value, taken
+from :func:`tscodec.core.token_histogram`, then gathers per token.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INT32_MAX, INT32_MIN, as_samples
+from .core import INT32_MAX, INT32_MIN, as_samples, token_histogram
 from .errors import FormatError
 
 TRANSFORM_ORDER = ("delta", "rle0", "quars")
@@ -60,21 +63,19 @@ def rle0_encode(series) -> np.ndarray:
     if x.size == 0:
         return x.copy()
     zero = x == 0
-    # Run starts: a zero not preceded by a zero.
-    starts = np.flatnonzero(zero & np.r_[True, ~zero[:-1]])
-    if starts.size == 0:
-        return x.copy()
-    ends = np.flatnonzero(zero & np.r_[~zero[1:], True])
-    lengths = ends - starts + 1
-    nonzero_idx = np.flatnonzero(~zero)
-    zeros_before = np.cumsum(zero) - zero  # zeros strictly before each index
-    runs_before_nz = np.searchsorted(starts, nonzero_idx, side="right")
-    out = np.empty(nonzero_idx.size + 2 * starts.size, dtype=x.dtype)
-    out_nz = nonzero_idx - zeros_before[nonzero_idx] + 2 * runs_before_nz
-    out[out_nz] = x[nonzero_idx]
-    out_run = starts - zeros_before[starts] + 2 * np.arange(starts.size)
-    out[out_run] = 0
-    out[out_run + 1] = lengths
+    start = zero.copy()
+    np.greater(zero[1:], zero[:-1], out=start[1:])  # a zero after a nonzero
+    # Keep every nonzero and the first zero of each run; the first zero is
+    # emitted twice, and its second copy becomes the run length.
+    keep = np.greater_equal(start, zero)
+    reps = start[keep].view(np.uint8)
+    marks = np.flatnonzero(reps)
+    reps += 1
+    out = np.repeat(x[keep], reps)
+    last = keep  # reused: the last zero of each run
+    np.greater(zero[:-1], zero[1:], out=last[:-1])
+    last[-1] = zero[-1]
+    out[marks + np.arange(1, marks.size + 1)] = np.flatnonzero(last) + 1 - np.flatnonzero(start)
     return out
 
 
@@ -83,28 +84,21 @@ def rle0_decode(tokens) -> np.ndarray:
     t = as_samples(tokens)
     if t.size == 0:
         return t.copy()
-    zero_pos = np.flatnonzero(t == 0)
-    # A zero at position p is a run marker and p+1 is its length slot; a
-    # zero in a length slot would mean a run of length 0. The list of zero
-    # positions is short (one per run), so a Python walk is fine.
-    markers = []
-    length_slot = -1
-    for p in zero_pos.tolist():
-        if p == length_slot:
-            raise FormatError("malformed run token: run length of 0")
-        markers.append(p)
-        length_slot = p + 1
-    markers = np.asarray(markers, dtype=np.int64)
-    if markers.size and markers[-1] == t.size - 1:
+    zero = t == 0
+    # Every zero opens a (0, length) pair, so the slot after it holds the
+    # length: two adjacent zeros are a run of length 0.
+    if np.any(zero[1:] & zero[:-1]):
+        raise FormatError("malformed run token: run length of 0")
+    if zero[-1]:
         raise FormatError("malformed run token: trailing 0 without run length")
-    lengths = t[markers + 1] if markers.size else np.empty(0, dtype=t.dtype)
+    markers = np.flatnonzero(zero)
+    lengths = t[markers + 1]
     if np.any(lengths <= 0):
         raise FormatError("malformed run token: non-positive run length")
     counts = np.ones(t.size, dtype=np.int64)
-    if markers.size:
-        counts[markers] = lengths
-        counts[markers + 1] = 0  # length slots emit nothing
-    return np.repeat(t * (counts > 0), counts)
+    counts[markers] = lengths
+    counts[markers + 1] = 0  # length slots emit nothing
+    return np.repeat(t, counts)
 
 
 def zigzag(series) -> np.ndarray:
@@ -147,37 +141,42 @@ class QuarsMap:
         return np.r_[self.lower_bounds[1:], self.upper_exclusive] - self.lower_bounds
 
     def apply(self, values) -> np.ndarray:
+        """Map values through their bins, searching once per distinct value."""
         x = as_samples(values)
         if x.size == 0:
             return x.copy()
-        if int(x.min()) < self.lower_bounds[0] or int(x.max()) >= self.upper_exclusive:
+        symbols, _, inverse = token_histogram(x)
+        if symbols[0] < self.lower_bounds[0] or symbols[-1] >= self.upper_exclusive:
             raise ValueError("value outside the fitted range")
-        idx = np.searchsorted(self.lower_bounds, x, side="right") - 1
-        return x - self.lower_bounds[idx] + self.target_offsets[idx]
+        idx = np.searchsorted(self.lower_bounds, symbols, side="right") - 1
+        return (symbols - self.lower_bounds[idx] + self.target_offsets[idx])[inverse]
 
     def invert(self, mapped) -> np.ndarray:
-        m = as_samples(mapped)
-        if m.size == 0:
-            return m.copy()
+        """Inverse of :meth:`apply`; a token no bin maps to raises FormatError."""
+        x = as_samples(mapped)
+        if x.size == 0:
+            return x.copy()
+        symbols, _, inverse = token_histogram(x)
         order = np.argsort(self.target_offsets, kind="stable")
         t_sorted = self.target_offsets[order]
         lo_sorted = self.lower_bounds[order]
         w_sorted = self.widths()[order]
-        idx = np.searchsorted(t_sorted, m, side="right") - 1
-        bad = (idx < 0) | (m - t_sorted[np.clip(idx, 0, None)] >= w_sorted[np.clip(idx, 0, None)])
+        idx = np.searchsorted(t_sorted, symbols, side="right") - 1
+        bad = (idx < 0) | (symbols - t_sorted[np.clip(idx, 0, None)] >= w_sorted[np.clip(idx, 0, None)])
         if np.any(bad):
             raise FormatError("value not in QuaRs map")
-        return m - t_sorted[idx] + lo_sorted[idx]
+        return (symbols - t_sorted[idx] + lo_sorted[idx])[inverse]
 
     def to_bytes(self) -> bytes:
         """bin count u16, per bin (lower bound i32, target offset i32),
         then the exclusive upper bound of the observed range as i32.
-        All little-endian."""
+        All little-endian. The upper bound is written mod 2^32, so 2^31 (a
+        series holding INT32_MAX) is stored as the bytes of INT32_MIN."""
         if self.bin_count > 0xFFFF:
             raise ValueError("too many bins to serialize")
         offs = self.target_offsets
         lowest = min(int(self.lower_bounds[0]), int(offs.min()))
-        if lowest < INT32_MIN or max(self.upper_exclusive, int(offs.max())) > INT32_MAX:
+        if lowest < INT32_MIN or int(offs.max()) > INT32_MAX or self.upper_exclusive > 1 << 31:
             raise ValueError("QuaRs map outside the int32 range")
         bins = np.empty(self.bin_count, dtype=_QUARS_BIN)
         bins["lower"] = self.lower_bounds
@@ -185,7 +184,7 @@ class QuarsMap:
         return (
             struct.pack("<H", self.bin_count)
             + bins.tobytes()
-            + struct.pack("<i", self.upper_exclusive)
+            + struct.pack("<I", self.upper_exclusive & 0xFFFFFFFF)
         )
 
     @classmethod
@@ -200,6 +199,8 @@ class QuarsMap:
         lows = bins["lower"].astype(np.int64)
         offs = bins["target"].astype(np.int64)
         (upper,) = struct.unpack_from("<i", data, 2 + 8 * count)
+        if upper == INT32_MIN:
+            upper = 1 << 31  # no bin lies below INT32_MIN, so this is 2^31
         if count == 0 or np.any(np.diff(lows) <= 0) or upper <= lows[-1]:
             raise FormatError("invalid QuaRs map")
         # A fitted map observed every lower bound and upper - 1 and maps the
@@ -235,7 +236,7 @@ def quars_encode(series, bin_count: int = DEFAULT_QUARS_BINS) -> tuple[np.ndarra
         raise ValueError("undefined on empty input")
     if bin_count < 1:
         raise ValueError("bin_count must be >= 1")
-    values, counts = np.unique(x, return_counts=True)
+    values, counts, inverse = token_histogram(x)
     if values.size <= bin_count:
         first = np.arange(values.size)
     else:
@@ -268,7 +269,7 @@ def quars_encode(series, bin_count: int = DEFAULT_QUARS_BINS) -> tuple[np.ndarra
         target_offsets=offsets,
         upper_exclusive=int(values[-1]) + 1,
     )
-    return qmap.apply(x), qmap
+    return qmap.apply(values)[inverse], qmap
 
 
 def quars_decode(mapped, qmap: QuarsMap) -> np.ndarray:

@@ -1,10 +1,13 @@
-"""Scalar reference decoders, kept only as test oracles.
+"""Scalar reference decoders and transforms, kept only as test oracles.
 
-These are the one-bit-or-one-codeword-at-a-time loops the vectorized
+The decoders are the one-bit-or-one-codeword-at-a-time loops the vectorized
 decoders in ``tscodec.coders`` replaced. They read the same formats and
 raise ``TruncatedStreamError`` when a stream runs out, but they apply no
-bound on prefix lengths or token counts. The differential tests require the
-vectorized decoders to return exactly what these return on valid streams.
+bound on prefix lengths or token counts. The transform oracles are the
+per-token QuaRs bin search, which the library now runs once per distinct
+value, and token-at-a-time rle0 loops. The differential tests require the
+library to return exactly what these return on valid input, and to raise
+the same ``FormatError`` on invalid input.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import numpy as np
 
 from tscodec.coders import huffman, rangecoder
 from tscodec.coders.bitio import BitStream
+from tscodec.core import as_samples
 from tscodec.errors import FormatError, TruncatedStreamError
 
 
@@ -252,3 +256,73 @@ def bitpack_decode(data: bytes, count: int, block_size: int = 128) -> np.ndarray
         pos += nbytes
         done += take
     return out
+
+
+def quars_apply(qmap, values) -> np.ndarray:
+    """``QuarsMap.apply`` with one bin search per token."""
+    x = as_samples(values)
+    if x.size == 0:
+        return x.copy()
+    if int(x.min()) < qmap.lower_bounds[0] or int(x.max()) >= qmap.upper_exclusive:
+        raise ValueError("value outside the fitted range")
+    idx = np.searchsorted(qmap.lower_bounds, x, side="right") - 1
+    return x - qmap.lower_bounds[idx] + qmap.target_offsets[idx]
+
+
+def quars_invert(qmap, mapped) -> np.ndarray:
+    """``QuarsMap.invert`` with one bin search per token."""
+    m = as_samples(mapped)
+    if m.size == 0:
+        return m.copy()
+    order = np.argsort(qmap.target_offsets, kind="stable")
+    t_sorted = qmap.target_offsets[order]
+    lo_sorted = qmap.lower_bounds[order]
+    w_sorted = qmap.widths()[order]
+    idx = np.searchsorted(t_sorted, m, side="right") - 1
+    bad = (idx < 0) | (m - t_sorted[np.clip(idx, 0, None)] >= w_sorted[np.clip(idx, 0, None)])
+    if np.any(bad):
+        raise FormatError("value not in QuaRs map")
+    return m - t_sorted[idx] + lo_sorted[idx]
+
+
+def rle0_encode(values) -> np.ndarray:
+    """Token-at-a-time ``rle0_encode``."""
+    out = []
+    run = 0
+    for v in as_samples(values).tolist():
+        if v == 0:
+            run += 1
+            continue
+        if run:
+            out += [0, run]
+            run = 0
+        out.append(v)
+    if run:
+        out += [0, run]
+    return np.array(out, dtype=np.int64)
+
+
+def rle0_decode(tokens) -> np.ndarray:
+    """The walk over zero positions that ``rle0_decode`` replaced."""
+    t = as_samples(tokens)
+    if t.size == 0:
+        return t.copy()
+    zero_pos = np.flatnonzero(t == 0)
+    markers = []
+    length_slot = -1
+    for p in zero_pos.tolist():
+        if p == length_slot:
+            raise FormatError("malformed run token: run length of 0")
+        markers.append(p)
+        length_slot = p + 1
+    markers = np.asarray(markers, dtype=np.int64)
+    if markers.size and markers[-1] == t.size - 1:
+        raise FormatError("malformed run token: trailing 0 without run length")
+    lengths = t[markers + 1] if markers.size else np.empty(0, dtype=t.dtype)
+    if np.any(lengths <= 0):
+        raise FormatError("malformed run token: non-positive run length")
+    counts = np.ones(t.size, dtype=np.int64)
+    if markers.size:
+        counts[markers] = lengths
+        counts[markers + 1] = 0  # length slots emit nothing
+    return np.repeat(t * (counts > 0), counts)

@@ -79,6 +79,14 @@ def test_backend_width_byte_outside_2_and_4_is_rejected():
         read_container(bytes(blob))
 
 
+@pytest.mark.parametrize("coder", ["expgolomb", "huffman", "range", "bitpack"])
+def test_quars_channel_holding_int32_max_roundtrips(coder):
+    # The side map's upper bound is 2^31, stored as the bytes of INT32_MIN.
+    series = TimeSeries(samples=[0, 2**31 - 1])
+    blob = build_container([series], TransformChain(("quars",)), coder)
+    assert read_container(blob).channels == [series]
+
+
 def _delta_rle0_container() -> tuple[TimeSeries, bytearray]:
     series = generate(SynthSpec(case="sine", n=300, seed=1))
     return series, bytearray(build_container([series], TransformChain(("delta", "rle0")), "drh"))

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tscodec.core import (
+    INT32_MAX,
+    INT32_MIN,
     TimeSeries,
     aad,
     cardinality,
@@ -12,6 +14,7 @@ from tscodec.core import (
     entropy_bits,
     size_metrics,
     source_bytes,
+    token_histogram,
 )
 
 series_values = st.lists(st.integers(min_value=-32768, max_value=32767), min_size=1, max_size=200)
@@ -133,3 +136,54 @@ class TestEntropy:
         assert cardinality(twice) == cardinality(values)
         assert aad(twice) == pytest.approx(aad(values))
         assert entropy_bits(twice) == pytest.approx(entropy_bits(values))
+
+
+class TestTokenHistogram:
+    """``token_histogram`` against ``np.unique`` on both of its branches."""
+
+    @pytest.mark.parametrize(
+        "values,branch",
+        [
+            ([0, 1 << 16, 5], "bincount"),  # span at the threshold max(n, 2^16)
+            ([0, (1 << 16) + 1, 5], "unique"),  # one above it
+            (np.r_[np.arange(70_000), 70_001], "bincount"),  # span == n > 2^16
+            (np.r_[np.arange(70_000), 70_002], "unique"),
+            ([7], "bincount"),
+            ([-3] * 9, "bincount"),
+            ([-40, -7, -40, -1, -7], "bincount"),
+            ([INT32_MAX, INT32_MAX], "bincount"),
+            ([INT32_MIN, INT32_MIN + 3, INT32_MIN], "bincount"),
+            ([INT32_MIN, 0, INT32_MAX, 0], "unique"),
+            ([], "unique"),
+        ],
+    )
+    def test_matches_unique(self, values, branch, monkeypatch):
+        x = np.asarray(values, dtype=np.int64)
+        want_symbols, want_inverse, want_counts = np.unique(
+            x, return_inverse=True, return_counts=True
+        )
+        sorts = []
+        real_unique = np.unique
+
+        def counting_unique(*args, **kwargs):
+            sorts.append(args)
+            return real_unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting_unique)
+        symbols, counts, inverse = token_histogram(x)
+        monkeypatch.undo()
+        assert ("unique" if sorts else "bincount") == branch
+        for got, want in ((symbols, want_symbols), (counts, want_counts), (inverse, want_inverse)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @given(
+        st.lists(st.integers(-300, 300), min_size=1, max_size=200)
+        | st.lists(st.integers(INT32_MIN, INT32_MAX), min_size=1, max_size=50)
+    )
+    def test_matches_unique_on_random_tokens(self, values):
+        want = np.unique(values, return_inverse=True, return_counts=True)
+        symbols, counts, inverse = token_histogram(values)
+        assert np.array_equal(symbols, want[0])
+        assert np.array_equal(inverse, want[1])
+        assert np.array_equal(counts, want[2])

@@ -1,10 +1,12 @@
-"""Encode and decode micro-benchmarks, one per internal coder.
+"""Encode and decode micro-benchmarks, one per internal coder and per
+transform layer.
 
-Each benchmark encodes or decodes the tokens of the synthetic ``noise``
-series (n = 1e5, seed 0, chain delta,rle0,quars) through the coder registry,
-once, and checks the round trip. A plain pytest run uses them as round-trip
-tests; ``pytest tests/test_decode_bench.py --benchmark-only`` prints the
-per-coder encode and decode times.
+Each coder benchmark encodes or decodes the tokens of the synthetic
+``noise`` series (n = 1e5, seed 0, chain delta,rle0,quars) through the coder
+registry, once, and checks the round trip. The transform benchmarks run
+rle0 on that series' deltas and QuaRs on the rle0 tokens. A plain pytest
+run uses them as round-trip tests; ``pytest tests/test_decode_bench.py
+--benchmark-only`` prints the per-layer encode and decode times.
 """
 
 import numpy as np
@@ -14,12 +16,33 @@ from tscodec import SynthSpec, TransformChain
 from tscodec.backends import serialize_series
 from tscodec.coders import INTERNAL_CODER_NAMES, get_coder
 from tscodec.synth import generate
-from tscodec.transforms import chain_apply
+from tscodec.transforms import (
+    chain_apply,
+    delta_encode,
+    quars_decode,
+    quars_encode,
+    rle0_decode,
+    rle0_encode,
+)
 
 
 @pytest.fixture(scope="module")
-def tokens():
-    series = generate(SynthSpec(case="noise", n=100_000, seed=0))
+def series():
+    return generate(SynthSpec(case="noise", n=100_000, seed=0))
+
+
+@pytest.fixture(scope="module")
+def deltas(series):
+    return delta_encode(series.samples)
+
+
+@pytest.fixture(scope="module")
+def runs(deltas):
+    return rle0_encode(deltas)
+
+
+@pytest.fixture(scope="module")
+def tokens(series):
     tokens, _ = chain_apply(series.samples, TransformChain.parse("delta,rle0,quars"))
     return tokens
 
@@ -56,3 +79,28 @@ def test_decode(benchmark, tokens, name):
     benchmark.group = "decode"
     out = benchmark.pedantic(info.decode, args=(header, payload, count), rounds=1, iterations=1)
     check_roundtrip(info, out, expected)
+
+
+def test_rle0_encode(benchmark, deltas):
+    benchmark.group = "transform encode"
+    out = benchmark.pedantic(rle0_encode, args=(deltas,), rounds=1, iterations=1)
+    assert np.array_equal(rle0_decode(out), deltas)
+
+
+def test_rle0_decode(benchmark, deltas, runs):
+    benchmark.group = "transform decode"
+    out = benchmark.pedantic(rle0_decode, args=(runs,), rounds=1, iterations=1)
+    assert np.array_equal(out, deltas)
+
+
+def test_quars_encode(benchmark, runs):
+    benchmark.group = "transform encode"
+    mapped, qmap = benchmark.pedantic(quars_encode, args=(runs,), rounds=1, iterations=1)
+    assert np.array_equal(quars_decode(mapped, qmap), runs)
+
+
+def test_quars_decode(benchmark, runs):
+    mapped, qmap = quars_encode(runs)
+    benchmark.group = "transform decode"
+    out = benchmark.pedantic(quars_decode, args=(mapped, qmap), rounds=1, iterations=1)
+    assert np.array_equal(out, runs)

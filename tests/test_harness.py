@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -78,6 +79,17 @@ class TestRunJob:
         assert rec.compress_seconds > 0
         assert rec.decompress_seconds > 0
         assert rec.speed_mb_s > 0
+
+    def test_decode_speed_matches_decompress_seconds(self, small_suite):
+        rec = run_job(small_suite["sine"], TransformChain(("delta", "rle0")), "huffman", repetitions=2)
+        assert rec.decode_mb_s > 0
+        assert rec.decode_mb_s == pytest.approx(rec.original_bytes / 1e6 / rec.decompress_seconds)
+        lines = [l for l in emit_report([rec], "csv").decode().splitlines() if not l.startswith("#")]
+        row = next(csv.DictReader(lines))
+        assert float(row["decode_mb_s"]) == pytest.approx(rec.decode_mb_s)
+        assert "| decode MB/s |" in emit_report([rec], "markdown-table").decode()
+        doc = parse_report_json(emit_report([rec], "json-plotdata"))
+        assert doc["plots"]["score_speed"][0]["decode_mb_s"] == pytest.approx(rec.decode_mb_s)
 
 
 class TestRunMatrix:

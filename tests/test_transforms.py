@@ -2,16 +2,19 @@
 
 The QuaRs expectations are frozen from a brute-force oracle (see
 ``quars_oracle``) that re-derives the frequency ranking and alternating
-placement independently of the library implementation.
+placement independently of the library implementation. The differential
+tests compare rle0 and the QuaRs map with the per-token implementations in
+``oracles.py``.
 """
 
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from tscodec.core import aad, cardinality
+import oracles
+from tscodec.core import INT32_MAX, INT32_MIN, aad, cardinality
 from tscodec.errors import FormatError
 from tscodec.synth import SynthSpec, generate, suite
 from tscodec.transforms import (
@@ -30,6 +33,19 @@ from tscodec.transforms import (
 )
 
 int16_series = st.lists(st.integers(-32768, 32767), min_size=1, max_size=300)
+# Few distinct values (the bincount branch of token_histogram) or spans
+# wider than any list here (the sorting branch).
+token_series = st.lists(st.integers(-4, 4), min_size=1, max_size=300) | st.lists(
+    st.integers(INT32_MIN, INT32_MAX), min_size=1, max_size=40
+)
+
+
+def outcome(fn, *args):
+    """What a call returns as a list, or the type and message it raises."""
+    try:
+        return fn(*args).tolist()
+    except (ValueError, FormatError) as exc:
+        return type(exc), str(exc)
 
 
 def quars_oracle(values):
@@ -135,6 +151,32 @@ class TestRle0:
         tokens = rle0_encode(deltas)
         assert rle0_decode(tokens).tolist() == deltas.tolist()
         assert tokens.size < deltas.size / 2
+
+    @given(st.lists(st.integers(-2, 2), max_size=300) | token_series)
+    def test_encode_matches_oracle(self, values):
+        assert rle0_encode(values).tolist() == oracles.rle0_encode(values).tolist()
+
+    @given(st.lists(st.integers(-3, 4), max_size=60))
+    def test_decode_matches_oracle(self, tokens):
+        assert outcome(rle0_decode, tokens) == outcome(oracles.rle0_decode, tokens)
+
+    @pytest.mark.parametrize(
+        "tokens",
+        [
+            [0, 0, 5],  # run length 0
+            [4, 0, 2, 0, 0],  # run length 0 before a trailing 0
+            [0, 0],
+            [5, 0],  # trailing 0
+            [0, 1, 0],
+            [0, -2],  # non-positive run length
+            [3, 0, 2, 1, 0, -1, 7],
+            [0, 3, 4, 0, 0, 1],
+        ],
+    )
+    def test_malformed_streams_match_oracle(self, tokens):
+        got = outcome(rle0_decode, tokens)
+        assert got == outcome(oracles.rle0_decode, tokens)
+        assert got[0] is FormatError
 
 
 class TestZigzag:
@@ -253,6 +295,64 @@ class TestQuars:
     def test_empty_errors(self):
         with pytest.raises(ValueError):
             quars_encode([])
+
+    @settings(max_examples=60)
+    @given(token_series, st.sampled_from([1, 4, 64, 256]))
+    def test_encode_decode_match_oracle(self, values, bins):
+        mapped, qmap = quars_encode(values, bins)
+        assert mapped.tolist() == oracles.quars_apply(qmap, values).tolist()
+        assert quars_decode(mapped, qmap).tolist() == oracles.quars_invert(qmap, mapped).tolist()
+
+    @settings(max_examples=60)
+    @given(int16_series, st.lists(st.integers(-400, 400), min_size=1, max_size=60))
+    def test_any_tokens_match_oracle(self, values, tokens):
+        # Tokens the map does not produce raise the oracle's FormatError.
+        _, qmap = quars_encode(values, 16)
+        assert outcome(qmap.invert, tokens) == outcome(oracles.quars_invert, qmap, tokens)
+        assert outcome(qmap.apply, tokens) == outcome(oracles.quars_apply, qmap, tokens)
+
+    @settings(max_examples=40)
+    @given(int16_series)
+    def test_bin_edges_match_oracle(self, values):
+        # One token per call, so an edge the library wrongly accepts cannot
+        # hide behind another token that both reject.
+        _, qmap = quars_encode(values, 16)
+        starts, widths = qmap.target_offsets, qmap.widths()
+        for token in np.r_[starts - 1, starts, starts + widths - 1, starts + widths].tolist():
+            assert outcome(qmap.invert, [token]) == outcome(oracles.quars_invert, qmap, [token])
+
+    @settings(max_examples=80)
+    @given(int16_series, st.integers(0, 10**6), st.integers(0, 255))
+    def test_corrupt_maps_match_oracle(self, values, where, byte):
+        mapped, qmap = quars_encode(values, 16)
+        raw = bytearray(qmap.to_bytes())
+        raw[2 + where % (len(raw) - 2)] = byte  # keep the bin count
+        try:
+            corrupt = QuarsMap.from_bytes(bytes(raw))
+        except FormatError:
+            assume(False)
+        probe = np.r_[mapped, np.arange(-20, 21)]
+        assert outcome(quars_decode, probe, corrupt) == outcome(oracles.quars_invert, corrupt, probe)
+
+    def test_upper_bound_of_int32_max_serializes(self):
+        mapped, qmap = quars_encode([0, INT32_MAX, INT32_MAX])
+        assert qmap.upper_exclusive == 2**31
+        raw = qmap.to_bytes()
+        assert raw[-4:] == struct.pack("<i", INT32_MIN)
+        restored = QuarsMap.from_bytes(raw)
+        assert restored.upper_exclusive == 2**31
+        assert quars_decode(mapped, restored).tolist() == [0, INT32_MAX, INT32_MAX]
+
+    @pytest.mark.parametrize("upper", [-5, 0, 7, INT32_MAX])
+    def test_upper_bound_bytes_unchanged_below_2_31(self, upper):
+        qmap = QuarsMap(np.array([-9]), np.array([0]), upper)
+        raw = qmap.to_bytes()
+        assert raw[-4:] == struct.pack("<i", upper)
+        assert QuarsMap.from_bytes(raw).upper_exclusive == upper
+
+    def test_upper_bound_above_2_31_rejected(self):
+        with pytest.raises(ValueError, match="int32"):
+            QuarsMap(np.array([0]), np.array([0]), 2**31 + 1).to_bytes()
 
 
 class TestChain:
