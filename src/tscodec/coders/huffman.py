@@ -53,25 +53,24 @@ def code_lengths_from_counts(counts: np.ndarray) -> np.ndarray:
         raise ValueError("undefined on empty input")
     if m == 1:
         return np.array([1], dtype=np.int64)
-    heap = [(int(c), i, i) for i, c in enumerate(counts)]
+    # (count, node id) pairs: ids are unique, so ties go to the older node.
+    heap = [(c, i) for i, c in enumerate(counts.tolist())]
     heapq.heapify(heap)
     parent = [-1] * (2 * m - 1)
     next_id = m
     while len(heap) > 1:
-        c1, _, n1 = heapq.heappop(heap)
-        c2, _, n2 = heapq.heappop(heap)
+        c1, n1 = heapq.heappop(heap)
+        c2, n2 = heapq.heappop(heap)
         parent[n1] = next_id
         parent[n2] = next_id
-        heapq.heappush(heap, (c1 + c2, next_id, next_id))
+        heapq.heappush(heap, (c1 + c2, next_id))
         next_id += 1
-    lengths = np.zeros(m, dtype=np.int64)
-    for i in range(m):
-        d = 0
-        node = i
-        while parent[node] != -1:
-            node = parent[node]
-            d += 1
-        lengths[i] = d
+    # A parent has a larger id than its children, so walking the ids down
+    # from the root sets each node's depth from its parent's.
+    depth = [0] * (2 * m - 1)
+    for node in range(2 * m - 3, -1, -1):
+        depth[node] = depth[parent[node]] + 1
+    lengths = np.array(depth[:m], dtype=np.int64)
     if int(lengths.max()) > MAX_CODE_LENGTH:
         raise ValueError("code length limit exceeded")
     return lengths

@@ -104,7 +104,7 @@ def rle0_decode(tokens) -> np.ndarray:
 def zigzag(series) -> np.ndarray:
     """v >= 0 -> 2v; v < 0 -> -2v-1. Bijective, small |v| stays small."""
     v = as_samples(series)
-    return np.where(v >= 0, 2 * v, -2 * v - 1)
+    return (v << 1) ^ (v >> 63)
 
 
 def unzigzag(series) -> np.ndarray:
@@ -112,7 +112,7 @@ def unzigzag(series) -> np.ndarray:
     u = as_samples(series)
     if u.size and int(u.min()) < 0:
         raise FormatError("zigzag stream contains negative values")
-    return np.where(u & 1 == 0, u >> 1, -((u + 1) >> 1))
+    return (u >> 1) ^ -(u & 1)
 
 
 # One serialized QuaRs bin: (lower bound, target offset), packed little-endian.

@@ -1,17 +1,20 @@
-"""Scalar reference decoders and transforms, kept only as test oracles.
+"""Scalar reference coders and transforms, kept only as test oracles.
 
 The decoders are the one-bit-or-one-codeword-at-a-time loops the vectorized
 decoders in ``tscodec.coders`` replaced. They read the same formats and
 raise ``TruncatedStreamError`` when a stream runs out, but they apply no
-bound on prefix lengths or token counts. The transform oracles are the
-per-token QuaRs bin search, which the library now runs once per distinct
-value, and token-at-a-time rle0 loops. The differential tests require the
-library to return exactly what these return on valid input, and to raise
-the same ``FormatError`` on invalid input.
+bound on prefix lengths or token counts. ``bitpack_encode`` writes one value
+at a time, and ``code_lengths_from_counts`` walks each Huffman leaf up to
+the root. The transform oracles are the per-token QuaRs bin search, which
+the library now runs once per distinct value, token-at-a-time rle0 loops
+and the branchy zigzag formulas. The differential tests require the library
+to return exactly what these return on valid input, and to raise the same
+``FormatError`` on invalid input.
 """
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_right
 
 import numpy as np
@@ -230,6 +233,48 @@ def range_decode(header: bytes, payload: bytes, count: int) -> np.ndarray:
     return out
 
 
+def code_lengths_from_counts(counts: np.ndarray) -> np.ndarray:
+    """Huffman code lengths, each leaf walking its parent chain to the root."""
+    m = counts.size
+    if m == 1:
+        return np.array([1], dtype=np.int64)
+    heap = [(int(c), i, i) for i, c in enumerate(counts)]
+    heapq.heapify(heap)
+    parent = [-1] * (2 * m - 1)
+    next_id = m
+    while len(heap) > 1:
+        c1, _, n1 = heapq.heappop(heap)
+        c2, _, n2 = heapq.heappop(heap)
+        parent[n1] = next_id
+        parent[n2] = next_id
+        heapq.heappush(heap, (c1 + c2, next_id, next_id))
+        next_id += 1
+    lengths = np.zeros(m, dtype=np.int64)
+    for i in range(m):
+        d = 0
+        node = i
+        while parent[node] != -1:
+            node = parent[node]
+            d += 1
+        lengths[i] = d
+    return lengths
+
+
+def bitpack_encode(values, block_size: int = 128) -> bytes:
+    """Per block: the width byte, then each value written with ``BitWriter``."""
+    v = as_samples(values).tolist()
+    out = bytearray()
+    for b in range(0, len(v), block_size):
+        block = v[b : b + block_size]
+        w = max(block).bit_length()
+        out.append(w)
+        writer = BitWriter()
+        for x in block:
+            writer.write(x, w)
+        out += writer.getvalue().data
+    return bytes(out)
+
+
 def bitpack_decode(data: bytes, count: int, block_size: int = 128) -> np.ndarray:
     out = np.empty(count, dtype=np.int64)
     pos = 0
@@ -283,6 +328,16 @@ def quars_invert(qmap, mapped) -> np.ndarray:
     if np.any(bad):
         raise FormatError("value not in QuaRs map")
     return m - t_sorted[idx] + lo_sorted[idx]
+
+
+def zigzag(values) -> np.ndarray:
+    v = as_samples(values)
+    return np.where(v >= 0, 2 * v, -2 * v - 1)
+
+
+def unzigzag(values) -> np.ndarray:
+    u = as_samples(values)
+    return np.where(u & 1 == 0, u >> 1, -((u + 1) >> 1))
 
 
 def rle0_encode(values) -> np.ndarray:

@@ -17,6 +17,7 @@ from tscodec.coders import bitpack, drh, expgolomb, huffman, lzss, rangecoder
 from tscodec.coders.bitio import BitStream, bit_length_u64, pack_codes
 from tscodec.errors import FormatError, TruncatedStreamError
 
+import oracles
 from oracles import BitReader, BitWriter
 
 
@@ -266,6 +267,39 @@ class TestHuffman:
             assert len(header) >= 5 * card
         assert sizes[256] - sizes[16] >= 5 * (256 - 16)
         assert sizes[4096] - sizes[256] >= 5 * (4096 - 256)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            [5],
+            [1, 1],
+            [1] * 3,
+            [1] * 64,
+            [7] * 1000,
+            [1, 1, 2, 2, 4, 4, 8, 8, 16, 16],
+            [3, 3, 3, 6, 6, 12, 12, 12, 24],
+            # Fibonacci counts build the deepest tree, 29 levels.
+            [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584,
+             4181, 6765, 10946, 17711, 28657, 46368, 75025, 121393, 196418, 317811,
+             514229, 832040][::-1],
+            [2**k for k in range(25)],
+            [10**6] + [1] * 500,
+        ],
+    )
+    def test_code_lengths_match_leaf_walk(self, counts):
+        c = np.array(counts, dtype=np.int64)
+        assert huffman.code_lengths_from_counts(c).tolist() == oracles.code_lengths_from_counts(c).tolist()
+
+    # Tie-heavy or spread counts; a total below Fibonacci(34) keeps every
+    # tree within MAX_CODE_LENGTH.
+    @settings(max_examples=60)
+    @given(
+        st.lists(st.integers(1, 6), min_size=1, max_size=300)
+        | st.lists(st.integers(1, 2**16), min_size=1, max_size=60)
+    )
+    def test_code_lengths_match_leaf_walk_on_drawn_counts(self, counts):
+        c = np.array(counts, dtype=np.int64)
+        assert huffman.code_lengths_from_counts(c).tolist() == oracles.code_lengths_from_counts(c).tolist()
 
     def test_kraft_violation_rejected(self):
         # Two symbols both claiming 1-bit codes plus a third is fine, but

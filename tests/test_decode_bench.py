@@ -4,9 +4,13 @@ transform layer.
 Each coder benchmark encodes or decodes the tokens of the synthetic
 ``noise`` series (n = 1e5, seed 0, chain delta,rle0,quars) through the coder
 registry, once, and checks the round trip. The transform benchmarks run
-rle0 on that series' deltas and QuaRs on the rle0 tokens. A plain pytest
-run uses them as round-trip tests; ``pytest tests/test_decode_bench.py
---benchmark-only`` prints the per-layer encode and decode times.
+rle0 on that series' deltas and QuaRs on the rle0 tokens. The bitpack
+kernel benchmarks pack the zigzagged deltas of one 50,000-sample series of
+each synthetic case, quantized to 16 bits as the columns of the
+wide-bitpack workload are; their block widths span 4-17 bits. A plain
+pytest run uses them as round-trip tests; ``pytest
+tests/test_decode_bench.py --benchmark-only`` prints the per-layer encode
+and decode times.
 """
 
 import numpy as np
@@ -14,8 +18,9 @@ import pytest
 
 from tscodec import SynthSpec, TransformChain
 from tscodec.backends import serialize_series
-from tscodec.coders import INTERNAL_CODER_NAMES, get_coder
-from tscodec.synth import generate
+from tscodec.coders import INTERNAL_CODER_NAMES, bitpack, get_coder
+from tscodec.ingest import ingest_column
+from tscodec.synth import CASES, generate
 from tscodec.transforms import (
     chain_apply,
     delta_encode,
@@ -23,6 +28,7 @@ from tscodec.transforms import (
     quars_encode,
     rle0_decode,
     rle0_encode,
+    zigzag,
 )
 
 
@@ -104,3 +110,24 @@ def test_quars_decode(benchmark, runs):
     benchmark.group = "transform decode"
     out = benchmark.pedantic(quars_decode, args=(mapped, qmap), rounds=1, iterations=1)
     assert np.array_equal(out, runs)
+
+
+@pytest.fixture(scope="module", params=CASES)
+def column_deltas(request):
+    """Zigzagged deltas of one wide-bitpack-style column of a synthetic case."""
+    series = generate(SynthSpec(case=request.param, n=50_000, seed=0))
+    column, _ = ingest_column(series.samples / 100.0)
+    return zigzag(delta_encode(column))
+
+
+def test_bitpack_kernel_encode(benchmark, column_deltas):
+    benchmark.group = "bitpack kernel encode"
+    data = benchmark.pedantic(bitpack.encode, args=(column_deltas,), rounds=1, iterations=1)
+    assert np.array_equal(bitpack.decode(data, column_deltas.size), column_deltas)
+
+
+def test_bitpack_kernel_decode(benchmark, column_deltas):
+    data = bitpack.encode(column_deltas)
+    benchmark.group = "bitpack kernel decode"
+    out = benchmark.pedantic(bitpack.decode, args=(data, column_deltas.size), rounds=1, iterations=1)
+    assert np.array_equal(out, column_deltas)

@@ -192,6 +192,29 @@ class TestZigzag:
         z = zigzag(np.arange(-100, 101))
         assert int(z.max()) <= 201
 
+    def test_bit_identities_match_branchy_formulas_at_int32_extremes(self):
+        v = np.array([INT32_MIN, INT32_MIN + 1, -2, -1, 0, 1, 2, INT32_MAX - 1, INT32_MAX])
+        z = zigzag(v)
+        assert z.tolist() == oracles.zigzag(v).tolist()
+        assert z.tolist() == [2**32 - 1, 2**32 - 3, 3, 1, 0, 2, 4, 2**32 - 4, 2**32 - 2]
+        assert unzigzag(z).tolist() == oracles.unzigzag(z).tolist() == v.tolist()
+        u = np.array([0, 1, 2, 3, 2**32 - 2, 2**32 - 1, 2**33 - 1, 2**33])
+        assert unzigzag(u).tolist() == oracles.unzigzag(u).tolist()
+
+    @given(st.lists(st.integers(INT32_MIN, INT32_MAX), max_size=200))
+    def test_bit_identities_match_branchy_formulas(self, values):
+        z = zigzag(values)
+        assert z.tolist() == oracles.zigzag(values).tolist()
+        assert unzigzag(z).tolist() == oracles.unzigzag(z).tolist() == values
+
+    @given(st.lists(st.integers(0, 2**33), max_size=200))
+    def test_unzigzag_matches_branchy_formula(self, tokens):
+        assert unzigzag(tokens).tolist() == oracles.unzigzag(tokens).tolist()
+
+    def test_negative_token_rejected(self):
+        with pytest.raises(FormatError, match="negative"):
+            unzigzag([3, -1])
+
 
 class TestQuars:
     def test_spec_example_against_oracle(self):
