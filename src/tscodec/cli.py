@@ -190,15 +190,19 @@ def _cmd_bench(args) -> int:
     if args.levels:
         levels = {}
         for part in args.levels.split(";"):
-            name, _, values = part.partition("=")
-            levels[name.strip()] = [int(v) for v in values.split(",")]
+            name, _, values = (p.strip() for p in part.partition("="))
+            if name not in coders:
+                raise UsageError(f"--levels: {name!r} is not a selected coder")
+            try:
+                levels[name] = [int(v) for v in values.split(",")]
+            except ValueError:
+                raise UsageError(f"--levels: {part!r} is not name=<int>[,<int>...]") from None
     result = run_matrix(
         datasets,
         chains,
         coders,
         levels=levels,
         repetitions=args.repetitions,
-        workers=args.workers,
         seed=args.seed,
     )
     fmt = {"csv": "csv", "markdown": "markdown-table", "json": "json-plotdata"}[args.format]
@@ -273,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coders", default="all-internal", help='"all-internal", "all", or comma list')
     p.add_argument("--levels", default=None, help='e.g. "zstd=1,19;brotli=2,10"')
     p.add_argument("--repetitions", type=int, default=3)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", default="csv", choices=["csv", "markdown", "json"])
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=_cmd_bench)

@@ -29,11 +29,6 @@ from .bitio import BitStream, bit_length_u64, decode_prefix_codes, pack_codes
 MAX_MAGNITUDE_BITS = 31
 
 
-def code_length(value: int) -> int:
-    k = abs(value).bit_length()
-    return 1 + 2 * k
-
-
 def encode(values) -> BitStream:
     v = as_samples(values)
     if v.size == 0:

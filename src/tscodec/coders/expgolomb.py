@@ -22,13 +22,6 @@ from .bitio import BitStream, bit_length_u64, decode_prefix_codes, pack_codes
 MAX_PREFIX = 32
 
 
-def code_length(value: int) -> int:
-    """Bits spent on one codeword: 2*floor(log2(n+1)) + 1."""
-    if value < 0:
-        raise ValueError("Exp-Golomb requires non-negative values")
-    return 2 * ((value + 1).bit_length() - 1) + 1
-
-
 def code_lengths(values) -> np.ndarray:
     v = as_samples(values)
     if v.size and int(v.min()) < 0:

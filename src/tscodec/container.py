@@ -31,7 +31,6 @@ transform ids are out of order or repeated is rejected, not decoded.
 from __future__ import annotations
 
 import struct
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,72 +61,46 @@ def validate_chain_order(stages: tuple[str, ...]) -> None:
             )
 
 
-@dataclass(frozen=True)
-class ChannelBlock:
-    """One encoded channel plus size accounting for reports."""
-
-    token_count: int
-    width: int
-    side_bytes: bytes
-    blob: bytes
-    payload_bytes: int  # coder payload portion of the blob
-
-
 def encode_channel(
     series,
     chain: TransformChain,
     coder: CoderInfo,
     level: int | None = None,
-    timings: dict | None = None,
-) -> ChannelBlock:
-    """Transform and code one channel.
-
-    ``timings`` (optional) receives "transform_s" and "code_s" keyed wall
-    times; serialization between the stages is excluded from both.
-    """
+) -> bytes:
+    """Transform and code one channel into its channel-table entry."""
     x = as_samples(series)
     if x.size == 0:
         raise ValueError("undefined on empty input")
-    t0 = time.perf_counter()
     tokens, qmap = chain_apply(x, chain)
-    t1 = time.perf_counter()
     side = qmap.to_bytes() if qmap is not None else b""
-
     if coder.kind == "symbol":
-        t2 = time.perf_counter()
         header, payload = coder.encode(tokens)
-        t3 = time.perf_counter()
         width = 0
     else:
         data, width = serialize_series(tokens)
-        t2 = time.perf_counter()
         if coder.kind == "bytes":
             header, payload = coder.encode(data)
         else:
             desc = BackendDescriptor(coder.name, level, width)
             header, payload = b"", backend_compress(data, desc)
-        t3 = time.perf_counter()
-    if timings is not None:
-        timings["transform_s"] = timings.get("transform_s", 0.0) + (t1 - t0)
-        timings["code_s"] = timings.get("code_s", 0.0) + (t3 - t2)
-    return ChannelBlock(
-        token_count=int(tokens.size),
-        width=width,
-        side_bytes=side,
-        blob=header + payload,
-        payload_bytes=len(payload),
-    )
+    return b"".join((
+        struct.pack("<QBI", tokens.size, width, len(side)),
+        side,
+        struct.pack("<Q", len(header) + len(payload)),
+        header,
+        payload,
+    ))
 
 
 def decode_channel(
     block_tokens: int,
     width: int,
     side: bytes,
-    blob: bytes,
+    header: bytes,
+    payload: bytes,
     chain: TransformChain,
     coder: CoderInfo,
 ) -> np.ndarray:
-    header, payload = coder.split(blob)
     if coder.kind == "symbol":
         tokens = coder.decode(header, payload, block_tokens)
     else:
@@ -150,15 +123,12 @@ def build_container(
     chain: TransformChain,
     coder_name: str,
     level: int | None = None,
-    blocks: list[ChannelBlock] | None = None,
 ) -> bytes:
     """Compress channels into one container blob."""
     validate_chain_order(chain.stages)
     coder = get_coder(coder_name)
     if not channels:
         raise ValueError("no channels to compress")
-    if blocks is None:
-        blocks = [encode_channel(ch, chain, coder, level) for ch in channels]
     out = bytearray()
     out += MAGIC
     out.append(VERSION)
@@ -166,12 +136,9 @@ def build_container(
     for s in chain.stages:
         out.append(TRANSFORM_ID[s])
     out.append(coder.id_byte)
-    out += struct.pack("<H", len(blocks))
-    for blk in blocks:
-        out += struct.pack("<QBI", blk.token_count, blk.width, len(blk.side_bytes))
-        out += blk.side_bytes
-        out += struct.pack("<Q", len(blk.blob))
-        out += blk.blob
+    out += struct.pack("<H", len(channels))
+    for ch in channels:
+        out += encode_channel(ch, chain, coder, level)
     return bytes(out)
 
 
@@ -180,6 +147,7 @@ class DecodedContainer:
     chain: TransformChain
     coder_name: str
     channels: list
+    payload_bytes: int  # coder payloads only: no coder headers, side maps or framing
 
 
 def read_container(blob: bytes) -> DecodedContainer:
@@ -213,6 +181,7 @@ def read_container(blob: bytes) -> DecodedContainer:
     (nch,) = struct.unpack_from("<H", blob, pos + 1)
     pos += 3
     channels = []
+    payload_bytes = 0
     for ch in range(nch):
         if pos + 13 > len(blob):
             raise FormatError("unsupported container: truncated channel table")
@@ -226,12 +195,16 @@ def read_container(blob: bytes) -> DecodedContainer:
             raise FormatError("unsupported container: truncated channel table")
         (plen,) = struct.unpack_from("<Q", blob, pos)
         pos += 8
-        payload = bytes(blob[pos : pos + plen])
-        if len(payload) != plen:
+        coded = bytes(blob[pos : pos + plen])
+        if len(coded) != plen:
             raise FormatError("truncated stream")
         pos += plen
-        samples = decode_channel(token_count, width, side, payload, chain, coder)
+        header, payload = coder.split(coded)
+        payload_bytes += len(payload)
+        samples = decode_channel(token_count, width, side, header, payload, chain, coder)
         channels.append(TimeSeries(samples=samples, channel_id=ch))
     if pos != len(blob):
         raise FormatError("unsupported container: trailing bytes")
-    return DecodedContainer(chain=chain, coder_name=coder.name, channels=channels)
+    return DecodedContainer(
+        chain=chain, coder_name=coder.name, channels=channels, payload_bytes=payload_bytes
+    )

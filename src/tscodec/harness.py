@@ -6,12 +6,14 @@ record only enters a report if its decompressed output matched the input
 exactly; unavailable backends produce "n/a" cells instead of silently
 vanishing.
 
-Timing covers the transform stages plus the (de)coding call, single
-threaded, best of ``repetitions`` runs; ingestion and byte serialization
-are excluded from encode timing. Decode timing, reported as
-``decode_mb_s`` beside ``speed_mb_s``, is one whole ``read_container``. Compressed size counts every byte needed to decode (coder
-headers, side maps, and container framing); ``payload_bytes`` isolates the
-coder payload so header effects stay visible.
+Everything runs in one process, one cell after another. Encode timing
+(``speed_mb_s``) is one whole ``build_container``: transforms,
+serialization, coding and framing. Decode timing (``decode_mb_s``) is one
+whole ``read_container``. Each is the best of ``repetitions`` runs;
+ingestion is excluded. Compressed size counts every byte needed to decode
+(coder headers, side maps, and container framing); ``payload_bytes``,
+taken from the decoder, isolates the coder payload so header effects stay
+visible.
 """
 
 from __future__ import annotations
@@ -20,15 +22,14 @@ import csv
 import io
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .version import __version__ as _version
 from .backends import availability_report
-from .coders.registry import INTERNAL_CODER_NAMES, get_coder
-from .container import ChannelBlock, build_container, encode_channel, read_container
+from .coders.registry import INTERNAL_CODER_NAMES
+from .container import build_container, read_container
 from .core import TimeSeries, as_samples, compression_speed_mb_s, entropy_and_limit, size_metrics, source_bytes
 from .errors import BackendUnavailableError, TscodecError
 from .synth import suite
@@ -100,29 +101,30 @@ def run_job(
     A round-trip mismatch raises; it never produces a record.
     """
     channels = _as_channels(data)
-    coder = get_coder(coder_name)
     original_bytes = source_bytes(channels)
 
     best_enc = float("inf")
     best_dec = float("inf")
-    blocks: list[ChannelBlock] = []
-    container = b""
     for _ in range(max(1, repetitions)):
-        timings: dict = {}
-        blocks = [encode_channel(ch, chain, coder, level, timings) for ch in channels]
-        best_enc = min(best_enc, timings["transform_s"] + timings["code_s"])
-        container = build_container(channels, chain, coder_name, level, blocks=blocks)
         t0 = time.perf_counter()
-        decoded = read_container(container)
+        container = build_container(channels, chain, coder_name, level)
         t1 = time.perf_counter()
-        best_dec = min(best_dec, t1 - t0)
-        for got, want in zip(decoded.channels, channels):
-            if not np.array_equal(got.samples, want.samples):
-                raise TscodecError(
-                    f"round-trip mismatch: {dataset_name} chain={chain.label()} coder={coder_name}"
-                )
+        decoded = read_container(container)
+        t2 = time.perf_counter()
+        best_enc = min(best_enc, t1 - t0)
+        best_dec = min(best_dec, t2 - t1)
+        try:
+            same = all(
+                np.array_equal(got.samples, want.samples)
+                for got, want in zip(decoded.channels, channels, strict=True)
+            )
+        except ValueError:  # channel count differs
+            same = False
+        if not same:
+            raise TscodecError(
+                f"round-trip mismatch: {dataset_name} chain={chain.label()} coder={coder_name}"
+            )
     report = size_metrics(original_bytes, len(container))
-    payload_bytes = sum(b.payload_bytes for b in blocks)
     return BenchRecord(
         dataset=dataset_name,
         chain=chain.label(),
@@ -130,8 +132,8 @@ def run_job(
         level=level,
         original_bytes=original_bytes,
         compressed_bytes=len(container),
-        payload_bytes=payload_bytes,
-        header_bytes=len(container) - payload_bytes,
+        payload_bytes=decoded.payload_bytes,
+        header_bytes=len(container) - decoded.payload_bytes,
         cr=report.cr,
         cs=report.cs,
         compress_seconds=best_enc,
@@ -162,17 +164,6 @@ def _na_record(dataset_name, chain, coder_name, level, note) -> BenchRecord:
         status="n/a",
         note=note,
     )
-
-
-def _run_cell(args):
-    name, series_samples, chain, coder_name, level, repetitions = args
-    series = TimeSeries(samples=series_samples)
-    try:
-        return run_job(series, chain, coder_name, level, repetitions, dataset_name=name)
-    except BackendUnavailableError as exc:
-        return _na_record(name, chain, coder_name, level, str(exc))
-    except (TscodecError, ValueError) as exc:
-        return (f"{name}/{chain.label()}/{coder_name}", str(exc))
 
 
 def ablation_rows(
@@ -206,34 +197,31 @@ def run_matrix(
     coders: list[str],
     levels: dict[str, list[int]] | None = None,
     repetitions: int = DEFAULT_REPETITIONS,
-    workers: int = 1,
     seed: int | None = None,
 ) -> MatrixResult:
     """Full cross product; partial failures are collected, not fatal.
 
     ``levels`` optionally maps a coder/backend name to a list of levels to
-    sweep; other coders run once with their default. Cells run in parallel
-    across worker processes while each cell's timing stays single
-    threaded; output ordering is deterministic regardless of worker count.
+    sweep; other coders run once with their default. Cells run one after
+    another in this process, in axis order (dataset, chain, coder, level),
+    each timed by :func:`run_job`.
     """
     if not datasets or not chains or not coders:
         raise ValueError("empty axis")
-    jobs = []
+    records: list[BenchRecord] = []
+    failures: list[tuple[str, str]] = []
     for name, series in datasets.items():
         for chain in chains:
             for coder_name in coders:
-                cell_levels = (levels or {}).get(coder_name, [None])
-                for level in cell_levels:
-                    jobs.append(
-                        (name, as_samples(series), chain, coder_name, level, repetitions)
-                    )
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell, jobs))
-    else:
-        results = [_run_cell(job) for job in jobs]
-    records = [r for r in results if isinstance(r, BenchRecord)]
-    failures = [r for r in results if not isinstance(r, BenchRecord)]
+                for level in (levels or {}).get(coder_name, [None]):
+                    try:
+                        records.append(
+                            run_job(series, chain, coder_name, level, repetitions, dataset_name=name)
+                        )
+                    except BackendUnavailableError as exc:
+                        records.append(_na_record(name, chain, coder_name, level, str(exc)))
+                    except (TscodecError, ValueError) as exc:
+                        failures.append((f"{name}/{chain.label()}/{coder_name}", str(exc)))
     ablations = ablation_rows(datasets)
     metadata = {
         "tool_version": _version,
@@ -250,21 +238,18 @@ def synthetic_matrix(
     seed: int = 0,
     coders: tuple[str, ...] = INTERNAL_CODER_NAMES,
     repetitions: int = DEFAULT_REPETITIONS,
-    workers: int = 1,
     levels: dict[str, list[int]] | None = None,
 ) -> MatrixResult:
     """The standard suite: 4 synthetic cases x 4 chains x the given coders."""
     chains = [TransformChain.parse(label) for label in ABLATION_CHAINS]
-    result = run_matrix(
+    return run_matrix(
         suite(n=n, seed=seed),
         chains,
         list(coders),
         levels=levels,
         repetitions=repetitions,
-        workers=workers,
         seed=seed,
     )
-    return result
 
 
 _REPORT_FIELDS = [

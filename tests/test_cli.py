@@ -209,6 +209,15 @@ class TestBenchCommand:
         assert code == EXIT_USAGE
         assert "unknown coder" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("levels", ["deflate", "deflate=x", "zzz=1"])
+    def test_malformed_or_unselected_levels_are_usage_errors(self, levels, capsys):
+        code = run([
+            "bench", "--cases", "sine", "--n", "300", "--coders", "deflate",
+            "--repetitions", "1", "--levels", levels,
+        ])
+        assert code == EXIT_USAGE
+        assert "--levels" in capsys.readouterr().err
+
     def test_no_datasets_is_usage_error(self, capsys):
         code = run(["bench", "--coders", "drh"])
         assert code == EXIT_USAGE

@@ -47,7 +47,7 @@ def test_coder_ids_are_pinned():
 @pytest.mark.parametrize("blob", [b"", b"\x05"])
 def test_blob_shorter_than_the_table_count_is_rejected(name, blob):
     with pytest.raises(FormatError):
-        decode_channel(3, 0, b"", blob, TransformChain(()), CODERS[name])
+        decode_channel(3, 0, b"", *CODERS[name].split(blob), TransformChain(()), CODERS[name])
 
 
 @pytest.mark.parametrize("stages, width", [((), 2), (("delta",), 4)])

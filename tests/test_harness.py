@@ -1,10 +1,13 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from tscodec.coders.registry import CODERS
+from tscodec.backends import BackendDescriptor, backend_compress, serialize_series
+from tscodec.coders.registry import CODERS, INTERNAL_CODER_NAMES
+from tscodec.container import build_container, read_container
 from tscodec.core import TimeSeries, entropy_and_limit
 from tscodec.errors import TscodecError
 from tscodec.harness import (
@@ -17,6 +20,7 @@ from tscodec.harness import (
     run_matrix,
     synthetic_matrix,
 )
+from tscodec.ingest import Dataset
 from tscodec.synth import SynthSpec, generate, suite
 from tscodec.transforms import TransformChain, chain_apply
 
@@ -63,6 +67,42 @@ class TestRunJob:
         monkeypatch.setitem(registry.CODER_BY_ID, real.id_byte, broken)
         with pytest.raises(TscodecError, match="round-trip mismatch"):
             run_job(small_suite["sine"], TransformChain(()), "drh", dataset_name="sine")
+
+    def test_missing_channel_is_a_mismatch(self, small_suite, monkeypatch):
+        # A decoded container one channel short must not pass the check.
+        from tscodec import harness
+
+        real = harness.read_container
+
+        def drop_last(blob):
+            decoded = real(blob)
+            return dataclasses.replace(decoded, channels=decoded.channels[:-1])
+
+        monkeypatch.setattr(harness, "read_container", drop_last)
+        dataset = Dataset(name="two", channels=[small_suite["sine"], small_suite["noise"]])
+        with pytest.raises(TscodecError, match="round-trip mismatch"):
+            run_job(dataset, TransformChain(("delta",)), "drh", repetitions=1, dataset_name="two")
+
+    @pytest.mark.parametrize("coder", [*INTERNAL_CODER_NAMES, "deflate"])
+    def test_payload_bytes_come_from_the_coder_payloads(self, small_suite, coder):
+        channels = [small_suite["sine"], small_suite["noise"]]
+        chain = TransformChain(("delta", "rle0"))
+        info = CODERS[coder]
+        expected = 0
+        for ch in channels:
+            tokens, _ = chain_apply(ch, chain)
+            if info.kind == "symbol":
+                expected += len(info.encode(tokens)[1])
+            elif info.kind == "bytes":
+                expected += len(info.encode(serialize_series(tokens)[0])[1])
+            else:
+                data, width = serialize_series(tokens)
+                expected += len(backend_compress(data, BackendDescriptor(coder, None, width)))
+        blob = build_container(channels, chain, coder)
+        assert read_container(blob).payload_bytes == expected
+        rec = run_job(Dataset(name="two", channels=channels), chain, coder, repetitions=1)
+        assert rec.payload_bytes == expected
+        assert rec.header_bytes == len(blob) - expected
 
     def test_unavailable_backend_bubbles_up(self, small_suite):
         from tscodec.backends import is_available
@@ -156,14 +196,6 @@ class TestRunMatrix:
         cell, message = result.failures[0]
         assert cell == "noise/none/range"
         assert "alphabet too large" in message
-
-    def test_worker_pool_matches_serial(self, small_suite):
-        datasets = {"sine": small_suite["sine"], "noise": small_suite["noise"]}
-        chains = [TransformChain(()), TransformChain(("delta",))]
-        serial = run_matrix(datasets, chains, ["drh", "bitpack"], repetitions=1, workers=1)
-        parallel = run_matrix(datasets, chains, ["drh", "bitpack"], repetitions=1, workers=2)
-        key = lambda r: (r.dataset, r.chain, r.coder, r.cs)
-        assert [key(r) for r in serial.records] == [key(r) for r in parallel.records]
 
 
 class TestShannonDominance:
