@@ -42,7 +42,7 @@ from .backends import (
     deserialize_series,
     serialize_series,
 )
-from .container import build_container, read_container, validate_chain_order
+from .container import build_container, read_container
 from .ingest import Dataset, load_csv, quantize_column
 from .synth import SynthSpec, generate, suite
 from .harness import (
@@ -100,6 +100,5 @@ __all__ = [
     "suite",
     "synthetic_matrix",
     "unzigzag",
-    "validate_chain_order",
     "zigzag",
 ]

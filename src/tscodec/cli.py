@@ -9,17 +9,21 @@ directory of CSV datasets.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .backends import availability_report
 from .coders.registry import CODERS, INTERNAL_CODER_NAMES
-from .container import build_container, read_container, validate_chain_order
+from .container import _takes_level, build_container, read_container
 from .core import size_metrics, source_bytes
 from .errors import BackendUnavailableError, TscodecError
 from .harness import (
     ABLATION_CHAINS,
+    AblationRow,
+    _csv_table,
     ablation_markdown,
     ablation_rows,
     emit_report,
@@ -46,11 +50,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_chain(args) -> TransformChain:
     try:
-        chain = TransformChain.parse(args.transforms, args.quars_bins)
-        validate_chain_order(chain.stages)
+        return TransformChain.parse(args.transforms, args.quars_bins)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return chain
 
 
 def _cmd_compress(args) -> int:
@@ -145,7 +147,10 @@ def _parse_chains(text: str) -> list[TransformChain]:
                 labels.extend(_CHAIN_ALIAS[p] for p in parts)
             else:
                 labels.append(_CHAIN_ALIAS.get(piece.strip(), piece.strip()))
-    return [TransformChain.parse(label) for label in labels]
+    try:
+        return [TransformChain.parse(label) for label in labels]
+    except ValueError as exc:
+        raise UsageError(f"--chains: {exc}") from None
 
 
 def _cmd_ablate(args) -> int:
@@ -155,17 +160,8 @@ def _cmd_ablate(args) -> int:
     if args.format == "markdown":
         text = ablation_markdown(rows)
     elif args.format == "csv":
-        lines = ["dataset,chain,cardinality,aad,entropy_bits,shannon_cs"]
-        for r in rows:
-            lines.append(
-                f"{r.dataset},{r.chain},{r.cardinality},{r.aad:.6g},"
-                f"{r.entropy_bits:.6g},{r.shannon_cs:.6g}"
-            )
-        text = "\n".join(lines) + "\n"
+        text = _csv_table(AblationRow, rows)
     else:
-        import json
-        from dataclasses import asdict
-
         text = json.dumps([asdict(r) for r in rows], indent=2) + "\n"
     if args.output:
         Path(args.output).write_text(text)
@@ -193,6 +189,8 @@ def _cmd_bench(args) -> int:
             name, _, values = (p.strip() for p in part.partition("="))
             if name not in coders:
                 raise UsageError(f"--levels: {name!r} is not a selected coder")
+            if not _takes_level(name):
+                raise UsageError(f"--levels: coder {name!r} takes no level")
             try:
                 levels[name] = [int(v) for v in values.split(",")]
             except ValueError:
@@ -206,12 +204,13 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
     )
     fmt = {"csv": "csv", "markdown": "markdown-table", "json": "json-plotdata"}[args.format]
-    payload = emit_report(result.records, fmt, ablations=result.ablations, metadata=result.metadata)
-    if args.output:
-        Path(args.output).write_bytes(payload)
-        print(f"wrote {len(result.records)} records to {args.output}")
-    else:
-        sys.stdout.write(payload.decode())
+    if result.records:  # every cell yields a record or a failure
+        payload = emit_report(result.records, fmt, ablations=result.ablations, metadata=result.metadata)
+        if args.output:
+            Path(args.output).write_bytes(payload)
+            print(f"wrote {len(result.records)} records to {args.output}")
+        else:
+            sys.stdout.write(payload.decode())
     for cell, message in result.failures:
         print(f"FAILED {cell}: {message}", file=sys.stderr)
     return EXIT_OK if not result.failures else EXIT_DATA

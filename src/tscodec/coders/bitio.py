@@ -97,16 +97,14 @@ def pack_codes(codes: np.ndarray, lengths: np.ndarray) -> BitStream:
     return BitStream(out.astype(">u8").tobytes()[: (total + 7) >> 3], total)
 
 
-def byte_windows(seg: np.ndarray, nbytes: int) -> np.ndarray:
-    """Big-endian 64-bit words starting at each of the first ``nbytes`` bytes.
+def byte_windows(buf: np.ndarray) -> np.ndarray:
+    """Big-endian 64-bit words starting at each byte of ``buf`` but the last 7.
 
-    ``seg`` must extend at least 14 bytes past ``nbytes``.
+    A zero-copy view of the uint8 array ``buf`` with a stride of one byte.
+    Gather from it with ``take``, which is several times faster than fancy
+    indexing on such a view.
     """
-    rows = -(-nbytes // 8)
-    words = np.empty(8 * rows, dtype=np.uint64)
-    for k in range(8):
-        words[k::8] = seg[k : k + 8 * rows].view(">u8")
-    return words[:nbytes]
+    return np.ndarray((buf.size - 7,), dtype=">u8", buffer=buf, strides=(1,))
 
 
 def read_fields(words: np.ndarray, start: np.ndarray, nbits: np.ndarray) -> np.ndarray:
@@ -116,7 +114,7 @@ def read_fields(words: np.ndarray, start: np.ndarray, nbits: np.ndarray) -> np.n
     """
     offset = (start & 7).astype(np.uint64)
     n = nbits.astype(np.uint64)
-    window = words[start >> 3]
+    window = words.take(start >> 3)
     return (window >> (np.uint64(64) - offset - n)) & ((np.uint64(1) << n) - np.uint64(1))
 
 
@@ -187,7 +185,7 @@ def decode_prefix_codes(
         # where none follows inside the segment).
         stop = np.minimum.accumulate(np.where(bits == stop_bit, at, width)[::-1])[::-1][:limit]
         ends = 2 * stop + 1 - at[:limit]
-        words = byte_windows(seg, (width >> 3) + 1)
+        words = byte_windows(seg)
 
         def finish(starts: np.ndarray) -> np.ndarray:
             if int(ends[starts].max()) > avail:

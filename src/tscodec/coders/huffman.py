@@ -149,7 +149,7 @@ def decode(header: bytes, payload: BitStream | bytes, count: int) -> np.ndarray:
     table_idx[:filled] = np.repeat(short, reps)
 
     def step(seg: np.ndarray, limit: int, avail: int):
-        words = byte_windows(seg, (limit + 7) >> 3)
+        words = byte_windows(seg)[: (limit + 7) >> 3]
         window = ((words[:, None] >> _WINDOW_SHIFTS) & np.uint64(0xFFFFFFFF)).ravel()[:limit]
         primary = (window >> np.uint64(MAX_CODE_LENGTH - bits)).astype(np.intp)
         ln = table_len[primary]

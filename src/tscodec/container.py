@@ -21,11 +21,10 @@ inverting the transform chain recovers the original sample count, so a
 container decodes with no external information. Unknown versions, ids, or
 magic are rejected outright, never partially parsed.
 
-Accepted chains follow the fixed delta -> rle0 -> quars order (any prefix
-or subset of it, each stage at most once): zero-run coding presupposes the
-zero runs delta creates, and the reshuffle map is fitted on the final token
-stream. The order is checked on read as on write, so a container whose
-transform ids are out of order or repeated is rejected, not decoded.
+Transform ids number the stages of ``TRANSFORM_ORDER`` from 1. The chain
+grammar is ``TransformChain``'s own, so a container whose transform ids are
+out of order or repeated is rejected on read, not decoded. A level is
+accepted only by the backends that have a default level.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backends import BackendDescriptor, backend_compress, backend_decompress, deserialize_series, serialize_series
+from .backends import BACKENDS, BackendDescriptor, backend_compress, backend_decompress, deserialize_series, serialize_series
 from .coders.registry import CODER_BY_ID, CoderInfo, get_coder
 from .core import TimeSeries, as_samples
 from .errors import FormatError
@@ -44,21 +43,13 @@ from .transforms import TRANSFORM_ORDER, QuarsMap, TransformChain, chain_apply, 
 MAGIC = b"TSC1"
 VERSION = 1
 
-TRANSFORM_ID = {"delta": 1, "rle0": 2, "quars": 3}
-TRANSFORM_NAME = {v: k for k, v in TRANSFORM_ID.items()}
+TRANSFORM_NAME = dict(enumerate(TRANSFORM_ORDER, 1))
+TRANSFORM_ID = {v: k for k, v in TRANSFORM_NAME.items()}
 
 
-def validate_chain_order(stages: tuple[str, ...]) -> None:
-    """Reject stage lists that are not a subsequence of delta, rle0, quars."""
-    it = iter(TRANSFORM_ORDER)
-    for stage in stages:
-        for candidate in it:
-            if candidate == stage:
-                break
-        else:
-            raise ValueError(
-                "invalid chain order: stages must follow delta, rle0, quars"
-            )
+def _takes_level(coder_name: str) -> bool:
+    """Only the backends with a default level take a level."""
+    return getattr(BACKENDS.get(coder_name), "default_level", None) is not None
 
 
 def encode_channel(
@@ -125,8 +116,9 @@ def build_container(
     level: int | None = None,
 ) -> bytes:
     """Compress channels into one container blob."""
-    validate_chain_order(chain.stages)
     coder = get_coder(coder_name)
+    if level is not None and not _takes_level(coder_name):
+        raise ValueError(f"coder {coder_name!r} takes no level")
     if not channels:
         raise ValueError("no channels to compress")
     out = bytearray()
@@ -164,20 +156,16 @@ def read_container(blob: bytes) -> DecodedContainer:
     pos = 6 + blob[5]
     if pos + 3 > len(blob):
         raise FormatError("unsupported container: truncated header")
-    stages = []
-    for tid in blob[6:pos]:
-        if tid not in TRANSFORM_NAME:
-            raise FormatError(f"unsupported container: transform id {tid}")
-        stages.append(TRANSFORM_NAME[tid])
     try:
-        validate_chain_order(stages)
+        chain = TransformChain(tuple(TRANSFORM_NAME[tid] for tid in blob[6:pos]))
+    except KeyError as exc:
+        raise FormatError(f"unsupported container: transform id {exc.args[0]}") from None
     except ValueError as exc:
         raise FormatError(f"unsupported container: {exc}") from None
     coder_id = blob[pos]
     if coder_id not in CODER_BY_ID:
         raise FormatError(f"unsupported container: coder id {coder_id}")
     coder = CODER_BY_ID[coder_id]
-    chain = TransformChain(tuple(stages))
     (nch,) = struct.unpack_from("<H", blob, pos + 1)
     pos += 3
     channels = []

@@ -22,7 +22,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -252,25 +252,13 @@ def synthetic_matrix(
     )
 
 
-_REPORT_FIELDS = [
-    "dataset",
-    "chain",
-    "coder",
-    "level",
-    "original_bytes",
-    "compressed_bytes",
-    "payload_bytes",
-    "header_bytes",
-    "cr",
-    "cs",
-    "compress_seconds",
-    "decompress_seconds",
-    "speed_mb_s",
-    "decode_mb_s",
-    "roundtrip_ok",
-    "status",
-    "note",
-]
+def _csv_table(cls, rows) -> str:
+    """CSV text: the field names of dataclass ``cls``, then one line per row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(f.name for f in fields(cls))
+    writer.writerows(astuple(r) for r in rows)
+    return buf.getvalue()
 
 
 def _reportable(records: list[BenchRecord]) -> list[BenchRecord]:
@@ -300,15 +288,8 @@ def emit_report(
     na_records = [r for r in records if r.status != "ok"]
 
     if fmt == "csv":
-        buf = io.StringIO()
-        for key, value in metadata.items():
-            buf.write(f"# {key}: {json.dumps(value, sort_keys=True)}\n")
-        writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-        writer.writerow(_REPORT_FIELDS)
-        for r in ok_records:
-            d = asdict(r)
-            writer.writerow([d[f] for f in _REPORT_FIELDS])
-        return buf.getvalue().encode()
+        comments = "".join(f"# {k}: {json.dumps(v, sort_keys=True)}\n" for k, v in metadata.items())
+        return (comments + _csv_table(BenchRecord, ok_records)).encode()
 
     if fmt == "markdown-table":
         lines = []

@@ -281,8 +281,11 @@ def quars_decode(mapped, qmap: QuarsMap) -> np.ndarray:
 class TransformChain:
     """Ordered transform stages plus the QuaRs bin budget.
 
-    Stage ids must be unique; the container layer additionally restricts
-    accepted chains to the canonical delta -> rle0 -> quars order.
+    This is the one check of the chain grammar, for the API, the CLI and
+    the container read path alike: the stages are an ordered subsequence
+    of delta -> rle0 -> quars, each at most once. Zero-run coding
+    presupposes the zero runs delta creates, and the reshuffle map is
+    fitted on the final token stream.
     """
 
     stages: tuple[str, ...] = ()
@@ -292,8 +295,8 @@ class TransformChain:
         for s in self.stages:
             if s not in TRANSFORM_ORDER:
                 raise ValueError(f"unknown transform {s!r}")
-        if len(set(self.stages)) != len(self.stages):
-            raise ValueError("duplicate transform stage")
+        if tuple(self.stages) != tuple(s for s in TRANSFORM_ORDER if s in self.stages):
+            raise ValueError("invalid chain order: stages follow delta, rle0, quars; no duplicate")
         if self.quars_bins < 1:
             raise ValueError("quars_bins must be >= 1")
 

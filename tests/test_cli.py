@@ -1,4 +1,6 @@
+import csv
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from tscodec.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from tscodec.container import MAGIC, build_container, read_container
 from tscodec.core import TimeSeries
 from tscodec.errors import FormatError
+from tscodec.harness import ablation_rows
 from tscodec.synth import SynthSpec, generate
 from tscodec.transforms import TransformChain
 
@@ -54,6 +57,15 @@ class TestCompressDecompress:
                     "--transforms", "quars,delta"])
         assert code == EXIT_USAGE
         assert "invalid chain order" in capsys.readouterr().err
+
+    def test_level_for_a_coder_without_levels_is_an_error(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        out = tmp_path / "x.tsc"
+        src.write_text("1\n2\n")
+        code = run(["compress", str(src), "-o", str(out), "--coder", "huffman", "--level", "5"])
+        assert code == EXIT_DATA
+        assert "takes no level" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_backend_coder_writes_standard_framing(self, tmp_path):
         import zlib
@@ -181,6 +193,28 @@ class TestAblateCommand:
         assert "sine_noise" in err and "switching" in err
 
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_machine_formats_are_the_record_fields(self, fmt, capsys):
+        assert run(["ablate", "--cases", "sine", "--n", "2000", "--format", fmt]) == EXIT_OK
+        text = capsys.readouterr().out
+        want = [asdict(r) for r in ablation_rows({"sine": generate(SynthSpec("sine", 2000, 0))})]
+        if fmt == "json":
+            assert json.loads(text) == want
+        else:
+            # The chain labels hold commas; each row still has 6 fields.
+            rows = list(csv.reader(text.splitlines()))
+            assert rows[0] == list(want[0])
+            assert [len(r) for r in rows] == [6] * (1 + len(want))
+            assert [r[1] for r in rows[1:]] == [w["chain"] for w in want]
+
+    @pytest.mark.parametrize("command", ["ablate", "bench"])
+    @pytest.mark.parametrize("chains", ["quars,delta", "delta,delta", "rle0,delta"])
+    def test_invalid_chain_is_usage_error(self, command, chains, capsys):
+        code = run([command, "--cases", "sine", "--n", "300", "--chains", chains])
+        assert code == EXIT_USAGE
+        assert "--chains" in capsys.readouterr().err
+
+
 class TestBenchCommand:
     def test_synthetic_json_has_96_records(self, tmp_path):
         out = tmp_path / "report.json"
@@ -217,6 +251,37 @@ class TestBenchCommand:
         ])
         assert code == EXIT_USAGE
         assert "--levels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("coder", ["huffman", "lz4"])
+    def test_levels_for_a_coder_without_levels_are_a_usage_error(self, coder, capsys):
+        code = run([
+            "bench", "--cases", "sine", "--n", "300", "--coders", coder,
+            "--repetitions", "1", "--levels", f"{coder}=1,9",
+        ])
+        assert code == EXIT_USAGE
+        assert "--levels" in capsys.readouterr().err
+
+    def test_level_sweep_of_a_leveled_backend_yields_a_record_per_level(self, capsys):
+        code = run([
+            "bench", "--cases", "sine", "--n", "300", "--coders", "deflate", "--chains", "none",
+            "--repetitions", "1", "--levels", "deflate=1,9",
+        ])
+        assert code == EXIT_OK
+        rows = [l for l in capsys.readouterr().out.splitlines() if l and not l.startswith("#")]
+        levels = [r["level"] for r in csv.DictReader(rows)]
+        assert levels == ["1", "9"]
+
+    def test_every_cell_failing_prints_the_failures(self, tmp_path, capsys):
+        # 70,000 uniform int16 samples exceed the range coder's 2^14-symbol model.
+        src = tmp_path / "u16.csv"
+        samples = np.random.default_rng(0).integers(-32768, 32768, 70000)
+        src.write_text("\n".join(map(str, samples.tolist())) + "\n")
+        code = run(["bench", str(src), "--coders", "range", "--chains", "none",
+                    "--repetitions", "1"])
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err.startswith("FAILED u16/none/range: alphabet too large")
+        assert "no records" not in captured.err
 
     def test_no_datasets_is_usage_error(self, capsys):
         code = run(["bench", "--coders", "drh"])

@@ -1,10 +1,12 @@
 """Container framing: the coder id table, header splits, backend widths and
 rejection of malformed containers."""
 
+import itertools
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tscodec import container
 from tscodec.backends import is_available
@@ -13,7 +15,7 @@ from tscodec.container import build_container, decode_channel, read_container
 from tscodec.core import TimeSeries
 from tscodec.errors import FormatError
 from tscodec.synth import SynthSpec, generate
-from tscodec.transforms import TransformChain
+from tscodec.transforms import TRANSFORM_ORDER, TransformChain
 
 AVAILABLE_CODERS = [
     name for name, info in CODERS.items() if info.kind != "backend" or is_available(name)
@@ -118,3 +120,47 @@ def test_every_truncation_raises_format_error(coder):
     for cut in range(len(blob)):
         with pytest.raises(FormatError):
             read_container(blob[:cut])
+
+
+# The chain grammar: every ordered subsequence of delta, rle0, quars, and
+# nothing else. Transform ids are part of the format.
+ORDERED_SUBSEQUENCES = {c for k in range(4) for c in itertools.combinations(TRANSFORM_ORDER, k)}
+STAGE_ID = {"delta": 1, "rle0": 2, "quars": 3}
+_SINE = generate(SynthSpec(case="sine", n=200, seed=2))
+_NO_CHAIN = build_container([_SINE], TransformChain(()), "drh")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(TRANSFORM_ORDER), max_size=5).map(tuple))
+def test_chain_grammar_is_the_ordered_subsequences(stages):
+    ids = bytes(STAGE_ID[s] for s in stages)
+    if stages in ORDERED_SUBSEQUENCES:
+        blob = build_container([_SINE], TransformChain(stages), "drh")
+        assert blob[5 : 6 + len(ids)] == bytes([len(ids)]) + ids
+        decoded = read_container(blob)
+        assert decoded.chain.stages == stages
+        assert np.array_equal(decoded.channels[0].samples, _SINE.samples)
+    else:
+        with pytest.raises(ValueError, match="invalid chain order"):
+            TransformChain(stages)
+        # The same ids spliced into a valid container's header.
+        blob = _NO_CHAIN[:5] + bytes([len(ids)]) + ids + _NO_CHAIN[6:]
+        with pytest.raises(FormatError, match="chain order"):
+            read_container(blob)
+
+
+NO_LEVEL_CODERS = ["expgolomb", "bitpack", "huffman", "drh", "range", "lzss", "lz4", "snappy", "sprintz"]
+
+
+@pytest.mark.parametrize("coder", NO_LEVEL_CODERS)
+def test_level_for_a_coder_without_levels_is_rejected(coder):
+    # Checked before any coding, so an uninstalled backend fails the same way.
+    with pytest.raises(ValueError, match="takes no level"):
+        build_container([_SINE], TransformChain(()), coder, level=5)
+
+
+def test_level_reaches_a_leveled_backend():
+    fast = build_container([_SINE], TransformChain(()), "deflate", level=1)
+    best = build_container([_SINE], TransformChain(()), "deflate", level=9)
+    assert fast != best
+    assert read_container(fast).channels == read_container(best).channels == [_SINE]
