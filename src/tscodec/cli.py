@@ -56,6 +56,8 @@ def _parse_chain(args) -> TransformChain:
 
 
 def _cmd_compress(args) -> int:
+    if args.level is not None and not _takes_level(args.coder):
+        raise UsageError(f"--level: coder {args.coder!r} takes no level")
     dataset = load_csv(
         args.input,
         columns=[int(c) if c.isdigit() else c for c in args.columns.split(",")]
@@ -155,8 +157,7 @@ def _parse_chains(text: str) -> list[TransformChain]:
 
 def _cmd_ablate(args) -> int:
     datasets = _load_datasets(args)
-    chains = tuple(c.label() for c in _parse_chains(args.chains))
-    rows = ablation_rows(datasets, chains=chains)
+    rows = ablation_rows(datasets, _parse_chains(args.chains))
     if args.format == "markdown":
         text = ablation_markdown(rows)
     elif args.format == "csv":

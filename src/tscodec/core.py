@@ -127,12 +127,7 @@ def aad(series) -> float:
 
 def entropy_bits(series) -> float:
     """Empirical entropy of the value distribution in bits per sample."""
-    x = as_samples(series)
-    if x.size == 0:
-        raise ValueError("undefined on empty input")
-    _, counts, _ = token_histogram(x)
-    p = counts / x.size
-    return float(-np.sum(p * np.log2(p)))
+    return entropy_and_limit(series).entropy_bits
 
 
 def entropy_and_limit(series, sample_bits: int = DEFAULT_SAMPLE_BITS) -> SeriesStats:
@@ -145,9 +140,11 @@ def entropy_and_limit(series, sample_bits: int = DEFAULT_SAMPLE_BITS) -> SeriesS
     x = as_samples(series)
     if x.size == 0:
         raise ValueError("undefined on empty input")
-    h = entropy_bits(x)
+    symbols, counts, _ = token_histogram(x)
+    p = counts / x.size
+    h = float(-np.sum(p * np.log2(p)))
     return SeriesStats(
-        cardinality=cardinality(x),
+        cardinality=int(symbols.size),
         aad=aad(x),
         entropy_bits=h,
         shannon_cs=1.0 - h / sample_bits,

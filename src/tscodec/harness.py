@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import time
+from collections.abc import Sequence
 from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
@@ -168,14 +169,12 @@ def _na_record(dataset_name, chain, coder_name, level, note) -> BenchRecord:
 
 def ablation_rows(
     datasets: dict[str, TimeSeries],
-    quars_bins: int = 256,
-    chains: tuple[str, ...] = ABLATION_CHAINS,
+    chains: Sequence[TransformChain] = tuple(map(TransformChain.parse, ABLATION_CHAINS)),
 ) -> list[AblationRow]:
-    """Cardinality / AAD / entropy / limit per cumulative chain stage."""
+    """Cardinality / AAD / entropy / limit of each dataset's tokens per chain."""
     rows = []
     for name, series in datasets.items():
-        for label in chains:
-            chain = TransformChain.parse(label, quars_bins)
+        for chain in chains:
             tokens, _ = chain_apply(series, chain)
             stats = entropy_and_limit(tokens)
             rows.append(
@@ -222,7 +221,7 @@ def run_matrix(
                         records.append(_na_record(name, chain, coder_name, level, str(exc)))
                     except (TscodecError, ValueError) as exc:
                         failures.append((f"{name}/{chain.label()}/{coder_name}", str(exc)))
-    ablations = ablation_rows(datasets)
+    ablations = ablation_rows(datasets, chains)
     metadata = {
         "tool_version": _version,
         "seed": seed,

@@ -16,9 +16,9 @@ single header row, one sample per row per channel column.
 
 from __future__ import annotations
 
-import csv
-import math
+import re
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -105,57 +105,49 @@ def ingest_column(values) -> tuple[np.ndarray, ChannelQuantization]:
     return quantize_column(x)
 
 
-def _parse_cell(text: str, row: int, col) -> float:
-    cell = text.strip()
-    if cell == "":
-        return math.nan  # missing marker, resolved by policy
-    try:
-        return float(cell)
-    except ValueError:
-        raise ValueError(f"unparseable numeric cell at row {row}, column {col}: {cell!r}") from None
+#: How the header and the data rows are tokenized.
+_CSV = {"delimiter": ",", "quotechar": '"', "comments": None}
+
+#: An empty or blank cell, bare or quoted: a missing value.
+_EMPTY_CELL = re.compile(r'(^|,)(?:"[^\S\n]*")?[^\S\n]*(?=,|$)', re.MULTILINE)
 
 
-def load_csv(
-    path,
-    columns: list[int | str] | None = None,
-    has_header: bool | str = "auto",
-    missing: str = "drop",
-    name: str | None = None,
-) -> Dataset:
+def _cells(line: str) -> list[str]:
+    return np.loadtxt([line], dtype=str, ndmin=1, **_CSV).tolist()
+
+
+def _label(header: list[str] | None, c: int):
+    """Column ``c`` as errors name it: its header name, else its index."""
+    return header[c] if header and c < len(header) else c
+
+
+def load_csv(path, columns: list[int | str] | None = None, missing: str = "drop") -> Dataset:
     """Load selected numeric columns of a CSV file as one dataset.
 
     ``columns`` selects by zero-based index or by header name; None takes
     every column. ``missing`` is either "drop" (remove the whole row,
-    count reported on the dataset) or "error".
+    count reported on the dataset) or "error". The grammar is numpy's
+    ``loadtxt``: the header is detected from the first row; empty, blank
+    and ``nan`` cells are missing; cells may be quoted; ``#`` is no comment.
     """
     if missing not in ("drop", "error"):
         raise ValueError('missing policy must be "drop" or "error"')
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r]
-    if not rows:
+    lines = [line for line in path.read_text(encoding="utf-8").split("\n") if line]
+    if not lines:
         raise ValueError(f"{path}: empty file")
 
     header: list[str] | None = None
-    if has_header == "auto":
-        def _numeric(cell: str) -> bool:
-            try:
-                float(cell)
-                return True
-            except ValueError:
-                return cell.strip() == ""
-
-        if not all(_numeric(c) for c in rows[0]):
-            header = [c.strip() for c in rows[0]]
-            rows = rows[1:]
-    elif has_header:
-        header = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-    if not rows:
+    first = _cells(lines[0])
+    try:
+        [float(c) for c in first if c.strip()]
+    except ValueError:  # a cell that is neither numeric nor blank: a name
+        header = [c.strip() for c in first]
+        lines = lines[1:]
+    if not lines:
         raise ValueError(f"{path}: no data rows")
 
-    ncols = len(rows[0])
+    ncols = len(_cells(lines[0]))
     if columns is None:
         selected = list(range(ncols))
     else:
@@ -164,26 +156,30 @@ def load_csv(
             if isinstance(c, str):
                 if header is None or c not in header:
                     raise ValueError(f"unknown column name {c!r}")
-                selected.append(header.index(c))
-            else:
-                if not 0 <= c < ncols:
-                    raise ValueError(f"column index {c} out of range")
-                selected.append(c)
+                c = header.index(c)
+            if not 0 <= c < ncols:
+                raise ValueError(f"column index {c} out of range")
+            selected.append(c)
 
-    data = np.empty((len(rows), len(selected)), dtype=np.float64)
-    for i, row in enumerate(rows):
-        if len(row) < ncols:
-            raise ValueError(f"{path}: row {i} has {len(row)} cells, expected {ncols}")
-        for j, c in enumerate(selected):
-            label = header[c] if header else c
-            data[i, j] = _parse_cell(row[c], i, label)
+    # The last column is always read, unparsed unless selected, so that a
+    # short row fails the parse.
+    last = {} if ncols - 1 in selected else {ncols - 1: lambda _: 0.0}
+    parse = partial(np.loadtxt, ndmin=2, usecols=selected + list(last), converters=last, **_CSV)
+    try:
+        data = parse(lines)
+    except ValueError:  # an empty cell; a real error fails again below
+        try:
+            data = parse(_EMPTY_CELL.sub(r"\1nan", "\n".join(lines)).split("\n"))
+        except ValueError as exc:
+            raise _bad_cell(exc, path, lines, header, ncols) from None
+    data = data[:, : len(selected)]
 
     missing_mask = np.isnan(data)
     dropped = 0
     if missing_mask.any():
         if missing == "error":
             i, j = np.argwhere(missing_mask)[0]
-            label = header[selected[j]] if header else selected[j]
+            label = _label(header, selected[j])
             raise ValueError(f"{path}: missing value at row {int(i)}, column {label}")
         keep = ~missing_mask.any(axis=1)
         dropped = int((~keep).sum())
@@ -198,7 +194,7 @@ def load_csv(
         channels.append(TimeSeries(samples=q, channel_id=j))
         quant.append(meta)
     return Dataset(
-        name=name or path.stem,
+        name=path.stem,
         channels=channels,
         provenance=[str(path)],
         quantization=quant,
@@ -206,17 +202,23 @@ def load_csv(
     )
 
 
+def _bad_cell(exc: ValueError, path: Path, lines: list[str], header, ncols: int) -> ValueError:
+    """Name the row and cell that ``np.loadtxt`` rejected. numpy counts a short
+    row from 1 ("at row 2 with 1 columns"), a bad cell's row from 0 and its
+    column from 1 ("at row 1, column 2.")."""
+    m = re.search(r"at row (\d+)(?:, column (\d+)\.| with \d+ columns)$", str(exc))
+    if m is None:
+        return ValueError(f"{path}: {exc}")
+    i = int(m[1]) if m[2] else int(m[1]) - 1
+    cells = _cells(lines[i])
+    if len(cells) < ncols:
+        return ValueError(f"{path}: row {i} has {len(cells)} cells, expected {ncols}")
+    c = int(m[2]) - 1
+    return ValueError(f"unparseable numeric cell at row {i}, column {_label(header, c)}: {cells[c].strip()!r}")
+
+
 def write_csv(path, channels: list[TimeSeries], header: bool = True) -> None:
     """Write channels column-wise; inverse of loading an integer CSV."""
-    arrays = [ch.samples for ch in channels]
-    if not arrays:
-        raise ValueError("no channels to write")
-    n = max(a.size for a in arrays)
-    if any(a.size != n for a in arrays):
-        raise ValueError("channels of unequal length")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if header:
-            writer.writerow([f"ch{ch.channel_id}" for ch in channels])
-        for i in range(n):
-            writer.writerow([int(a[i]) for a in arrays])
+    arrays = [ch.samples for ch in channels]  # column_stack rejects none and unequal lengths
+    names = ",".join(f"ch{ch.channel_id}" for ch in channels) if header else ""
+    np.savetxt(path, np.column_stack(arrays), fmt="%d", delimiter=",", header=names, comments="")

@@ -7,22 +7,28 @@ bound on prefix lengths or token counts. ``bitpack_encode`` writes one value
 at a time, and ``code_lengths_from_counts`` walks each Huffman leaf up to
 the root. The transform oracles are the per-token QuaRs bin search, which
 the library now runs once per distinct value, token-at-a-time rle0 loops
-and the branchy zigzag formulas. The differential tests require the library
-to return exactly what these return on valid input, and to raise the same
-``FormatError`` on invalid input.
+and the branchy zigzag formulas. ``load_csv`` is the ``csv.reader`` plus
+one-``float()``-per-cell parser that ``np.loadtxt`` replaced. The
+differential tests require the library to return exactly what these return
+on valid input, and to raise the same ``FormatError`` (``ValueError`` for
+CSV) on invalid input.
 """
 
 from __future__ import annotations
 
+import csv
 import heapq
+import math
 from bisect import bisect_right
+from pathlib import Path
 
 import numpy as np
 
 from tscodec.coders import huffman, rangecoder
 from tscodec.coders.bitio import BitStream
-from tscodec.core import as_samples
+from tscodec.core import TimeSeries, as_samples
 from tscodec.errors import FormatError, TruncatedStreamError
+from tscodec.ingest import Dataset, ingest_column
 
 
 class BitWriter:
@@ -381,3 +387,88 @@ def rle0_decode(tokens) -> np.ndarray:
         counts[markers] = lengths
         counts[markers + 1] = 0  # length slots emit nothing
     return np.repeat(t * (counts > 0), counts)
+
+
+def _parse_cell(text: str, row: int, col) -> float:
+    cell = text.strip()
+    if cell == "":
+        return math.nan  # missing marker, resolved by policy
+    try:
+        return float(cell)
+    except ValueError:
+        raise ValueError(f"unparseable numeric cell at row {row}, column {col}: {cell!r}") from None
+
+
+def load_csv(path, columns=None, missing: str = "drop") -> Dataset:
+    """The row-list, cell-at-a-time CSV loader that ``np.loadtxt`` replaced.
+
+    Two fixes keep it a reference rather than a crash: a column beyond a
+    short header is labelled by its index, and a name whose header position
+    lies beyond the first data row is out of range. The replaced loader
+    raised ``IndexError`` for both.
+    """
+    if missing not in ("drop", "error"):
+        raise ValueError('missing policy must be "drop" or "error"')
+    path = Path(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows = [r for r in rows if r]
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+
+    def _numeric(cell: str) -> bool:
+        try:
+            float(cell)
+            return True
+        except ValueError:
+            return cell.strip() == ""
+
+    header = None
+    if not all(_numeric(c) for c in rows[0]):
+        header = [c.strip() for c in rows[0]]
+        rows = rows[1:]
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+
+    ncols = len(rows[0])
+    if columns is None:
+        selected = list(range(ncols))
+    else:
+        selected = []
+        for c in columns:
+            if isinstance(c, str):
+                if header is None or c not in header:
+                    raise ValueError(f"unknown column name {c!r}")
+                c = header.index(c)
+            if not 0 <= c < ncols:
+                raise ValueError(f"column index {c} out of range")
+            selected.append(c)
+
+    data = np.empty((len(rows), len(selected)), dtype=np.float64)
+    for i, row in enumerate(rows):
+        if len(row) < ncols:
+            raise ValueError(f"{path}: row {i} has {len(row)} cells, expected {ncols}")
+        for j, c in enumerate(selected):
+            label = header[c] if header and c < len(header) else c
+            data[i, j] = _parse_cell(row[c], i, label)
+
+    missing_mask = np.isnan(data)
+    dropped = 0
+    if missing_mask.any():
+        if missing == "error":
+            i, j = np.argwhere(missing_mask)[0]
+            c = selected[j]
+            label = header[c] if header and c < len(header) else c
+            raise ValueError(f"{path}: missing value at row {int(i)}, column {label}")
+        keep = ~missing_mask.any(axis=1)
+        dropped = int((~keep).sum())
+        data = data[keep]
+        if data.shape[0] == 0:
+            raise ValueError(f"{path}: all rows dropped by missing-value policy")
+
+    channels, quant = [], []
+    for j in range(data.shape[1]):
+        q, meta = ingest_column(data[:, j])
+        channels.append(TimeSeries(samples=q, channel_id=j))
+        quant.append(meta)
+    return Dataset(name=path.stem, channels=channels, provenance=[str(path)], quantization=quant, dropped_rows=dropped)

@@ -63,7 +63,7 @@ class TestCompressDecompress:
         out = tmp_path / "x.tsc"
         src.write_text("1\n2\n")
         code = run(["compress", str(src), "-o", str(out), "--coder", "huffman", "--level", "5"])
-        assert code == EXIT_DATA
+        assert code == EXIT_USAGE
         assert "takes no level" in capsys.readouterr().err
         assert not out.exists()
 

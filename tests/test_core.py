@@ -130,6 +130,13 @@ class TestEntropy:
         values = np.repeat(np.arange(32), 7)
         assert entropy_bits(values) == pytest.approx(5.0)
 
+    @given(series_values.filter(len))
+    def test_stats_equal_the_single_measures(self, values):
+        s = entropy_and_limit(values)
+        assert s.cardinality == cardinality(values)
+        assert s.entropy_bits == entropy_bits(values)
+        assert s.aad == aad(values)
+
     @given(series_values)
     def test_self_concatenation_invariance(self, values):
         twice = values + values

@@ -227,6 +227,18 @@ class TestAblation:
         assert by_chain["delta"].cardinality <= 20
         assert by_chain["delta,rle0,quars"].cardinality == by_chain["delta,rle0"].cardinality
 
+    def test_rows_use_each_chains_quars_bins(self, small_suite):
+        chains = [TransformChain(("delta", "rle0", "quars"), quars_bins=b) for b in (1, 256)]
+        coarse, fine = ablation_rows({"sine": small_suite["sine"]}, chains)
+        assert coarse.cardinality == fine.cardinality
+        assert coarse.aad != fine.aad
+
+    def test_matrix_ablates_its_own_chains(self, small_suite):
+        chain = TransformChain(("delta",))
+        result = run_matrix(small_suite, [chain], ["bitpack"], repetitions=1)
+        assert result.ablations == ablation_rows(small_suite, [chain])
+        assert {r.chain for r in result.ablations} == {"delta"}
+
     def test_markdown_table_shape(self, small_suite):
         rows = ablation_rows(small_suite)
         text = ablation_markdown(rows)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import oracles
+from tscodec.core import TimeSeries
 from tscodec.ingest import (
     dequantize_column,
     ingest_column,
@@ -135,20 +137,117 @@ class TestLoadCsv:
         assert (meta.lo, meta.hi) == (0.0, 10.5)
         assert meta.scale == pytest.approx(65535 / 10.5)
 
-    def test_write_read_integer_roundtrip(self, tmp_path):
-        from tscodec.core import TimeSeries
-
-        channels = [
-            TimeSeries(samples=[1, -2, 3], channel_id=0),
-            TimeSeries(samples=[9, 8, 7], channel_id=1),
-        ]
-        path = tmp_path / "out.csv"
-        write_csv(path, channels)
+    @given(
+        st.lists(st.integers(-32768, 32767), min_size=1, max_size=40),
+        st.integers(1, 4),
+        st.booleans(),
+    )
+    def test_write_read_integer_roundtrip(self, tmp_path_factory, values, k, header):
+        channels = [TimeSeries(samples=np.roll(values, j), channel_id=j) for j in range(k)]
+        path = tmp_path_factory.mktemp("rt") / "out.csv"
+        write_csv(path, channels, header=header)
         ds = load_csv(path)
-        assert [ch.samples.tolist() for ch in ds.channels] == [[1, -2, 3], [9, 8, 7]]
+        assert [ch.samples.tolist() for ch in ds.channels] == [ch.samples.tolist() for ch in channels]
         assert all(m.identity for m in ds.quantization)
 
     def test_empty_file_errors(self, tmp_path):
         path = _write(tmp_path, "")
         with pytest.raises(ValueError, match="empty file"):
             load_csv(path)
+
+    def test_header_only_file_errors(self, tmp_path):
+        path = _write(tmp_path, "a,b\n\n")
+        with pytest.raises(ValueError, match="no data rows"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("text", ["d,a,b\n2024-01-01,1,2\n2024-01-02,3,4\n", "a,b,d\n1,2,x y\n3,4,#z\n"])
+    def test_unselected_text_column_is_not_parsed(self, tmp_path, text):
+        ds = load_csv(_write(tmp_path, text), columns=["a", "b"])
+        assert [ch.samples.tolist() for ch in ds.channels] == [[1, 3], [2, 4]]
+
+    @pytest.mark.parametrize("cell", ["#4", "1_0", "4 5", "0x10"])
+    def test_rejected_cell_named_by_row_and_column(self, tmp_path, cell):
+        path = _write(tmp_path, f"a,b\n1,2\n3,{cell}\n")
+        with pytest.raises(ValueError, match=f"row 1, column b: '{cell}'"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("columns", [None, [0], [2, 0]])
+    def test_short_row_errors_whatever_the_selection(self, tmp_path, columns):
+        path = _write(tmp_path, "1,2,3\n4,5,6\n7,8\n")
+        with pytest.raises(ValueError, match="row 2 has 2 cells, expected 3"):
+            load_csv(path, columns=columns)
+
+    @pytest.mark.parametrize(("row", "missing", "message"), [
+        ("3,x", "drop", "row 1, column 1: 'x'"),
+        ("3,", "error", "missing value at row 1, column 1"),
+    ])
+    def test_column_beyond_a_short_header_named_by_index(self, tmp_path, row, missing, message):
+        path = _write(tmp_path, f"a\n1,2\n{row}\n")
+        with pytest.raises(ValueError, match=message):
+            load_csv(path, missing=missing)
+
+    def test_longer_rows_load(self, tmp_path):
+        ds = load_csv(_write(tmp_path, "1,2\n3,4,5\n6,7,x,y\n"))
+        assert [ch.samples.tolist() for ch in ds.channels] == [[1, 3, 6], [2, 4, 7]]
+
+    def test_quoted_header_and_cells(self, tmp_path):
+        path = _write(tmp_path, '"temp","load, kW"\r\n"1",2\r\n\r\n3,"4"\r\n')
+        ds = load_csv(path, columns=["load, kW", "temp"])
+        assert [ch.samples.tolist() for ch in ds.channels] == [[2, 4], [1, 3]]
+
+
+_VALUES = st.one_of(st.integers(-40000, 40000).map(str), st.floats(-1e6, 1e6, allow_nan=False).map(repr))
+_CELLS = st.one_of(
+    _VALUES,
+    _VALUES.map(lambda v: f'"{v}"'),
+    _VALUES.map(lambda v: f" {v}\t"),
+    st.sampled_from(["", " ", "\t ", "nan", "NaN", '""', '" "']),
+)
+_BAD_CELLS = st.sampled_from(["x", "#1", "1x", "--1", ' "1"'])
+
+
+@st.composite
+def _csv_files(draw):
+    """CSV text, the column selection and the missing policy to load it with."""
+    ncols = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(_CELLS, min_size=ncols, max_size=ncols), min_size=1, max_size=8))
+    if draw(st.booleans()):  # one ragged row
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + [draw(_CELLS)]
+    if draw(st.integers(0, 3)) == 0:  # one unparseable cell
+        row = draw(st.sampled_from(rows))
+        if row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(_BAD_CELLS)
+    names = ["a", "b", "c", "d"][:ncols]
+    header = draw(st.booleans())
+    if header:
+        rows.insert(0, [f'"{n}"' if draw(st.booleans()) else n for n in names])
+    lines = [",".join(r) for r in rows]
+    for _ in range(draw(st.integers(0, 2))):  # blank lines
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lines) + (eol if draw(st.booleans()) else "")
+    keys = st.integers(0, ncols - 1) | (st.sampled_from(names) if header else st.nothing())
+    columns = draw(st.none() | st.lists(keys, min_size=1, max_size=5))
+    return text, columns, draw(st.sampled_from(["drop", "error"]))
+
+
+class TestLoadCsvAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_csv_files())
+    def test_same_dataset_or_same_error(self, tmp_path_factory, case):
+        text, columns, missing = case
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        path.write_bytes(text.encode())
+        try:
+            want = oracles.load_csv(path, columns=columns, missing=missing)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                load_csv(path, columns=columns, missing=missing)
+            assert str(got.value) == str(exc)
+            return
+        got = load_csv(path, columns=columns, missing=missing)
+        assert [ch.samples.tolist() for ch in got.channels] == [ch.samples.tolist() for ch in want.channels]
+        assert got.quantization == want.quantization
+        assert got.dropped_rows == want.dropped_rows
+        assert got.name == want.name
