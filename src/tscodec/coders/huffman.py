@@ -22,8 +22,6 @@ working memory is bounded by ``bitio.CHUNK_BITS``, not by the payload.
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from ..core import as_samples, token_histogram
@@ -44,27 +42,35 @@ _WINDOW_SHIFTS = np.arange(32, 24, -1, dtype=np.uint64)
 def code_lengths_from_counts(counts: np.ndarray) -> np.ndarray:
     """Optimal prefix code lengths for positive frequencies.
 
-    Repeatedly merges the two least frequent subtrees; ties are broken by
-    insertion order so the resulting lengths are deterministic across
-    platforms.
+    Repeatedly merges the two least frequent subtrees, in (count, node id)
+    order: ties go to the older node, so the lengths are deterministic
+    across platforms. Merged counts never decrease, so two queues replace a
+    heap: the leaves sorted once, and the merged nodes in creation order.
     """
     m = counts.size
     if m == 0:
         raise ValueError("undefined on empty input")
     if m == 1:
         return np.array([1], dtype=np.int64)
-    # (count, node id) pairs: ids are unique, so ties go to the older node.
-    heap = [(c, i) for i, c in enumerate(counts.tolist())]
-    heapq.heapify(heap)
+    order = np.argsort(counts, kind="stable")
+    leaves = order.tolist()
+    leaf_counts = counts[order].tolist()
+    merged: list[int] = []  # count of node m + k
     parent = [-1] * (2 * m - 1)
-    next_id = m
-    while len(heap) > 1:
-        c1, n1 = heapq.heappop(heap)
-        c2, n2 = heapq.heappop(heap)
-        parent[n1] = next_id
-        parent[n2] = next_id
-        heapq.heappush(heap, (c1 + c2, next_id))
-        next_id += 1
+    li = qi = 0
+    for node in range(m, 2 * m - 1):
+        total = 0
+        for _ in range(2):
+            # On equal counts the leaf goes first: leaf ids are the lower.
+            if qi == len(merged) or (li < m and leaf_counts[li] <= merged[qi]):
+                parent[leaves[li]] = node
+                total += leaf_counts[li]
+                li += 1
+            else:
+                parent[m + qi] = node
+                total += merged[qi]
+                qi += 1
+        merged.append(total)
     # A parent has a larger id than its children, so walking the ids down
     # from the root sets each node's depth from its parent's.
     depth = [0] * (2 * m - 1)

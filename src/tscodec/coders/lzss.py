@@ -10,9 +10,29 @@ holding a 12-bit distance-1 and a 4-bit length-3:
 
 A match never replaces a sequence shorter than itself, so worst-case
 output is m*9/8 + 1 bytes for m incompressible input bytes.
+
+The encoder is greedy: at each token it searches up to ``MAX_CHAIN``
+earlier positions with the same first 3 bytes, nearest first, and takes
+the longest match (the nearest on ties). Its Python loop runs only where a
+match starts:
+
+- Links come from one sort. Every position with 3 bytes left has its
+  3-byte key, so the previous position with the same key is its
+  predecessor in the keys sorted by (key, position).
+- A position is a literal exactly when that predecessor lies outside the
+  window: any same-key candidate inside it already matches 3 bytes. A
+  reversed ``minimum.accumulate`` gives the next position that can start
+  a match, so literal runs are skipped whole.
+- numpy assembles the stream from the (start, length, distance) of each
+  match: token order, 1 or 2 bytes per token, and a flag byte per 8 tokens.
+
+The output is byte for byte that of a position-at-a-time encoder with a
+hash-chain dict, which ``tests/oracles.py`` keeps for differential tests.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from ..errors import FormatError, TruncatedStreamError
 
@@ -22,67 +42,80 @@ MAX_MATCH = 18
 MAX_CHAIN = 64  # candidate positions examined per match search
 
 
+def _links(buf: np.ndarray) -> tuple[list[int], list[int]]:
+    """Previous same-key position, and the next position that starts a match.
+
+    Position i has a key (its 3 bytes) when i + 3 <= n. ``prev[i]`` is the
+    nearest earlier position with the same key, or -1. ``after[i]`` is the
+    first j >= i whose ``prev[j]`` lies inside the window, or n.
+    """
+    n = buf.size
+    prev = np.full(n + 1, -1, dtype=np.int64)
+    if n >= MIN_MATCH:
+        # Sorting (key, position) pairs packed in one int64 gives the order
+        # of a stable sort of the keys, and sorts faster than argsort.
+        b = buf.astype(np.int64)
+        pairs = (b[:-2] | (b[1:-1] << 8) | (b[2:] << 16)) << 32 | np.arange(n - 2)
+        pairs.sort()
+        order = pairs & 0xFFFFFFFF
+        same = (pairs[1:] >> 32) == (pairs[:-1] >> 32)
+        prev[order[1:][same]] = order[:-1][same]
+    pos = np.arange(n + 1)
+    start = np.where((prev >= 0) & (pos - prev <= WINDOW), pos, n)
+    after = np.minimum.accumulate(start[::-1])[::-1]
+    return prev.tolist(), after.tolist()
+
+
 def compress(data: bytes) -> bytes:
     n = len(data)
-    out = bytearray()
-    group = bytearray(1)  # flags byte placeholder
-    flags = 0
-    ntok = 0
-    head: dict[int, int] = {}
-    prev = [-1] * n
-    i = 0
+    buf = np.frombuffer(data, dtype=np.uint8)
+    prev, after = _links(buf)
+    found: list[int] = []  # start, length, distance of each match
+    i = after[0]
     while i < n:
+        limit = n - i if n - i < MAX_MATCH else MAX_MATCH
+        here = int.from_bytes(data[i : i + limit], "big")
         best_len = 0
         best_dist = 0
-        if i + MIN_MATCH <= n:
-            limit = min(MAX_MATCH, n - i)
-            h = data[i] | (data[i + 1] << 8) | (data[i + 2] << 16)
-            cand = head.get(h, -1)
-            tries = MAX_CHAIN
-            while cand >= 0 and i - cand <= WINDOW and tries > 0:
-                if best_len == limit:
-                    break
-                # Cheap reject: a longer match must extend past best_len.
-                if data[cand + best_len] == data[i + best_len]:
-                    ln = 0
-                    while ln < limit and data[cand + ln] == data[i + ln]:
-                        ln += 1
-                    if ln > best_len:
-                        best_len = ln
-                        best_dist = i - cand
-                cand = prev[cand]
-                tries -= 1
-        if best_len >= MIN_MATCH:
-            d = best_dist - 1
-            group.append(d >> 4)
-            group.append(((d & 0xF) << 4) | (best_len - 3))
-            end = i + best_len
-            stop = min(end, n - 2)
-            while i < stop:
-                h = data[i] | (data[i + 1] << 8) | (data[i + 2] << 16)
-                prev[i] = head.get(h, -1)
-                head[h] = i
-                i += 1
-            i = end
-        else:
-            flags |= 0x80 >> ntok
-            group.append(data[i])
-            if i + MIN_MATCH <= n:
-                h = data[i] | (data[i + 1] << 8) | (data[i + 2] << 16)
-                prev[i] = head.get(h, -1)
-                head[h] = i
-            i += 1
-        ntok += 1
-        if ntok == 8:
-            group[0] = flags
-            out.extend(group)
-            group = bytearray(1)
-            flags = 0
-            ntok = 0
-    if ntok:
-        group[0] = flags
-        out.extend(group)
-    return bytes(out)
+        cand = prev[i]
+        tries = MAX_CHAIN
+        while cand >= 0 and i - cand <= WINDOW and tries > 0:
+            if best_len == limit:
+                break
+            # Cheap reject: a longer match must extend past best_len.
+            if data[cand + best_len] == data[i + best_len]:
+                diff = here ^ int.from_bytes(data[cand : cand + limit], "big")
+                ln = limit - ((diff.bit_length() + 7) >> 3)
+                if ln > best_len:
+                    best_len = ln
+                    best_dist = i - cand
+            cand = prev[cand]
+            tries -= 1
+        found += (i, best_len, best_dist)
+        i = after[i + best_len]
+    starts, lens, dists = np.array(found, dtype=np.int64).reshape(-1, 3).T
+    # Token positions: each literal and each match start.
+    mark = np.zeros(n + 1, dtype=np.int64)
+    mark[starts + 1] = 1
+    mark[starts + lens] = -1
+    tok = np.flatnonzero(np.cumsum(mark[:n]) == 0)
+    match = np.searchsorted(tok, starts)
+    literal = np.ones(tok.size, dtype=bool)
+    literal[match] = False
+    # before[t]: token bytes ahead of token t. Token t follows them and
+    # the flag bytes of groups 0 .. t // 8; group g's flag byte sits at
+    # before[8g] + g.
+    before = np.zeros(tok.size + 1, dtype=np.int64)
+    np.cumsum(2 - literal, out=before[1:])
+    flags = np.packbits(literal)
+    at = before[:-1] + (np.arange(tok.size) >> 3) + 1
+    out = np.empty(int(before[-1]) + flags.size, dtype=np.uint8)
+    out[at[literal]] = buf[tok[literal]]
+    d = dists - 1
+    out[at[match]] = d >> 4
+    out[at[match] + 1] = ((d & 0xF) << 4) | (lens - MIN_MATCH)
+    out[before[:-1:8] + np.arange(flags.size)] = flags
+    return out.tobytes()
 
 
 def decompress(data: bytes, expected_size: int | None = None) -> bytes:

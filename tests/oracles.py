@@ -4,13 +4,15 @@ The decoders are the one-bit-or-one-codeword-at-a-time loops the vectorized
 decoders in ``tscodec.coders`` replaced. They read the same formats and
 raise ``TruncatedStreamError`` when a stream runs out, but they apply no
 bound on prefix lengths or token counts. ``bitpack_encode`` writes one value
-at a time, and ``code_lengths_from_counts`` walks each Huffman leaf up to
-the root. The transform oracles are the per-token QuaRs bin search, which
-the library now runs once per distinct value, token-at-a-time rle0 loops
-and the branchy zigzag formulas. ``load_csv`` is the ``csv.reader`` plus
-one-``float()``-per-cell parser that ``np.loadtxt`` replaced. The
-differential tests require the library to return exactly what these return
-on valid input, and to raise the same ``FormatError`` (``ValueError`` for
+at a time, and ``code_lengths_from_counts`` merges through a heap and walks
+each Huffman leaf up to the root. ``lzss_compress`` steps through the input
+one byte at a time, keeping hash-chain heads in a dict. The transform
+oracles are the per-token QuaRs bin search, which the library now runs once
+per distinct value, token-at-a-time rle0 loops and the branchy zigzag
+formulas. ``load_csv`` is the ``csv.reader`` plus one-``float()``-per-cell
+parser that ``np.loadtxt`` replaced. The differential tests require the
+library to return exactly what these return on valid input (the same bytes,
+for the encoders), and to raise the same ``FormatError`` (``ValueError`` for
 CSV) on invalid input.
 """
 
@@ -24,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tscodec.coders import huffman, rangecoder
+from tscodec.coders import huffman, lzss, rangecoder
 from tscodec.coders.bitio import BitStream
 from tscodec.core import TimeSeries, as_samples
 from tscodec.errors import FormatError, TruncatedStreamError
@@ -264,6 +266,70 @@ def code_lengths_from_counts(counts: np.ndarray) -> np.ndarray:
             d += 1
         lengths[i] = d
     return lengths
+
+
+def lzss_compress(data: bytes) -> bytes:
+    """The position-at-a-time LZSS encoder: a hash-chain dict, one step per byte."""
+    n = len(data)
+    out = bytearray()
+    group = bytearray(1)  # flags byte placeholder
+    flags = 0
+    ntok = 0
+    head: dict[int, int] = {}
+    prev = [-1] * n
+    i = 0
+    while i < n:
+        best_len = 0
+        best_dist = 0
+        if i + lzss.MIN_MATCH <= n:
+            limit = min(lzss.MAX_MATCH, n - i)
+            h = data[i] | (data[i + 1] << 8) | (data[i + 2] << 16)
+            cand = head.get(h, -1)
+            tries = lzss.MAX_CHAIN
+            while cand >= 0 and i - cand <= lzss.WINDOW and tries > 0:
+                if best_len == limit:
+                    break
+                # Cheap reject: a longer match must extend past best_len.
+                if data[cand + best_len] == data[i + best_len]:
+                    ln = 0
+                    while ln < limit and data[cand + ln] == data[i + ln]:
+                        ln += 1
+                    if ln > best_len:
+                        best_len = ln
+                        best_dist = i - cand
+                cand = prev[cand]
+                tries -= 1
+        if best_len >= lzss.MIN_MATCH:
+            d = best_dist - 1
+            group.append(d >> 4)
+            group.append(((d & 0xF) << 4) | (best_len - 3))
+            end = i + best_len
+            stop = min(end, n - 2)
+            while i < stop:
+                h = data[i] | (data[i + 1] << 8) | (data[i + 2] << 16)
+                prev[i] = head.get(h, -1)
+                head[h] = i
+                i += 1
+            i = end
+        else:
+            flags |= 0x80 >> ntok
+            group.append(data[i])
+            if i + lzss.MIN_MATCH <= n:
+                h = data[i] | (data[i + 1] << 8) | (data[i + 2] << 16)
+                prev[i] = head.get(h, -1)
+                head[h] = i
+            i += 1
+        ntok += 1
+        if ntok == 8:
+            group[0] = flags
+            out.extend(group)
+            group = bytearray(1)
+            flags = 0
+            ntok = 0
+    if ntok:
+        group[0] = flags
+        out.extend(group)
+    return bytes(out)
 
 
 def bitpack_encode(values, block_size: int = 128) -> bytes:

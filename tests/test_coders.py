@@ -3,8 +3,10 @@
 Expected values come from independent oracles computed in this file:
 empirical entropy via a plain Counter/log2 loop, Exp-Golomb lengths via
 the closed-form floor(log2) law, LZSS sizes via token-format arithmetic.
+Differential tests compare against the scalar coders in ``oracles``.
 """
 
+import itertools
 import math
 import struct
 from collections import Counter
@@ -236,6 +238,20 @@ class TestSymbolTableHeaders:
         assert codes.tolist() == [expected[s] for s in symbols.tolist()]
 
 
+# Counts that grow like Fibonacci numbers give one leaf per tree level:
+# ascending, shuffled, scaled, and 1, 1, 2, 4, ... where every merged node
+# ties with the next leaf.
+_FIB = [1, 1]
+while len(_FIB) < 24:
+    _FIB.append(_FIB[-1] + _FIB[-2])
+FIBONACCI_LIKE = [
+    _FIB,
+    np.random.default_rng(8).permutation(_FIB).tolist(),
+    [1] + [2**k for k in range(21)],
+    [c + c // 3 for c in _FIB],
+]
+
+
 class TestHuffman:
     def test_two_equiprobable_symbols_cost_one_bit(self):
         x = [5, -5] * 400
@@ -284,11 +300,20 @@ class TestHuffman:
              514229, 832040][::-1],
             [2**k for k in range(25)],
             [10**6] + [1] * 500,
+            [9, 3],
+            [4] * 100,
+            # A leaf and a merged node tie at count 2; the leaf goes first.
+            [1, 1, 2, 2],
+            *FIBONACCI_LIKE,
         ],
     )
     def test_code_lengths_match_leaf_walk(self, counts):
         c = np.array(counts, dtype=np.int64)
         assert huffman.code_lengths_from_counts(c).tolist() == oracles.code_lengths_from_counts(c).tolist()
+
+    @pytest.mark.parametrize("counts", FIBONACCI_LIKE)
+    def test_fibonacci_like_counts_build_deep_trees(self, counts):
+        assert int(huffman.code_lengths_from_counts(np.array(counts)).max()) >= 20
 
     # Tie-heavy or spread counts; a total below Fibonacci(34) keeps every
     # tree within MAX_CODE_LENGTH.
@@ -459,6 +484,48 @@ class TestLzss:
         out = lzss.compress(b"abcdef")
         with pytest.raises(TruncatedStreamError):
             lzss.decompress(out, expected_size=10)
+
+    # Differential checks: the same bytes as the position-at-a-time encoder.
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_matches_oracle_on_low_alphabet_inputs(self, n, alphabet, seed):
+        data = np.random.default_rng(seed).integers(0, alphabet, n).astype(np.uint8).tobytes()
+        assert lzss.compress(data) == oracles.lzss_compress(data)
+
+    @pytest.mark.parametrize("distance", [lzss.WINDOW, lzss.WINDOW + 1])
+    def test_matches_oracle_at_the_window_edge(self, distance):
+        block = np.random.default_rng(distance).integers(0, 256, distance).astype(np.uint8).tobytes()
+        data = block + block[:40]
+        out = lzss.compress(data)
+        assert out == oracles.lzss_compress(data)
+        # The repeat is reachable at distance WINDOW only; one step further
+        # every byte is a literal.
+        literals_only = len(data) + -(-len(data) // 8)
+        assert (len(out) < literals_only) == (distance == lzss.WINDOW)
+
+    @pytest.mark.parametrize("decoys", [lzss.MAX_CHAIN - 1, lzss.MAX_CHAIN, 2 * lzss.MAX_CHAIN])
+    def test_matches_oracle_at_the_chain_limit(self, decoys):
+        # Nearer candidates with the same first 3 bytes stand between the
+        # last copy and the long match: it is the last candidate searched
+        # with MAX_CHAIN - 1 of them, and out of reach with more. The zero
+        # bytes occur nowhere else, so no match runs into the last copy.
+        rng = np.random.default_rng(decoys)
+        between = b"".join(b"abc" + bytes([int(b)]) for b in rng.integers(100, 256, decoys))
+        data = b"abcdefghijklmnop" + between + bytes(3) + b"abcdefghijklmnop"
+        out = lzss.compress(data)
+        assert out == oracles.lzss_compress(data)
+        assert lzss.decompress(out) == data
+
+    def test_matches_oracle_on_short_and_tail_inputs(self):
+        tiny = [bytes(t) for k in range(5) for t in itertools.product(range(3), repeat=k)]
+        tails = [b"abcdeabcde", b"abcdabc", b"abcdab", b"abcab", b"aaaaa", b"xyzxyzxy"]
+        for data in tiny + tails:
+            assert lzss.compress(data) == oracles.lzss_compress(data), data
+
+    def test_matches_oracle_on_100k_zeros(self):
+        data = bytes(100_000)
+        assert lzss.compress(data) == oracles.lzss_compress(data)
 
 
 class TestOrderZeroFloor:

@@ -114,6 +114,16 @@ class TestRunJob:
         with pytest.raises(BackendUnavailableError):
             run_job(small_suite["sine"], TransformChain(()), missing[0])
 
+    def test_one_untimed_pass_before_the_timed_repetitions(self, small_suite, monkeypatch):
+        from tscodec import harness
+
+        calls = []
+        for name in ("build_container", "read_container"):
+            real = getattr(harness, name)
+            monkeypatch.setattr(harness, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
+        run_job(small_suite["sine"], TransformChain(("delta",)), "huffman", repetitions=3)
+        assert calls == ["build_container", "read_container"] * 4
+
     def test_timing_fields_populated(self, small_suite):
         rec = run_job(small_suite["sine"], TransformChain(("delta",)), "bitpack", repetitions=2)
         assert rec.compress_seconds > 0
