@@ -1,8 +1,10 @@
 """Adapters over external general-purpose and time-series compressors.
 
 ``BACKENDS`` is the one table of backends: per name, the compress and
-decompress adapters, the modules to import (the first importable one is
-passed to the adapter) and the default level. Its order fixes each
+decompress adapters, the module to import (passed to the adapter) and the
+default level. Each name has one writer: ``blosc`` is the blosc2 package
+that the ``backends`` extra installs, so a blosc payload is a blosc2
+chunk whatever else is installed. The table's order fixes each
 backend's container id byte (see ``coders.registry``), so new backends go
 at the end.
 
@@ -51,16 +53,11 @@ class BackendDescriptor:
         return f"<i{self.width}"
 
 
-def _require(module_names):
-    last = None
-    for name in module_names:
-        try:
-            return importlib.import_module(name)
-        except ImportError as exc:  # pragma: no cover - environment dependent
-            last = exc
-    raise BackendUnavailableError(
-        f"none of {module_names} is installed"
-    ) from last
+def _require(module_name: str):
+    try:
+        return importlib.import_module(module_name)
+    except ImportError as exc:  # pragma: no cover - environment dependent
+        raise BackendUnavailableError(f"{module_name} is not installed") from exc
 
 
 def _compress_leveled(mod, data, desc):
@@ -91,32 +88,21 @@ def _compress_brotli(brotli, data, desc):
     return brotli.compress(data, quality=desc.effective_level)
 
 
-def _compress_blosc(blosc, data, desc):
+def _compress_blosc(blosc2, data, desc):
     # BloscLZ dictionary coder with byte-shuffle on; typesize tells the
     # shuffle the serialized sample width.
-    if blosc.__name__ == "blosc2":
-        return blosc.compress2(
-            data,
-            codec=blosc.Codec.BLOSCLZ,
-            clevel=desc.effective_level,
-            filters=[blosc.Filter.SHUFFLE],
-            typesize=desc.width,
-            nthreads=1,
-        )
-    blosc.set_nthreads(1)
-    return blosc.compress(
+    return blosc2.compress2(
         data,
-        typesize=desc.width,
+        codec=blosc2.Codec.BLOSCLZ,
         clevel=desc.effective_level,
-        shuffle=blosc.SHUFFLE,
-        cname="blosclz",
+        filters=[blosc2.Filter.SHUFFLE],
+        typesize=desc.width,
+        nthreads=1,
     )
 
 
-def _decompress_blosc(blosc, data, desc):
-    if blosc.__name__ == "blosc2":
-        return blosc.decompress2(data)
-    return blosc.decompress(data)
+def _decompress_blosc(blosc2, data, desc):
+    return blosc2.decompress2(data)
 
 
 def _compress_sprintz(sprintz, data, desc):
@@ -143,21 +129,21 @@ def _decompress_pcodec(pcodec, data, desc):
 class Backend(NamedTuple):
     compress: Callable  # (module, data, descriptor) -> bytes
     decompress: Callable  # (module, data, descriptor) -> bytes
-    modules: tuple[str, ...]  # import candidates, first importable wins
+    module: str  # imported on first use and passed to the adapters
     default_level: int | None
 
 
 BACKENDS: dict[str, Backend] = {
-    "deflate": Backend(_compress_leveled, _decompress_plain, ("zlib",), 9),
-    "zstd": Backend(_compress_zstd, _decompress_zstd, ("zstandard",), 19),
-    "brotli": Backend(_compress_brotli, _decompress_plain, ("brotli",), 10),
-    "bzip2": Backend(_compress_leveled, _decompress_plain, ("bz2",), 9),
-    "lzma": Backend(_compress_lzma, _decompress_plain, ("lzma",), 6),
-    "lz4": Backend(_compress_plain, _decompress_plain, ("lz4.frame",), None),
-    "snappy": Backend(_compress_plain, _decompress_plain, ("snappy",), None),
-    "blosc": Backend(_compress_blosc, _decompress_blosc, ("blosc2", "blosc"), 9),
-    "sprintz": Backend(_compress_sprintz, _decompress_sprintz, ("sprintz",), None),
-    "pcodec": Backend(_compress_pcodec, _decompress_pcodec, ("pcodec",), 12),
+    "deflate": Backend(_compress_leveled, _decompress_plain, "zlib", 9),
+    "zstd": Backend(_compress_zstd, _decompress_zstd, "zstandard", 19),
+    "brotli": Backend(_compress_brotli, _decompress_plain, "brotli", 10),
+    "bzip2": Backend(_compress_leveled, _decompress_plain, "bz2", 9),
+    "lzma": Backend(_compress_lzma, _decompress_plain, "lzma", 6),
+    "lz4": Backend(_compress_plain, _decompress_plain, "lz4.frame", None),
+    "snappy": Backend(_compress_plain, _decompress_plain, "snappy", None),
+    "blosc": Backend(_compress_blosc, _decompress_blosc, "blosc2", 9),
+    "sprintz": Backend(_compress_sprintz, _decompress_sprintz, "sprintz", None),
+    "pcodec": Backend(_compress_pcodec, _decompress_pcodec, "pcodec", 12),
 }
 
 BACKEND_IDS = tuple(BACKENDS)
@@ -167,7 +153,7 @@ def is_available(backend_id: str) -> bool:
     if backend_id not in BACKENDS:
         raise UnknownBackendError(f"unregistered backend {backend_id!r}")
     try:
-        _require(BACKENDS[backend_id].modules)
+        _require(BACKENDS[backend_id].module)
         return True
     except BackendUnavailableError:
         return False
@@ -179,7 +165,7 @@ def availability_report() -> dict[str, bool]:
 
 
 def _run(adapter: Callable, data: bytes, descriptor: BackendDescriptor) -> bytes:
-    mod = _require(BACKENDS[descriptor.backend_id].modules)
+    mod = _require(BACKENDS[descriptor.backend_id].module)
     try:
         return adapter(mod, data, descriptor)
     except ValueError:
@@ -198,39 +184,26 @@ def backend_decompress(data: bytes, descriptor: BackendDescriptor) -> bytes:
     return _run(BACKENDS[descriptor.backend_id].decompress, data, descriptor)
 
 
-def serialize_series(series, width: int | None = None) -> tuple[bytes, int]:
-    """Fixed-width little-endian sample bytes.
+def serialize_series(series) -> tuple[bytes, int]:
+    """Fixed-width little-endian sample bytes and their width.
 
-    Width 2 covers raw 16-bit data; transform outputs exceeding 16 bits
-    use width 4. When ``width`` is None the narrowest sufficient width is
-    chosen. Returns (bytes, width).
+    The width is the narrowest of 2 and 4 bytes that holds every sample:
+    2 covers raw 16-bit data, 4 the transform outputs beyond 16 bits.
     """
     x = as_samples(series)
-    if width is None:
-        if x.size and (int(x.min()) < INT16_MIN or int(x.max()) > INT16_MAX):
-            width = 4
-        else:
-            width = 2
-    if width == 2:
-        lo, hi = INT16_MIN, INT16_MAX
-        dtype = "<i2"
-    elif width == 4:
-        lo, hi = INT32_MIN, INT32_MAX
-        dtype = "<i4"
+    lo, hi = (int(x.min()), int(x.max())) if x.size else (0, 0)
+    if INT16_MIN <= lo and hi <= INT16_MAX:
+        width = 2
+    elif INT32_MIN <= lo and hi <= INT32_MAX:
+        width = 4
     else:
-        raise ValueError("width must be 2 or 4")
-    if x.size and (int(x.min()) < lo or int(x.max()) > hi):
-        raise ValueError(f"sample out of range for {8 * width}-bit serialization")
-    return x.astype(dtype).tobytes(), width
+        raise ValueError("sample out of range for 32-bit serialization")
+    return x.astype(f"<i{width}").tobytes(), width
 
 
 def deserialize_series(data: bytes, width: int, count: int) -> np.ndarray:
-    if width == 2:
-        dtype = "<i2"
-    elif width == 4:
-        dtype = "<i4"
-    else:
+    if width not in (2, 4):
         raise ValueError("width must be 2 or 4")
     if len(data) != width * count:
         raise ValueError("byte length does not match count and width")
-    return np.frombuffer(data, dtype=dtype).astype(np.int64)
+    return np.frombuffer(data, dtype=f"<i{width}").astype(np.int64)

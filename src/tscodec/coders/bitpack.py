@@ -1,10 +1,12 @@
 """Block bit packing for non-negative integers.
 
-Each block of ``block_size`` values is stored as one width byte w (the bit
-length of the block maximum, 0..32) followed by ceil(count*w/8) bytes of
+Each block of ``BLOCK_SIZE`` = 128 values is stored as one width byte w
+(the bit length of the block maximum, 0..32) followed by 16*w bytes of
 w-bit values packed MSB-first. A final short block packs only its true
-count; the caller supplies the total count on decode. Signed inputs go
-through zigzag before reaching this coder.
+count, in ceil(count*w/8) bytes; the caller supplies the total count on
+decode. The block size is part of the format, as in SIMD-BP128, so a
+container records none. Signed inputs go through zigzag before reaching
+this coder.
 
 Value j of a block starts at bit j*w, so the blocks of one width share a
 bit layout, which both directions apply to all of them at once on 64-bit
@@ -28,20 +30,22 @@ from ..core import as_samples
 from ..errors import FormatError, TruncatedStreamError
 from .bitio import bit_length_u64, byte_windows
 
-DEFAULT_BLOCK_SIZE = 128
+BLOCK_SIZE = 128
 MAX_WIDTH = 32
 _SLAB_BLOCKS = 512
+# Bytes spanned by a full block of each width, width byte included.
+_BLOCK_BYTES = tuple(1 + BLOCK_SIZE * w // 8 for w in range(MAX_WIDTH + 1))
 
 
 @functools.lru_cache(maxsize=MAX_WIDTH + 1)
-def _word_layout(size: int, w: int) -> tuple:
-    """Read-only word layout of ``size`` w-bit values, made once per width.
+def _word_layout(w: int) -> tuple:
+    """Read-only word layout of a block of w-bit values, made once per width.
 
     Per value, its offset in the word where it starts; the values that open
     a word (one opens every word up to the last); and the values that cross
     into the next word, that word and the shift of their low bits.
     """
-    bit = np.arange(size, dtype=np.int64) * w
+    bit = np.arange(BLOCK_SIZE, dtype=np.int64) * w
     offset = (bit & 63).astype(np.uint64)
     cross = np.flatnonzero(offset > 64 - w)
     layout = (offset, np.flatnonzero(offset < w), cross, (bit[cross] >> 6) + 1, 64 - offset[cross])
@@ -50,10 +54,8 @@ def _word_layout(size: int, w: int) -> tuple:
     return layout
 
 
-def encode(values, block_size: int = DEFAULT_BLOCK_SIZE) -> bytes:
+def encode(values) -> bytes:
     v = as_samples(values)
-    if block_size < 1:
-        raise ValueError("block_size must be >= 1")
     if v.size == 0:
         return b""
     if int(v.min()) < 0:
@@ -61,18 +63,18 @@ def encode(values, block_size: int = DEFAULT_BLOCK_SIZE) -> bytes:
     if int(v.max()) >> MAX_WIDTH:
         raise ValueError("value wider than 32 bits")
     n = v.size
-    nblocks = (n + block_size - 1) // block_size
-    pad = nblocks * block_size - n
+    nblocks = -(-n // BLOCK_SIZE)
+    pad = nblocks * BLOCK_SIZE - n
     padded = np.concatenate([v, np.zeros(pad, dtype=v.dtype)]) if pad else v
-    blocks = padded.reshape(nblocks, block_size)
+    blocks = padded.reshape(nblocks, BLOCK_SIZE)
     widths = bit_length_u64(blocks.max(axis=1))
-    sizes = 1 + (block_size * widths + 7) // 8
-    sizes[-1] = 1 + ((n - (nblocks - 1) * block_size) * widths[-1] + 7) // 8
-    nw = (block_size * int(widths.max()) + 63) >> 6
+    sizes = np.take(_BLOCK_BYTES, widths)
+    sizes[-1] = 1 + ((BLOCK_SIZE - pad) * widths[-1] + 7) // 8
+    nw = 2 * int(widths.max())
     words = np.zeros((nblocks, nw), dtype=np.uint64)
     for w in np.unique(widths).tolist():
         if w:
-            offset, first, cross, cross_word, cross_shift = _word_layout(block_size, w)
+            offset, first, cross, cross_word, cross_shift = _word_layout(w)
             idx = np.flatnonzero(widths == w)
             aligned = blocks.take(idx, axis=0).view(np.uint64) << np.uint64(64 - w)
             words[idx, : first.size] = np.bitwise_or.reduceat(aligned >> offset, first, axis=1)
@@ -85,11 +87,9 @@ def encode(values, block_size: int = DEFAULT_BLOCK_SIZE) -> bytes:
     return framed[np.arange(1 + 8 * nw) < sizes[:, None]].tobytes()
 
 
-def decode(data: bytes, count: int, block_size: int = DEFAULT_BLOCK_SIZE) -> np.ndarray:
-    nblocks = -(-count // block_size)
-    last_take = count - (nblocks - 1) * block_size
-    # Bytes spanned by a full block of each width, width byte included.
-    step = [1 + (block_size * w + 7) // 8 for w in range(MAX_WIDTH + 1)]
+def decode(data: bytes, count: int) -> np.ndarray:
+    nblocks = -(-count // BLOCK_SIZE)
+    last_take = count - (nblocks - 1) * BLOCK_SIZE
     widths, starts, pos = [], [], 0
     for _ in range(nblocks):
         if pos >= len(data):
@@ -99,23 +99,23 @@ def decode(data: bytes, count: int, block_size: int = DEFAULT_BLOCK_SIZE) -> np.
             raise FormatError("corrupt block header")
         widths.append(w)
         starts.append(pos + 1)
-        pos += step[w]
-    if last_take < block_size:
-        pos += 1 + (last_take * w + 7) // 8 - step[w]
+        pos += _BLOCK_BYTES[w]
+    if last_take < BLOCK_SIZE:
+        pos += 1 + (last_take * w + 7) // 8 - _BLOCK_BYTES[w]
     if pos > len(data):
         raise TruncatedStreamError("truncated stream")
     # Window i holds bytes i..i+7 of the payload, padded with zeros so that a
     # short last block unpacks as a full one; values past ``count`` are dropped.
-    buf = np.zeros(len(data) + 4 * block_size + 7, dtype=np.uint8)
+    buf = np.zeros(len(data) + 4 * BLOCK_SIZE + 7, dtype=np.uint8)
     buf[: len(data)] = np.frombuffer(data, dtype=np.uint8)
     windows = byte_windows(buf)
     widths = np.array(widths)
     starts = np.array(starts)
-    out = np.zeros(nblocks * block_size, dtype=np.int64)
-    blocks = out.reshape(nblocks, block_size)
+    out = np.zeros(nblocks * BLOCK_SIZE, dtype=np.int64)
+    blocks = out.reshape(nblocks, BLOCK_SIZE)
     for w in np.unique(widths).tolist():
         if w:
-            bit = np.arange(block_size, dtype=np.int64) * w
+            bit = np.arange(BLOCK_SIZE, dtype=np.int64) * w
             shift = (64 - w - (bit & 7)).astype(np.uint64)
             idx = np.flatnonzero(widths == w)
             for s in range(0, idx.size, _SLAB_BLOCKS):

@@ -1,10 +1,10 @@
 """Dynamic canonical Huffman coding.
 
 Code lengths are derived from the symbol frequencies of the input, then
-canonicalized so the header only needs (symbol, length) pairs. Header
-layout: symbol count as u16, then per symbol (value as i32, code length as
-u8), sorted by symbol value, little-endian. A single-symbol alphabet gets a
-1-bit code; the cost of one bit per sample is real and is reported as such.
+canonicalized so the header only needs (symbol, length) pairs. The header
+is a ``symtable`` table whose entry field is the code length as u8. A
+single-symbol alphabet gets a 1-bit code; the cost of one bit per sample
+is real and is reported as such.
 
 Headers grow linearly with cardinality (5 bytes per distinct symbol),
 which is exactly the effect that makes dynamic codes unattractive on
@@ -30,7 +30,7 @@ from . import symtable
 from .bitio import BitStream, byte_windows, decode_chunks, pack_codes
 
 MAX_CODE_LENGTH = 32
-_ENTRY = symtable.entry("u1")
+ENTRY = symtable.entry("u1")
 TABLE_BITS = 12
 # Code length recorded for a position where no codeword matches; the walk
 # steps past the chunk from there.
@@ -120,23 +120,17 @@ def encode(values) -> tuple[bytes, BitStream]:
     symbols, counts, inverse = token_histogram(x)
     lengths = code_lengths_from_counts(counts)
     codes = canonical_codes(symbols, lengths)
-    header = symtable.write(_ENTRY, symbols, lengths)
+    header = symtable.write(ENTRY, symbols, lengths)
     payload = pack_codes(codes[inverse], lengths[inverse])
     return header, payload
 
 
 def parse_header(header: bytes) -> tuple[np.ndarray, np.ndarray]:
-    symbols, lengths = symtable.read(_ENTRY, header, "code table")
-    if symbols.size == 0:
-        raise FormatError("invalid code table")
+    symbols, lengths = symtable.read(ENTRY, header, "code table")
     if int(lengths.min()) < 1 or int(lengths.max()) > MAX_CODE_LENGTH:
         raise FormatError("invalid code table")
     _check_kraft(lengths)
     return symbols, lengths
-
-
-def header_size(cardinality: int) -> int:
-    return 2 + _ENTRY.itemsize * cardinality
 
 
 def decode(header: bytes, payload: BitStream | bytes, count: int) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 The model is a static frequency table quantized to a total mass of 2^14,
 written as a header so the decoder can rebuild the exact same cumulative
-intervals. Header layout: symbol count as u16, then per symbol (value as
-i32, frequency as u16), sorted by symbol value, little-endian.
+intervals. The header is a ``symtable`` table whose entry field is the
+quantized frequency as u16.
 
 Coding state is the classic 32-bit low/range pair. Renormalization emits
 the top byte once it is settled; when the range underflows the bottom
@@ -30,7 +30,7 @@ TOTAL = 1 << TOTAL_BITS
 TOP = 1 << 24
 BOT = 1 << 16
 MASK = (1 << 32) - 1
-_ENTRY = symtable.entry("<u2")
+ENTRY = symtable.entry("<u2")
 
 
 def quantize_counts(counts: np.ndarray, n: int) -> np.ndarray:
@@ -45,14 +45,26 @@ def quantize_counts(counts: np.ndarray, n: int) -> np.ndarray:
         rem = counts * TOTAL - q * n
         order = np.lexsort((np.arange(m), -rem))
         q[order[:diff]] += 1
-    while diff < 0:
+    elif diff < 0:
+        # Take one unit from each count above 1 per pass, in descending-q
+        # order (ties by symbol order), until the excess is gone. A pass
+        # keeps that order among the counts still above 1, so k full passes
+        # take sum(min(k, q - 1)) units: run the largest k that fits at once,
+        # then one partial pass over the first counts still above 1.
+        excess = -diff
+        spare = q - 1
+        lo, hi = 0, int(spare.max())
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if int(np.minimum(spare, mid).sum()) <= excess:
+                lo = mid
+            else:
+                hi = mid - 1
+        rest = excess - int(np.minimum(spare, lo).sum())
         order = np.argsort(-q, kind="stable")
-        for i in order.tolist():
-            if diff == 0:
-                break
-            if q[i] >= 2:
-                q[i] -= 1
-                diff += 1
+        partial = order[spare[order] > lo][:rest]
+        q -= np.minimum(spare, lo)
+        q[partial] -= 1
     return q
 
 
@@ -68,7 +80,7 @@ def encode(values) -> tuple[bytes, bytes]:
         raise ValueError("undefined on empty input")
     symbols, counts, inverse = token_histogram(x)
     freqs_q = quantize_counts(counts, x.size)
-    header = symtable.write(_ENTRY, symbols, freqs_q)
+    header = symtable.write(ENTRY, symbols, freqs_q)
     freq_list, cum = _model_from_counts(freqs_q)
     out = bytearray()
     low = 0
@@ -94,16 +106,10 @@ def encode(values) -> tuple[bytes, bytes]:
 
 
 def parse_header(header: bytes) -> tuple[np.ndarray, np.ndarray]:
-    symbols, freqs = symtable.read(_ENTRY, header, "frequency table")
-    if symbols.size == 0:
-        raise FormatError("corrupt model")
+    symbols, freqs = symtable.read(ENTRY, header, "frequency table")
     if int(freqs.sum()) != TOTAL or int(freqs.min()) < 1:
         raise FormatError("corrupt model")
     return symbols, freqs
-
-
-def header_size(cardinality: int) -> int:
-    return 2 + _ENTRY.itemsize * cardinality
 
 
 def decode(header: bytes, payload: bytes, count: int) -> np.ndarray:

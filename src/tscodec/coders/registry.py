@@ -7,8 +7,10 @@ backends) consume the fixed-width serialization of the token stream.
 
 Each encoder returns an (header, payload) pair of byte strings that the
 container stores concatenated; the entry's ``split`` rule separates them
-again on read. Internal coders have ids 1-6; the backends of
-``backends.BACKENDS`` follow from id 16 on, in that table's order.
+again on read. Only Huffman and range write a header, a ``symtable``
+table, so their rule is ``symtable.split`` with the coder's entry type.
+Internal coders have ids 1-6; the backends of ``backends.BACKENDS``
+follow from id 16 on, in that table's order.
 Backend entries carry no codec functions (``encode is None``): the
 container calls ``backend_compress``/``backend_decompress`` for them.
 """
@@ -16,29 +18,18 @@ container calls ``backend_compress``/``backend_decompress`` for them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from ..backends import BACKEND_IDS
 from ..transforms import unzigzag, zigzag
-from . import bitpack, drh, expgolomb, huffman, lzss, rangecoder
+from . import bitpack, drh, expgolomb, huffman, lzss, rangecoder, symtable
 
 
 def _no_header(blob: bytes) -> tuple[bytes, bytes]:
     return b"", blob
-
-
-def _counted_table_split(header_size: Callable[[int], int]) -> Callable:
-    """Split rule for a header of a u16 entry count and fixed-size entries."""
-
-    def split(blob: bytes) -> tuple[bytes, bytes]:
-        # A blob too short for the count yields a short header, which the
-        # coder's header parser rejects with FormatError.
-        n = header_size(int.from_bytes(blob[:2], "little"))
-        return blob[:n], blob[n:]
-
-    return split
 
 
 @dataclass(frozen=True)
@@ -93,12 +84,12 @@ CODERS: dict[str, CoderInfo] = {
     "bitpack": CoderInfo("bitpack", 2, "symbol", _bitpack_encode, _bitpack_decode),
     "huffman": CoderInfo(
         "huffman", 3, "symbol", _huffman_encode, huffman.decode,
-        _counted_table_split(huffman.header_size),
+        partial(symtable.split, huffman.ENTRY),
     ),
     "drh": CoderInfo("drh", 4, "symbol", _drh_encode, _drh_decode),
     "range": CoderInfo(
         "range", 5, "symbol", rangecoder.encode, rangecoder.decode,
-        _counted_table_split(rangecoder.header_size),
+        partial(symtable.split, rangecoder.ENTRY),
     ),
     "lzss": CoderInfo("lzss", 6, "bytes", _lzss_encode, _lzss_decode),
 }

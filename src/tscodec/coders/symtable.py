@@ -4,6 +4,9 @@ Layout: symbol count as u16, then one packed little-endian entry per
 symbol, (value as i32, field as an unsigned integer), sorted by symbol
 value. Each coder names its entry as a packed structured dtype, so the
 table is written with one ``tobytes`` and read with one ``frombuffer``.
+A coded blob is this table followed by the coder's payload; ``split``
+separates the two, and ``read`` rejects a table that is cut short or
+empty, since no encoder writes one for an empty input.
 """
 
 from __future__ import annotations
@@ -30,12 +33,24 @@ def write(dtype: np.dtype, symbols: np.ndarray, fields: np.ndarray) -> bytes:
     return symbols.size.to_bytes(2, "little") + table.tobytes()
 
 
+def split(dtype: np.dtype, blob: bytes) -> tuple[bytes, bytes]:
+    """(table, payload) of a coded blob whose table has ``dtype`` entries.
+
+    A blob too short for its table yields a short table, which ``read``
+    rejects.
+    """
+    n = 2 + dtype.itemsize * int.from_bytes(blob[:2], "little")
+    return blob[:n], blob[n:]
+
+
 def read(dtype: np.dtype, header: bytes, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """(symbols, fields) as int64; both are empty for a zero count."""
+    """(symbols, fields) as int64, from a table of at least one entry."""
     if len(header) < 2:
         raise FormatError(f"truncated {what}")
     m = int.from_bytes(header[:2], "little")
     if len(header) < 2 + dtype.itemsize * m:
         raise FormatError(f"truncated {what}")
+    if m == 0:
+        raise FormatError(f"invalid {what}")
     table = np.frombuffer(header, dtype=dtype, count=m, offset=2)
     return table["symbol"].astype(np.int64), table["field"].astype(np.int64)

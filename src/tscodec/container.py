@@ -19,7 +19,10 @@ Layout (all multi-byte integers little-endian):
 Token count is the length of the post-transform stream the coder decoded;
 inverting the transform chain recovers the original sample count, so a
 container decodes with no external information. Unknown versions, ids, or
-magic are rejected outright, never partially parsed.
+magic are rejected outright, never partially parsed, and so is a channel
+entry that no encoder writes: side bytes on a chain without quars or past
+the QuaRs map, or a width other than 0 for a symbol coder and other than 2
+or 4 otherwise.
 
 Transform ids number the stages of ``TRANSFORM_ORDER`` from 1. The chain
 grammar is ``TransformChain``'s own, so a container whose transform ids are
@@ -92,11 +95,13 @@ def decode_channel(
     chain: TransformChain,
     coder: CoderInfo,
 ) -> np.ndarray:
+    if side and "quars" not in chain.stages:
+        raise FormatError("unsupported container: side bytes without quars")
+    if width not in ((0,) if coder.kind == "symbol" else (2, 4)):
+        raise FormatError(f"unsupported container: width {width}")
     if coder.kind == "symbol":
         tokens = coder.decode(header, payload, block_tokens)
     else:
-        if width not in (2, 4):
-            raise FormatError(f"unsupported container: width {width}")
         nbytes = block_tokens * width
         if coder.kind == "bytes":
             data = coder.decode(header, payload, nbytes)

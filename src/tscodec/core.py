@@ -24,7 +24,7 @@ INT32_MAX = (1 << 31) - 1
 
 #: Bits per sample of the uncompressed reference, used for the Shannon-limit
 #: score. 16 matches the quantized integer width of the source data.
-DEFAULT_SAMPLE_BITS = 16
+SAMPLE_BITS = 16
 
 
 def as_samples(series) -> np.ndarray:
@@ -130,12 +130,12 @@ def entropy_bits(series) -> float:
     return entropy_and_limit(series).entropy_bits
 
 
-def entropy_and_limit(series, sample_bits: int = DEFAULT_SAMPLE_BITS) -> SeriesStats:
+def entropy_and_limit(series) -> SeriesStats:
     """Cardinality, AAD, empirical entropy, and the Shannon-limit score.
 
-    The score ``1 - H/sample_bits`` is the best compression score any
+    The score ``1 - H/SAMPLE_BITS`` is the best compression score any
     order-0 method can reach on this value distribution, relative to a
-    fixed-width encoding of ``sample_bits`` bits per sample.
+    fixed-width encoding of ``SAMPLE_BITS`` bits per sample.
     """
     x = as_samples(series)
     if x.size == 0:
@@ -147,13 +147,13 @@ def entropy_and_limit(series, sample_bits: int = DEFAULT_SAMPLE_BITS) -> SeriesS
         cardinality=int(symbols.size),
         aad=aad(x),
         entropy_bits=h,
-        shannon_cs=1.0 - h / sample_bits,
+        shannon_cs=1.0 - h / SAMPLE_BITS,
     )
 
 
 def source_bytes(channels) -> int:
-    """Uncompressed size of the channels at ``DEFAULT_SAMPLE_BITS`` per sample."""
-    return sum(len(ch) for ch in channels) * DEFAULT_SAMPLE_BITS // 8
+    """Uncompressed size of the channels at ``SAMPLE_BITS`` per sample."""
+    return sum(len(ch) for ch in channels) * SAMPLE_BITS // 8
 
 
 def size_metrics(original_bytes: int, compressed_bytes: int) -> SizeReport:

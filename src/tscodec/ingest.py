@@ -36,12 +36,6 @@ class ChannelQuantization:
     hi: float
     identity: bool = False
 
-    @property
-    def scale(self) -> float:
-        if self.identity or self.hi == self.lo:
-            return 1.0
-        return QUANT_STEPS / (self.hi - self.lo)
-
 
 @dataclass
 class Dataset:
@@ -74,16 +68,6 @@ def quantize_column(values) -> tuple[np.ndarray, ChannelQuantization]:
         q = np.floor((x - lo) / (hi - lo) * QUANT_STEPS).astype(np.int64) - 32768
         np.clip(q, INT16_MIN, INT16_MAX, out=q)
     return q, ChannelQuantization(lo=lo, hi=hi)
-
-
-def dequantize_column(q, meta: ChannelQuantization) -> np.ndarray:
-    """Approximate inverse; error is at most one quantization step."""
-    arr = np.asarray(q, dtype=np.float64)
-    if meta.identity:
-        return arr.copy()
-    if meta.hi == meta.lo:
-        return np.full(arr.shape, meta.lo)
-    return meta.lo + (arr + 32768) * ((meta.hi - meta.lo) / QUANT_STEPS)
 
 
 def _is_integral_16bit(x: np.ndarray) -> bool:

@@ -195,6 +195,8 @@ class QuarsMap:
         need = 2 + 8 * count + 4
         if len(data) < need:
             raise FormatError("truncated QuaRs map")
+        if len(data) > need:
+            raise FormatError("trailing bytes after QuaRs map")
         bins = np.frombuffer(data, dtype=_QUARS_BIN, count=count, offset=2)
         lows = bins["lower"].astype(np.int64)
         offs = bins["target"].astype(np.int64)
@@ -213,10 +215,6 @@ class QuarsMap:
         if np.any(targets[1:] == targets[:-1]) or np.any(inside_last):
             raise FormatError("overlapping QuaRs target ranges")
         return cls(lower_bounds=lows, target_offsets=offs, upper_exclusive=int(upper))
-
-    @property
-    def byte_size(self) -> int:
-        return 2 + 8 * self.bin_count + 4
 
 
 def quars_encode(series, bin_count: int = DEFAULT_QUARS_BINS) -> tuple[np.ndarray, QuarsMap]:

@@ -4,16 +4,18 @@ The decoders are the one-bit-or-one-codeword-at-a-time loops the vectorized
 decoders in ``tscodec.coders`` replaced. They read the same formats and
 raise ``TruncatedStreamError`` when a stream runs out, but they apply no
 bound on prefix lengths or token counts. ``bitpack_encode`` writes one value
-at a time, and ``code_lengths_from_counts`` merges through a heap and walks
+at a time, ``quantize_counts`` scales a range-coder model down one unit
+per step, and ``code_lengths_from_counts`` merges through a heap and walks
 each Huffman leaf up to the root. ``lzss_compress`` steps through the input
 one byte at a time, keeping hash-chain heads in a dict. The transform
 oracles are the per-token QuaRs bin search, which the library now runs once
 per distinct value, token-at-a-time rle0 loops and the branchy zigzag
 formulas. ``load_csv`` is the ``csv.reader`` plus one-``float()``-per-cell
-parser that ``np.loadtxt`` replaced. The differential tests require the
-library to return exactly what these return on valid input (the same bytes,
-for the encoders), and to raise the same ``FormatError`` (``ValueError`` for
-CSV) on invalid input.
+parser that ``np.loadtxt`` replaced, and ``dequantize_column`` inverts
+ingest quantization for the error-bound tests. The differential tests
+require the library to return exactly what these return on valid input
+(the same bytes, for the encoders), and to raise the same ``FormatError``
+(``ValueError`` for CSV) on invalid input.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from tscodec.coders import huffman, lzss, rangecoder
 from tscodec.coders.bitio import BitStream
 from tscodec.core import TimeSeries, as_samples
 from tscodec.errors import FormatError, TruncatedStreamError
-from tscodec.ingest import Dataset, ingest_column
+from tscodec.ingest import QUANT_STEPS, ChannelQuantization, Dataset, ingest_column
 
 
 class BitWriter:
@@ -241,6 +243,29 @@ def range_decode(header: bytes, payload: bytes, count: int) -> np.ndarray:
     return out
 
 
+def quantize_counts(counts: np.ndarray, n: int) -> np.ndarray:
+    """``rangecoder.quantize_counts`` scaling down one unit at a time.
+
+    Each pass re-sorts the counts by descending size and takes one unit
+    from every count above 1 until the excess is gone.
+    """
+    q = np.maximum(1, (counts * rangecoder.TOTAL) // n)
+    diff = rangecoder.TOTAL - int(q.sum())
+    if diff > 0:
+        rem = counts * rangecoder.TOTAL - q * n
+        order = np.lexsort((np.arange(counts.size), -rem))
+        q[order[:diff]] += 1
+    while diff < 0:
+        order = np.argsort(-q, kind="stable")
+        for i in order.tolist():
+            if diff == 0:
+                break
+            if q[i] >= 2:
+                q[i] -= 1
+                diff += 1
+    return q
+
+
 def code_lengths_from_counts(counts: np.ndarray) -> np.ndarray:
     """Huffman code lengths, each leaf walking its parent chain to the root."""
     m = counts.size
@@ -332,12 +357,15 @@ def lzss_compress(data: bytes) -> bytes:
     return bytes(out)
 
 
-def bitpack_encode(values, block_size: int = 128) -> bytes:
+BITPACK_BLOCK = 128
+
+
+def bitpack_encode(values) -> bytes:
     """Per block: the width byte, then each value written with ``BitWriter``."""
     v = as_samples(values).tolist()
     out = bytearray()
-    for b in range(0, len(v), block_size):
-        block = v[b : b + block_size]
+    for b in range(0, len(v), BITPACK_BLOCK):
+        block = v[b : b + BITPACK_BLOCK]
         w = max(block).bit_length()
         out.append(w)
         writer = BitWriter()
@@ -347,7 +375,7 @@ def bitpack_encode(values, block_size: int = 128) -> bytes:
     return bytes(out)
 
 
-def bitpack_decode(data: bytes, count: int, block_size: int = 128) -> np.ndarray:
+def bitpack_decode(data: bytes, count: int) -> np.ndarray:
     out = np.empty(count, dtype=np.int64)
     pos = 0
     done = 0
@@ -357,7 +385,7 @@ def bitpack_decode(data: bytes, count: int, block_size: int = 128) -> np.ndarray
             raise TruncatedStreamError("truncated stream")
         w = data[pos]
         pos += 1
-        take = min(block_size, count - done)
+        take = min(BITPACK_BLOCK, count - done)
         if w > 32:
             raise FormatError("corrupt block header")
         if w == 0:
@@ -453,6 +481,16 @@ def rle0_decode(tokens) -> np.ndarray:
         counts[markers] = lengths
         counts[markers + 1] = 0  # length slots emit nothing
     return np.repeat(t * (counts > 0), counts)
+
+
+def dequantize_column(q, meta: ChannelQuantization) -> np.ndarray:
+    """Approximate inverse of ``ingest.quantize_column``: at most one step off."""
+    arr = np.asarray(q, dtype=np.float64)
+    if meta.identity:
+        return arr.copy()
+    if meta.hi == meta.lo:
+        return np.full(arr.shape, meta.lo)
+    return meta.lo + (arr + 32768) * ((meta.hi - meta.lo) / QUANT_STEPS)
 
 
 def _parse_cell(text: str, row: int, col) -> float:

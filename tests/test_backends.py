@@ -36,13 +36,15 @@ class TestSerialize:
         assert deserialize_series(data, width, 1).tolist() == [70000]
 
     def test_out_of_range_errors(self):
-        with pytest.raises(ValueError, match="out of range"):
-            serialize_series([70000], width=2)
+        for value in (-(2**31) - 1, 2**31):
+            with pytest.raises(ValueError, match="out of range for 32-bit serialization"):
+                serialize_series([0, value])
 
     @settings(max_examples=50)
-    @given(st.lists(st.integers(-32768, 32767), max_size=200), st.sampled_from([2, 4]))
-    def test_roundtrip_both_widths(self, values, width):
-        data, w = serialize_series(values, width)
+    @given(st.lists(st.integers(-(2**31), 2**31 - 1), max_size=200))
+    def test_roundtrip_both_widths(self, values):
+        data, w = serialize_series(values)
+        assert w == (2 if all(-32768 <= v <= 32767 for v in values) else 4)
         assert deserialize_series(data, w, len(values)).tolist() == values
 
 

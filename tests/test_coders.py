@@ -9,13 +9,14 @@ Differential tests compare against the scalar coders in ``oracles``.
 import itertools
 import math
 import struct
+import time
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from tscodec.coders import bitpack, drh, expgolomb, huffman, lzss, rangecoder
+from tscodec.coders import bitpack, drh, expgolomb, huffman, lzss, rangecoder, symtable
 from tscodec.coders.bitio import BitStream, bit_length_u64, pack_codes
 from tscodec.errors import FormatError, TruncatedStreamError
 
@@ -167,13 +168,10 @@ class TestBitpack:
             bitpack.decode(bytes([16, 0]), 1)
 
     @settings(max_examples=60)
-    @given(
-        st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=400),
-        st.sampled_from([1, 3, 128, 200]),
-    )
-    def test_roundtrip(self, values, block_size):
-        data = bitpack.encode(values, block_size)
-        assert bitpack.decode(data, len(values), block_size).tolist() == values
+    @given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=400))
+    def test_roundtrip(self, values):
+        data = bitpack.encode(values)
+        assert bitpack.decode(data, len(values)).tolist() == values
 
     def test_short_final_block(self):
         v = list(range(130))
@@ -222,6 +220,11 @@ class TestSymbolTableHeaders:
         with pytest.raises(ValueError, match="int32"):
             encode([0, 2**31])
 
+    def test_more_than_65535_symbols_rejected(self):
+        symbols = np.arange(0x10000)
+        with pytest.raises(ValueError, match="alphabet too large for the symbol table"):
+            symtable.write(huffman.ENTRY, symbols, np.ones_like(symbols))
+
     def test_canonical_codes_match_counting_loop(self):
         rng = np.random.default_rng(4)
         symbols = np.sort(rng.choice(np.arange(-5000, 5000), 300, replace=False))
@@ -263,7 +266,7 @@ class TestHuffman:
         x = [7] * 999
         header, payload = huffman.encode(x)
         assert payload.bit_length == 999
-        assert len(header) == huffman.header_size(1) == 7
+        assert len(header) == 7  # u16 count, then one (i32, u8) entry
         assert huffman.decode(header, payload, 999).tolist() == x
 
     def test_payload_within_entropy_plus_one(self):
@@ -432,6 +435,46 @@ class TestRangeCoder:
             q = rangecoder.quantize_counts(counts, int(counts.sum()))
             assert int(q.sum()) == rangecoder.TOTAL
             assert int(q.min()) >= 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(rangecoder.TOTAL, 10**7), min_size=1, max_size=12),
+        st.integers(1, 600),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_scaling_down_matches_the_one_unit_loop(self, large, small, small_max, seed):
+        # Small counts floored up to 1 push the sum past TOTAL, so the
+        # model has to give the excess back from the larger counts.
+        rng = np.random.default_rng(seed)
+        counts = rng.permutation(np.concatenate([large, rng.integers(1, small_max + 1, small)]))
+        n = int(counts.sum())
+        assume(int(np.maximum(1, counts * rangecoder.TOTAL // n).sum()) > rangecoder.TOTAL)
+        q = rangecoder.quantize_counts(counts, n)
+        assert q.tolist() == oracles.quantize_counts(counts, n).tolist()
+
+    def test_one_dominant_symbol_among_many_singletons(self):
+        # The 9,999 singletons keep 1 each and the excess comes out of the
+        # one large count; the one-unit loop needs 8,360 passes for this.
+        x = np.concatenate([np.zeros(90_001, dtype=np.int64), np.arange(1, 10_000)])
+        start = time.perf_counter()
+        header, payload = rangecoder.encode(x)
+        assert time.perf_counter() - start < 1.0
+        _, freqs = rangecoder.parse_header(header)
+        assert freqs.tolist() == [rangecoder.TOTAL - 9_999] + [1] * 9_999
+        assert np.array_equal(rangecoder.decode(header, payload, x.size), x)
+
+    def test_code_value_past_the_model_is_corrupt(self):
+        # The first 4 bytes put the code at 2^32 - 1, whose scaled target
+        # is TOTAL, one past the last slot of any model.
+        header, _ = rangecoder.encode([0, 1, 1, 2])
+        for decode in (rangecoder.decode, oracles.range_decode):
+            with pytest.raises(FormatError, match="corrupt stream"):
+                decode(header, b"\xff" * 8, 4)
+
+    def test_empty_frequency_table_rejected(self):
+        with pytest.raises(FormatError, match="invalid frequency table"):
+            rangecoder.decode(struct.pack("<H", 0), b"\x00" * 4, 0)
 
 
 class TestLzss:

@@ -81,6 +81,40 @@ def test_backend_width_byte_outside_2_and_4_is_rejected():
         read_container(bytes(blob))
 
 
+def _delta_channel(coder: str) -> tuple[TimeSeries, bytearray]:
+    """A one-channel container with chain delta; its channel table is at 10."""
+    series = generate(SynthSpec(case="sine", n=300, seed=4))
+    return series, bytearray(build_container([series], TransformChain(("delta",)), coder))
+
+
+@pytest.mark.parametrize("coder", ["drh", "huffman", "deflate"])
+def test_side_bytes_without_quars_are_rejected(coder):
+    series, blob = _delta_channel(coder)
+    assert read_container(bytes(blob)).channels == [series]
+    # Token count u64 and width u8, then the side length u32 and side bytes.
+    struct.pack_into("<I", blob, 19, 8)
+    blob[23:23] = b"\x00" * 8
+    with pytest.raises(FormatError, match="side bytes without quars"):
+        read_container(bytes(blob))
+
+
+@pytest.mark.parametrize("coder", ["expgolomb", "bitpack", "huffman", "drh", "range"])
+def test_width_byte_on_a_symbol_coder_is_rejected(coder):
+    series, blob = _delta_channel(coder)
+    assert read_container(bytes(blob)).channels == [series]
+    blob[18] = 9
+    with pytest.raises(FormatError, match="width 9"):
+        read_container(bytes(blob))
+
+
+def test_backend_payload_of_the_wrong_size_is_rejected():
+    series, blob = _delta_channel("deflate")
+    assert read_container(bytes(blob)).channels == [series]
+    struct.pack_into("<Q", blob, 10, len(series) + 1)  # one token more than deflated
+    with pytest.raises(FormatError, match="payload decoded to unexpected size"):
+        read_container(bytes(blob))
+
+
 @pytest.mark.parametrize("coder", ["expgolomb", "huffman", "range", "bitpack"])
 def test_quars_channel_holding_int32_max_roundtrips(coder):
     # The side map's upper bound is 2^31, stored as the bytes of INT32_MIN.

@@ -117,10 +117,6 @@ class TestEntropy:
         with pytest.raises(ValueError):
             entropy_and_limit([])
 
-    def test_configurable_reference_width(self):
-        s = entropy_and_limit([3, 9] * 500, sample_bits=8)
-        assert s.shannon_cs == pytest.approx(1 - 1 / 8)
-
     @given(series_values)
     def test_entropy_bounded_by_log_cardinality(self, values):
         h = entropy_bits(values)

@@ -132,11 +132,11 @@ def test_streams_spanning_many_chunks(name, seed):
 def test_bitpack_width_groups_spanning_many_slabs():
     """Width groups larger than one unpacking slab, plus a short last block."""
     rng = np.random.default_rng(0)
-    n = 3 * bitpack._SLAB_BLOCKS * bitpack.DEFAULT_BLOCK_SIZE + 77
+    n = 3 * bitpack._SLAB_BLOCKS * bitpack.BLOCK_SIZE + 77
     # Per-block widths of (almost surely) 0, 3 or 17.
-    widths = rng.choice([0, 3, 17], n // bitpack.DEFAULT_BLOCK_SIZE + 1, p=[0.1, 0.2, 0.7])
+    widths = rng.choice([0, 3, 17], n // bitpack.BLOCK_SIZE + 1, p=[0.1, 0.2, 0.7])
     assert (widths == 17).sum() > 2 * bitpack._SLAB_BLOCKS
-    shifts = 17 - np.repeat(widths, bitpack.DEFAULT_BLOCK_SIZE)[:n]
+    shifts = 17 - np.repeat(widths, bitpack.BLOCK_SIZE)[:n]
     values = rng.integers(0, 1 << 17, n) >> shifts
     data = bitpack.encode(values)
     assert data == oracles.bitpack_encode(values)
@@ -145,28 +145,27 @@ def test_bitpack_width_groups_spanning_many_slabs():
     assert np.array_equal(got, values)
 
 
-@pytest.mark.parametrize("block_size", [1, 3, 8, 128, 200])
-def test_bitpack_matches_scalar_oracles_at_every_width(block_size):
-    """Two blocks of each width 0-32, then a last block of every length mod 8.
+def test_bitpack_matches_scalar_oracles_at_every_width():
+    """Two blocks of each width 0-32, then a last block of every length 1-16.
 
     The first block of each width holds only 2^w - 1, the second holds it
     once among random values below it.
     """
-    rng = np.random.default_rng(block_size)
+    rng = np.random.default_rng(128)
     widths = np.tile(np.arange(bitpack.MAX_WIDTH + 1), 2)
     top = (np.int64(1) << widths) - 1
-    body = rng.integers(0, top[:, None] + 1, (widths.size, block_size))
+    body = rng.integers(0, top[:, None] + 1, (widths.size, bitpack.BLOCK_SIZE))
     body[: bitpack.MAX_WIDTH + 1] = top[: bitpack.MAX_WIDTH + 1, None]
-    body[np.arange(widths.size), rng.integers(0, block_size, widths.size)] = top
-    for last in sorted({min(block_size, k) for k in range(1, 17)}):
+    body[np.arange(widths.size), rng.integers(0, bitpack.BLOCK_SIZE, widths.size)] = top
+    for last in range(1, 17):
         for w in (0, (3 * last) % (bitpack.MAX_WIDTH + 1), bitpack.MAX_WIDTH):
             tail = rng.integers(0, 1 << w, last)
             tail[-1] = (1 << w) - 1
             values = np.concatenate([body.ravel(), tail])
-            data = bitpack.encode(values, block_size)
-            assert data == oracles.bitpack_encode(values, block_size)
-            got = bitpack.decode(data, values.size, block_size)
-            assert np.array_equal(got, oracles.bitpack_decode(data, values.size, block_size))
+            data = bitpack.encode(values)
+            assert data == oracles.bitpack_encode(values)
+            got = bitpack.decode(data, values.size)
+            assert np.array_equal(got, oracles.bitpack_decode(data, values.size))
             assert np.array_equal(got, values)
 
 
@@ -179,9 +178,10 @@ def _outcome(decode, *args):
 
 
 def _bitpack_stream():
-    """Blocks of 8 values of widths 3, 0 and 17, then a short one of width 3."""
-    values = np.concatenate([np.arange(8), np.zeros(8, dtype=np.int64), np.full(8, 2**16), [7, 1, 6]])
-    return bitpack.encode(values, 8), values.size
+    """Full blocks of widths 3, 0 and 17, then a short one of width 3."""
+    full = bitpack.BLOCK_SIZE
+    values = np.concatenate([np.arange(full) % 8, np.zeros(full, dtype=np.int64), np.full(full, 2**16), [7, 1, 6]])
+    return bitpack.encode(values), values.size
 
 
 @pytest.mark.parametrize("width", [bitpack.MAX_WIDTH + 1, 255])
@@ -190,18 +190,18 @@ def test_bitpack_bad_width_byte_raises_as_oracle(width, block):
     data, n = _bitpack_stream()
     header = 0
     for _ in range(block):
-        header += 1 + (8 * data[header] + 7) // 8
+        header += 1 + bitpack.BLOCK_SIZE * data[header] // 8
     damaged = data[:header] + bytes([width]) + data[header + 1 :]
-    got = _outcome(bitpack.decode, damaged, n, 8)
-    assert got == _outcome(oracles.bitpack_decode, damaged, n, 8)
+    got = _outcome(bitpack.decode, damaged, n)
+    assert got == _outcome(oracles.bitpack_decode, damaged, n)
     assert got == (FormatError, "corrupt block header")
 
 
 def test_bitpack_cut_at_every_byte_raises_as_oracle():
     data, n = _bitpack_stream()
     for cut in range(len(data)):
-        got = _outcome(bitpack.decode, data[:cut], n, 8)
-        assert got == _outcome(oracles.bitpack_decode, data[:cut], n, 8)
+        got = _outcome(bitpack.decode, data[:cut], n)
+        assert got == _outcome(oracles.bitpack_decode, data[:cut], n)
         assert got == (TruncatedStreamError, "truncated stream")
 
 

@@ -283,7 +283,6 @@ class TestQuars:
         mapped, qmap = quars_encode(x, bin_count=16)
         restored = QuarsMap.from_bytes(qmap.to_bytes())
         assert np.array_equal(restored.invert(mapped), x)
-        assert restored.byte_size == len(qmap.to_bytes())
 
     def test_fitted_map_with_overlapping_full_widths_is_accepted(self):
         # Bin [0, 5) observed only 0 and 1, so bin [5, 10) is placed at
@@ -308,6 +307,22 @@ class TestQuars:
         raw += struct.pack("<i", 10)
         with pytest.raises(FormatError, match="overlapping"):
             QuarsMap.from_bytes(raw)
+
+    @pytest.mark.parametrize("raw", [b"", b"\x01"])
+    def test_map_shorter_than_its_count_rejected(self, raw):
+        with pytest.raises(FormatError, match="truncated QuaRs map"):
+            QuarsMap.from_bytes(raw)
+
+    def test_count_longer_than_the_map_rejected(self):
+        raw = bytearray(quars_encode([1, 2, 2, 9], bin_count=2)[1].to_bytes())
+        raw[0] += 1  # one bin more than the bytes hold
+        with pytest.raises(FormatError, match="truncated QuaRs map"):
+            QuarsMap.from_bytes(bytes(raw))
+
+    def test_bytes_past_the_map_rejected(self):
+        raw = quars_encode([1, 2, 2, 9], bin_count=2)[1].to_bytes()
+        with pytest.raises(FormatError, match="trailing bytes after QuaRs map"):
+            QuarsMap.from_bytes(raw + b"\x00")
 
     def test_map_serialization_is_little_endian(self):
         _, qmap = quars_encode([3, 3, 3])
