@@ -12,21 +12,23 @@ Every backend is optional: its module is imported lazily and
 :class:`BackendUnavailableError` is raised when it is missing, so callers
 can mark the cell "n/a" instead of silently skipping it. Payloads use each
 format's standard framing, so outputs remain checkable with stock tooling.
-All one-shot calls create a fresh (de)compressor, so concurrent use on
-distinct buffers is safe; backends with multithreaded modes are pinned to
-one worker thread to keep speed comparisons fair.
+All calls create a fresh (de)compressor, so concurrent use on distinct
+buffers is safe; the stdlib decoders stop one byte past the expected size,
+and backends with multithreaded modes are pinned to one worker thread to
+keep speed comparisons fair.
 """
 
 from __future__ import annotations
 
 import importlib
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .core import INT16_MAX, INT16_MIN, INT32_MAX, INT32_MIN, as_samples
-from .errors import BackendUnavailableError, TscodecError, UnknownBackendError
+from .errors import BackendUnavailableError, FormatError, TscodecError, UnknownBackendError
 
 
 @dataclass(frozen=True)
@@ -68,8 +70,36 @@ def _compress_plain(mod, data, desc):
     return mod.compress(data)
 
 
-def _decompress_plain(mod, data, desc):
+def _decompress_plain(mod, data, desc, size):
     return mod.decompress(data)
+
+
+def _decompress_capped(decompressor, rejected, data, desc, size):
+    """Decode one whole stream of at most ``size`` bytes, or raise FormatError."""
+    try:
+        # A forged token count may exceed what the C API takes as a length.
+        out = decompressor.decompress(data, min(size + 1, sys.maxsize))
+    except rejected as exc:
+        raise FormatError(f"corrupt {desc.backend_id} payload: {exc}") from None
+    if len(out) > size:
+        raise FormatError("payload decoded to unexpected size")
+    if not decompressor.eof:
+        raise FormatError(f"truncated {desc.backend_id} payload")
+    if decompressor.unused_data:
+        raise FormatError(f"trailing bytes after {desc.backend_id} payload")
+    return out
+
+
+def _decompress_zlib(zlib, data, desc, size):
+    return _decompress_capped(zlib.decompressobj(), zlib.error, data, desc, size)
+
+
+def _decompress_bz2(bz2, data, desc, size):
+    return _decompress_capped(bz2.BZ2Decompressor(), OSError, data, desc, size)
+
+
+def _decompress_lzma(lzma, data, desc, size):
+    return _decompress_capped(lzma.LZMADecompressor(), lzma.LZMAError, data, desc, size)
 
 
 def _compress_lzma(lzma, data, desc):
@@ -80,7 +110,7 @@ def _compress_zstd(zstd, data, desc):
     return zstd.ZstdCompressor(level=desc.effective_level).compress(data)
 
 
-def _decompress_zstd(zstd, data, desc):
+def _decompress_zstd(zstd, data, desc, size):
     return zstd.ZstdDecompressor().decompress(data)
 
 
@@ -101,7 +131,7 @@ def _compress_blosc(blosc2, data, desc):
     )
 
 
-def _decompress_blosc(blosc2, data, desc):
+def _decompress_blosc(blosc2, data, desc, size):
     return blosc2.decompress2(data)
 
 
@@ -109,7 +139,7 @@ def _compress_sprintz(sprintz, data, desc):
     return sprintz.compress(np.frombuffer(data, dtype=desc.dtype))
 
 
-def _decompress_sprintz(sprintz, data, desc):
+def _decompress_sprintz(sprintz, data, desc, size):
     return np.asarray(sprintz.decompress(data), dtype=desc.dtype).tobytes()
 
 
@@ -122,23 +152,23 @@ def _compress_pcodec(pcodec, data, desc):
     )
 
 
-def _decompress_pcodec(pcodec, data, desc):
+def _decompress_pcodec(pcodec, data, desc, size):
     return pcodec.standalone.simple_decompress(data).astype(desc.dtype).tobytes()
 
 
 class Backend(NamedTuple):
     compress: Callable  # (module, data, descriptor) -> bytes
-    decompress: Callable  # (module, data, descriptor) -> bytes
+    decompress: Callable  # (module, data, descriptor, expected size) -> bytes
     module: str  # imported on first use and passed to the adapters
     default_level: int | None
 
 
 BACKENDS: dict[str, Backend] = {
-    "deflate": Backend(_compress_leveled, _decompress_plain, "zlib", 9),
+    "deflate": Backend(_compress_leveled, _decompress_zlib, "zlib", 9),
     "zstd": Backend(_compress_zstd, _decompress_zstd, "zstandard", 19),
     "brotli": Backend(_compress_brotli, _decompress_plain, "brotli", 10),
-    "bzip2": Backend(_compress_leveled, _decompress_plain, "bz2", 9),
-    "lzma": Backend(_compress_lzma, _decompress_plain, "lzma", 6),
+    "bzip2": Backend(_compress_leveled, _decompress_bz2, "bz2", 9),
+    "lzma": Backend(_compress_lzma, _decompress_lzma, "lzma", 6),
     "lz4": Backend(_compress_plain, _decompress_plain, "lz4.frame", None),
     "snappy": Backend(_compress_plain, _decompress_plain, "snappy", None),
     "blosc": Backend(_compress_blosc, _decompress_blosc, "blosc2", 9),
@@ -164,11 +194,11 @@ def availability_report() -> dict[str, bool]:
     return {b: is_available(b) for b in BACKEND_IDS}
 
 
-def _run(adapter: Callable, data: bytes, descriptor: BackendDescriptor) -> bytes:
+def _run(adapter: Callable, data: bytes, descriptor: BackendDescriptor, *size: int) -> bytes:
     mod = _require(BACKENDS[descriptor.backend_id].module)
     try:
-        return adapter(mod, data, descriptor)
-    except ValueError:
+        return adapter(mod, data, descriptor, *size)
+    except (ValueError, FormatError):
         raise
     except Exception as exc:
         raise TscodecError(f"backend {descriptor.backend_id!r} failed: {exc}") from exc
@@ -180,8 +210,11 @@ def backend_compress(data: bytes, descriptor: BackendDescriptor) -> bytes:
     return _run(BACKENDS[descriptor.backend_id].compress, data, descriptor)
 
 
-def backend_decompress(data: bytes, descriptor: BackendDescriptor) -> bytes:
-    return _run(BACKENDS[descriptor.backend_id].decompress, data, descriptor)
+def backend_decompress(data: bytes, descriptor: BackendDescriptor, size: int) -> bytes:
+    """Decode a payload expected to hold ``size`` bytes. A stdlib payload
+    that decodes past it, ends early, has trailing bytes or is corrupt
+    raises FormatError."""
+    return _run(BACKENDS[descriptor.backend_id].decompress, data, descriptor, size)
 
 
 def serialize_series(series) -> tuple[bytes, int]:

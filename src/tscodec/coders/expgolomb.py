@@ -30,16 +30,10 @@ def code_lengths(values) -> np.ndarray:
 
 
 def encode(values) -> BitStream:
+    # The codeword of n is just n+1 in a field of its code length: the
+    # leading zeros of the field form the unary prefix.
     v = as_samples(values)
-    if v.size == 0:
-        return BitStream(b"", 0)
-    if int(v.min()) < 0:
-        raise ValueError("Exp-Golomb requires non-negative values")
-    # The codeword of n is just n+1 in 2*bitlen(n+1)-1 bits: the leading
-    # zeros of the wider field form the unary prefix.
-    codes = (v + 1).astype(np.uint64)
-    lengths = 2 * bit_length_u64(codes) - 1
-    return pack_codes(codes, lengths)
+    return pack_codes((v + 1).astype(np.uint64), code_lengths(v))
 
 
 def _value(k: np.ndarray, suffix: np.ndarray) -> np.ndarray:

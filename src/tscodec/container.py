@@ -11,18 +11,17 @@ Layout (all multi-byte integers little-endian):
     per channel:
         token count    u64    symbols (or serialized items) in the payload
         width          u8     0 for symbol coders, else bytes per item
-        side length    u32    transform side headers (QuaRs map)
-        side bytes
+        side length    u32
+        side bytes             the transform chain's side output, unparsed
         payload length u64
         payload bytes          coder header followed by coder payload
 
 Token count is the length of the post-transform stream the coder decoded;
 inverting the transform chain recovers the original sample count, so a
 container decodes with no external information. Unknown versions, ids, or
-magic are rejected outright, never partially parsed, and so is a channel
-entry that no encoder writes: side bytes on a chain without quars or past
-the QuaRs map, or a width other than 0 for a symbol coder and other than 2
-or 4 otherwise.
+magic are rejected outright, never partially parsed, and so is a width
+other than 0 for a symbol coder and other than 2 or 4 otherwise. The side
+bytes are framed here and parsed only by ``chain_invert``.
 
 Transform ids number the stages of ``TRANSFORM_ORDER`` from 1. The chain
 grammar is ``TransformChain``'s own, so a container whose transform ids are
@@ -41,7 +40,7 @@ from .backends import BACKENDS, BackendDescriptor, backend_compress, backend_dec
 from .coders.registry import CODER_BY_ID, CoderInfo, get_coder
 from .core import TimeSeries, as_samples
 from .errors import FormatError
-from .transforms import TRANSFORM_ORDER, QuarsMap, TransformChain, chain_apply, chain_invert
+from .transforms import TRANSFORM_ORDER, TransformChain, chain_apply, chain_invert
 
 MAGIC = b"TSC1"
 VERSION = 1
@@ -65,8 +64,7 @@ def encode_channel(
     x = as_samples(series)
     if x.size == 0:
         raise ValueError("undefined on empty input")
-    tokens, qmap = chain_apply(x, chain)
-    side = qmap.to_bytes() if qmap is not None else b""
+    tokens, side = chain_apply(x, chain)
     if coder.kind == "symbol":
         header, payload = coder.encode(tokens)
         width = 0
@@ -95,8 +93,6 @@ def decode_channel(
     chain: TransformChain,
     coder: CoderInfo,
 ) -> np.ndarray:
-    if side and "quars" not in chain.stages:
-        raise FormatError("unsupported container: side bytes without quars")
     if width not in ((0,) if coder.kind == "symbol" else (2, 4)):
         raise FormatError(f"unsupported container: width {width}")
     if coder.kind == "symbol":
@@ -106,12 +102,11 @@ def decode_channel(
         if coder.kind == "bytes":
             data = coder.decode(header, payload, nbytes)
         else:
-            data = backend_decompress(payload, BackendDescriptor(coder.name, width=width))
+            data = backend_decompress(payload, BackendDescriptor(coder.name, width=width), nbytes)
         if len(data) != nbytes:
             raise FormatError("payload decoded to unexpected size")
         tokens = deserialize_series(data, width, block_tokens)
-    qmap = QuarsMap.from_bytes(side) if "quars" in chain.stages else None
-    return chain_invert(tokens, chain, qmap)
+    return chain_invert(tokens, chain, side)
 
 
 def build_container(

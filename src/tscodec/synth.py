@@ -26,37 +26,32 @@ CASES = ("sine", "noise", "sine_noise", "switching")
 
 _CASE_INDEX = {name: i for i, name in enumerate(CASES)}
 
+AMPLITUDE = 1000
+# A period of 997 samples (not a divisor of the default length) lets the
+# phase drift across cycles, which keeps the raw cardinality in the high
+# hundreds while the delta alphabet stays tiny.
+PERIOD = 997.0
+NOISE_HALF_RANGE = 98
+LEVELS = np.array([-700, -200, 0, 300, 800], dtype=np.int64)
+# The switching dwell is a narrow uniform window so the run-length alphabet
+# after delta + rle0 stays small, which is where quantile reshuffling pays.
+DWELL_MIN = 5
+DWELL_MAX = 9
+
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Parameters of one synthetic series; same spec + seed, same samples.
-
-    The sine period of 997 samples (not a divisor of the default length)
-    lets the phase drift across cycles, which keeps the raw cardinality in
-    the high hundreds while the delta alphabet stays tiny. The switching
-    dwell is a narrow uniform window so the run-length alphabet after
-    delta + rle0 stays small, which is where quantile reshuffling pays.
-    """
+    """Parameters of one synthetic series; same spec + seed, same samples."""
 
     case: str
     n: int = 10000
     seed: int = 0
-    amplitude: int = 1000
-    period: float = 997.0
-    noise_half_range: int = 98
-    levels: tuple[int, ...] = (-700, -200, 0, 300, 800)
-    dwell_min: int = 5
-    dwell_max: int = 9
 
     def __post_init__(self):
         if self.case not in CASES:
             raise ValueError(f"unknown case {self.case!r}; expected one of {CASES}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if not 1 <= self.dwell_min <= self.dwell_max:
-            raise ValueError("dwell window must satisfy 1 <= min <= max")
-        if len(self.levels) < 2 or len(set(self.levels)) != len(self.levels):
-            raise ValueError("levels must be at least two distinct values")
 
 
 def _rng(spec: SynthSpec, component: int) -> np.random.Generator:
@@ -72,26 +67,25 @@ def _round_half_away(x: np.ndarray) -> np.ndarray:
 
 def _sine(spec: SynthSpec) -> np.ndarray:
     k = np.arange(spec.n)
-    return _round_half_away(spec.amplitude * np.sin(2.0 * np.pi * k / spec.period))
+    return _round_half_away(AMPLITUDE * np.sin(2.0 * np.pi * k / PERIOD))
 
 
 def _noise(spec: SynthSpec, component: int) -> np.ndarray:
-    a = spec.noise_half_range
+    a = NOISE_HALF_RANGE
     return _rng(spec, component).integers(-a, a + 1, size=spec.n, dtype=np.int64)
 
 
 def _switching(spec: SynthSpec) -> np.ndarray:
     rng = _rng(spec, 0)
-    levels = np.asarray(spec.levels, dtype=np.int64)
     out = np.empty(spec.n, dtype=np.int64)
     pos = 0
-    current = int(levels[rng.integers(0, levels.size)])
+    current = int(LEVELS[rng.integers(0, LEVELS.size)])
     while pos < spec.n:
-        dwell = int(rng.integers(spec.dwell_min, spec.dwell_max + 1))
+        dwell = int(rng.integers(DWELL_MIN, DWELL_MAX + 1))
         end = min(pos + dwell, spec.n)
         out[pos:end] = current
         pos = end
-        others = levels[levels != current]
+        others = LEVELS[LEVELS != current]
         current = int(others[rng.integers(0, others.size)])
     return out
 

@@ -14,6 +14,8 @@ apply it internally.
 
 QuaRs fits its bins and evaluates its map once per distinct value, taken
 from :func:`tscodec.core.token_histogram`, then gathers per token.
+:func:`chain_apply` returns the tokens with the chain's side bytes, the
+serialized map, and :func:`chain_invert` is the one parser of those bytes.
 """
 
 from __future__ import annotations
@@ -140,19 +142,8 @@ class QuarsMap:
     def widths(self) -> np.ndarray:
         return np.r_[self.lower_bounds[1:], self.upper_exclusive] - self.lower_bounds
 
-    def apply(self, values) -> np.ndarray:
-        """Map values through their bins, searching once per distinct value."""
-        x = as_samples(values)
-        if x.size == 0:
-            return x.copy()
-        symbols, _, inverse = token_histogram(x)
-        if symbols[0] < self.lower_bounds[0] or symbols[-1] >= self.upper_exclusive:
-            raise ValueError("value outside the fitted range")
-        idx = np.searchsorted(self.lower_bounds, symbols, side="right") - 1
-        return (symbols - self.lower_bounds[idx] + self.target_offsets[idx])[inverse]
-
     def invert(self, mapped) -> np.ndarray:
-        """Inverse of :meth:`apply`; a token no bin maps to raises FormatError."""
+        """Inverse of the fitted map; a token no bin maps to raises FormatError."""
         x = as_samples(mapped)
         if x.size == 0:
             return x.copy()
@@ -225,9 +216,10 @@ def quars_encode(series, bin_count: int = DEFAULT_QUARS_BINS) -> tuple[np.ndarra
     allows). Bins are ranked by occurrence density, count per covered
     value, so the most frequent values land in the lowest ranks even when
     equal-mass binning makes raw counts indistinguishable; ties break by
-    ascending lower bound. Rank 0 is placed at 0 and later ranks alternate
-    on the positive and negative side. Cardinality is preserved because
-    the map is a bijection on the observed values.
+    ascending lower bound. Rank 0 is placed at 0; odd ranks stack upward
+    from its width and even ranks downward from 0, each in rank order.
+    Cardinality is preserved because the map is a bijection on the
+    observed values.
     """
     x = as_samples(series)
     if x.size == 0:
@@ -248,26 +240,13 @@ def quars_encode(series, bin_count: int = DEFAULT_QUARS_BINS) -> tuple[np.ndarra
     bin_counts = np.add.reduceat(counts, first)
     density = bin_counts / widths
     order = np.lexsort((los, -density))  # density desc, then lower bound asc
+    ranked = widths[order]
+    up = ranked[1::2]
     offsets = np.zeros(order.size, dtype=np.int64)
-    pos = 0
-    neg = 0
-    for rank, b in enumerate(order.tolist()):
-        w = int(widths[b])
-        if rank == 0:
-            offsets[b] = 0
-            pos = w
-        elif rank % 2 == 1:
-            offsets[b] = pos
-            pos += w
-        else:
-            neg -= w
-            offsets[b] = neg
-    qmap = QuarsMap(
-        lower_bounds=los.astype(np.int64),
-        target_offsets=offsets,
-        upper_exclusive=int(values[-1]) + 1,
-    )
-    return qmap.apply(values)[inverse], qmap
+    offsets[order[1::2]] = ranked[0] + np.cumsum(up) - up
+    offsets[order[2::2]] = -np.cumsum(ranked[2::2])
+    shift = np.repeat(offsets - los, last + 1 - first)  # per distinct value
+    return (values + shift)[inverse], QuarsMap(los, offsets, int(values[-1]) + 1)
 
 
 def quars_decode(mapped, qmap: QuarsMap) -> np.ndarray:
@@ -309,10 +288,11 @@ class TransformChain:
         return ",".join(self.stages) if self.stages else "none"
 
 
-def chain_apply(series, chain: TransformChain) -> tuple[np.ndarray, QuarsMap | None]:
-    """Apply the stages in order; returns the tokens and the QuaRs side map."""
+def chain_apply(series, chain: TransformChain) -> tuple[np.ndarray, bytes]:
+    """Apply the stages in order; returns the tokens and the side bytes
+    (the serialized QuaRs map, or empty without quars)."""
     x = as_samples(series)
-    qmap = None
+    side = b""
     for stage in chain.stages:
         if stage == "delta":
             x = delta_encode(x)
@@ -320,11 +300,16 @@ def chain_apply(series, chain: TransformChain) -> tuple[np.ndarray, QuarsMap | N
             x = rle0_encode(x)
         elif stage == "quars":
             x, qmap = quars_encode(x, chain.quars_bins)
-    return x, qmap
+            side = qmap.to_bytes()
+    return x, side
 
 
-def chain_invert(tokens, chain: TransformChain, qmap: QuarsMap | None = None) -> np.ndarray:
-    """Invert :func:`chain_apply`; stages are undone in reverse order."""
+def chain_invert(tokens, chain: TransformChain, side: bytes) -> np.ndarray:
+    """Invert :func:`chain_apply` from its tokens and side bytes; side bytes
+    other than exactly one valid QuaRs map on a quars chain, or nothing
+    without quars, raise FormatError."""
+    if side and "quars" not in chain.stages:
+        raise FormatError("side bytes without quars")
     x = as_samples(tokens)
     for stage in reversed(chain.stages):
         if stage == "delta":
@@ -332,7 +317,5 @@ def chain_invert(tokens, chain: TransformChain, qmap: QuarsMap | None = None) ->
         elif stage == "rle0":
             x = rle0_decode(x)
         elif stage == "quars":
-            if qmap is None:
-                raise ValueError("quars stage requires its side map")
-            x = quars_decode(x, qmap)
+            x = quars_decode(x, QuarsMap.from_bytes(side))
     return x

@@ -8,10 +8,11 @@ at a time, ``quantize_counts`` scales a range-coder model down one unit
 per step, and ``code_lengths_from_counts`` merges through a heap and walks
 each Huffman leaf up to the root. ``lzss_compress`` steps through the input
 one byte at a time, keeping hash-chain heads in a dict. The transform
-oracles are the per-token QuaRs bin search, which the library now runs once
-per distinct value, token-at-a-time rle0 loops and the branchy zigzag
-formulas. ``load_csv`` is the ``csv.reader`` plus one-``float()``-per-cell
-parser that ``np.loadtxt`` replaced, and ``dequantize_column`` inverts
+oracles are the QuaRs fit that places bins one rank at a time, the
+per-token QuaRs bin search, which the library now runs once per distinct
+value, token-at-a-time rle0 loops and the branchy zigzag formulas.
+``load_csv`` is the ``csv.reader`` plus one-``float()``-per-cell parser
+that ``np.loadtxt`` replaced, and ``dequantize_column`` inverts
 ingest quantization for the error-bound tests. The differential tests
 require the library to return exactly what these return on valid input
 (the same bytes, for the encoders), and to raise the same ``FormatError``
@@ -403,8 +404,43 @@ def bitpack_decode(data: bytes, count: int) -> np.ndarray:
     return out
 
 
+def quars_fit(values, bin_count: int):
+    """The QuaRs fit with its bins placed one rank at a time.
+
+    Returns the lower bounds, the target offsets and the exclusive upper
+    bound that ``quars_encode`` fits; ``quars_apply`` then maps tokens.
+    """
+    x = as_samples(values)
+    values, counts = np.unique(x, return_counts=True)
+    if values.size <= bin_count:
+        first = np.arange(values.size)
+    else:
+        cum_before = np.cumsum(counts) - counts
+        first = np.unique((cum_before * bin_count) // x.size, return_index=True)[1]
+    last = np.r_[first[1:] - 1, values.size - 1]
+    los = values[first]
+    widths = values[last] - los + 1
+    density = np.add.reduceat(counts, first) / widths
+    order = np.lexsort((los, -density))  # density desc, then lower bound asc
+    offsets = np.zeros(order.size, dtype=np.int64)
+    pos = 0
+    neg = 0
+    for rank, b in enumerate(order.tolist()):
+        w = int(widths[b])
+        if rank == 0:
+            offsets[b] = 0
+            pos = w
+        elif rank % 2 == 1:
+            offsets[b] = pos
+            pos += w
+        else:
+            neg -= w
+            offsets[b] = neg
+    return los, offsets, int(values[-1]) + 1
+
+
 def quars_apply(qmap, values) -> np.ndarray:
-    """``QuarsMap.apply`` with one bin search per token."""
+    """The fitted QuaRs map with one bin search per token."""
     x = as_samples(values)
     if x.size == 0:
         return x.copy()

@@ -1,3 +1,8 @@
+import bz2
+import lzma
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +17,7 @@ from tscodec.backends import (
     is_available,
     serialize_series,
 )
-from tscodec.errors import BackendUnavailableError, UnknownBackendError
+from tscodec.errors import BackendUnavailableError, FormatError, TscodecError, UnknownBackendError
 from tscodec.synth import SynthSpec, generate
 from tscodec.transforms import TransformChain, chain_apply, chain_invert
 
@@ -80,14 +85,14 @@ class TestRoundTrips:
         rng = np.random.default_rng(0)
         payload = rng.integers(0, 256, 1 << 20).astype(np.uint8).tobytes()
         desc = BackendDescriptor(backend)
-        assert backend_decompress(backend_compress(payload, desc), desc) == payload
+        assert backend_decompress(backend_compress(payload, desc), desc, len(payload)) == payload
 
     @pytest.mark.parametrize("backend", AVAILABLE)
     def test_identity_on_structured_data(self, backend):
         series = generate(SynthSpec(case="sine", n=20000, seed=0))
         data, _ = serialize_series(series)
         desc = BackendDescriptor(backend)
-        assert backend_decompress(backend_compress(data, desc), desc) == data
+        assert backend_decompress(backend_compress(data, desc), desc, len(data)) == data
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -98,6 +103,57 @@ class TestRoundTrips:
 
         out = backend_compress(b"hello hello hello", BackendDescriptor("deflate"))
         assert zlib.decompress(out) == b"hello hello hello"
+
+
+# Stock one-shot compressors of the stdlib backends; lzma preset 0 keeps the
+# decoder's dictionary at 256 KiB, far below the bomb's output.
+STDLIB_COMPRESS = {
+    "deflate": lambda data: zlib.compress(data, 9),
+    "bzip2": lambda data: bz2.compress(data, 9),
+    "lzma": lambda data: lzma.compress(data, preset=0),
+}
+SAMPLE = bytes(range(256)) * 8
+
+
+class TestBoundedDecode:
+    @pytest.mark.parametrize("backend", STDLIB_COMPRESS)
+    def test_bomb_stops_one_byte_past_the_expected_size(self, backend):
+        bomb = STDLIB_COMPRESS[backend](bytes(8 << 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="unexpected size"):
+                backend_decompress(bomb, BackendDescriptor(backend), 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("backend", STDLIB_COMPRESS)
+    def test_bytes_after_the_stream_are_rejected(self, backend):
+        payload = STDLIB_COMPRESS[backend](SAMPLE)
+        for tail in (b"junk", payload):
+            with pytest.raises(FormatError, match="trailing bytes"):
+                backend_decompress(payload + tail, BackendDescriptor(backend), len(SAMPLE))
+
+    @pytest.mark.parametrize("backend", STDLIB_COMPRESS)
+    def test_every_flipped_byte_raises_format_error(self, backend):
+        payload = STDLIB_COMPRESS[backend](SAMPLE)
+        for i in range(len(payload)):
+            corrupt = bytearray(payload)
+            corrupt[i] ^= 0xFF
+            with pytest.raises(FormatError):
+                backend_decompress(bytes(corrupt), BackendDescriptor(backend), len(SAMPLE))
+
+    @pytest.mark.parametrize("backend", STDLIB_COMPRESS)
+    def test_cut_stream_is_truncated(self, backend):
+        payload = STDLIB_COMPRESS[backend](SAMPLE)
+        with pytest.raises(FormatError, match="truncated"):
+            backend_decompress(payload[:-1], BackendDescriptor(backend), len(SAMPLE))
+
+    def test_compress_failure_stays_a_backend_error(self):
+        with pytest.raises(TscodecError, match="backend 'deflate' failed") as info:
+            backend_compress(SAMPLE, BackendDescriptor("deflate", level=99))
+        assert not isinstance(info.value, FormatError)
 
 
 class TestLevels:
@@ -129,5 +185,5 @@ class TestComposability:
         data, width = serialize_series(tokens)
         desc = BackendDescriptor(backend)
         blob = backend_compress(data, desc)
-        restored = deserialize_series(backend_decompress(blob, desc), width, tokens.size)
+        restored = deserialize_series(backend_decompress(blob, desc, len(data)), width, tokens.size)
         assert np.array_equal(chain_invert(restored, chain, qmap), series.samples)

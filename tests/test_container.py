@@ -3,6 +3,8 @@ rejection of malformed containers."""
 
 import itertools
 import struct
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -57,9 +59,9 @@ def test_backend_descriptor_carries_the_serialized_width(monkeypatch, stages, wi
     seen = []
 
     def spy(real):
-        def call(data, desc):
+        def call(data, desc, *size):
             seen.append(desc.width)
-            return real(data, desc)
+            return real(data, desc, *size)
 
         return call
 
@@ -113,6 +115,28 @@ def test_backend_payload_of_the_wrong_size_is_rejected():
     struct.pack_into("<Q", blob, 10, len(series) + 1)  # one token more than deflated
     with pytest.raises(FormatError, match="payload decoded to unexpected size"):
         read_container(bytes(blob))
+
+
+def test_token_count_past_the_c_length_range_is_rejected():
+    _, blob = _delta_channel("deflate")
+    struct.pack_into("<Q", blob, 10, 2**63 - 1)  # times the width, beyond ssize_t
+    with pytest.raises(FormatError, match="payload decoded to unexpected size"):
+        read_container(bytes(blob))
+
+
+def test_deflate_bomb_is_rejected_without_its_output():
+    # 10 tokens of width 2 declared; the payload inflates to 8 MiB.
+    bomb = zlib.compress(bytes(8 << 20), 9)
+    blob = b"TSC1\x01\x00" + bytes([CODERS["deflate"].id_byte])
+    blob += struct.pack("<HQBIQ", 1, 10, 2, 0, len(bomb)) + bomb
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="payload decoded to unexpected size"):
+            read_container(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("coder", ["expgolomb", "huffman", "range", "bitpack"])

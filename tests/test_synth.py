@@ -80,10 +80,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             SynthSpec(case="sine", n=0)
 
-    def test_bad_dwell(self):
-        with pytest.raises(ValueError):
-            SynthSpec(case="switching", dwell_min=9, dwell_max=5)
-
     def test_suite_covers_all_cases(self):
         s = suite(n=100, seed=0)
         assert set(s) == set(CASES)
