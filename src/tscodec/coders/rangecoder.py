@@ -19,6 +19,8 @@ at the end. The slot table is built per call from the header.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..core import as_samples, token_histogram
@@ -113,12 +115,24 @@ def parse_header(header: bytes) -> tuple[np.ndarray, np.ndarray]:
 
 
 def decode(header: bytes, payload: bytes, count: int) -> np.ndarray:
+    """Decode ``count`` tokens, refusing counts the payload cannot hold.
+
+    Each token scales the range by at most ``max_freq / TOTAL``, the range
+    starts below 2^32 and leaves every renormalization at or above ``BOT``,
+    and each shift by 8 bits reads one payload byte. So a valid stream has
+    ``count * log2(TOTAL / max_freq) <= 16 + 8 * (len(payload) - 4)``; a
+    count above that, with one bit of slack, is refused before decoding.
+    A single-symbol model (``max_freq == TOTAL``) costs no bits, so its
+    count stays unbounded until the container records a sample count.
+    """
     symbols, freqs = parse_header(header)
-    freq_list, cum = _model_from_counts(freqs)
-    slot = np.repeat(np.arange(freqs.size), freqs).tolist()
     nbytes = len(payload)
     if nbytes < 4:
         raise TruncatedStreamError("truncated stream")
+    if count * math.log2(TOTAL / int(freqs.max())) > 17 + 8 * (nbytes - 4):
+        raise FormatError(f"token count {count} exceeds what {nbytes} payload bytes can hold")
+    freq_list, cum = _model_from_counts(freqs)
+    slot = np.repeat(np.arange(freqs.size), freqs).tolist()
     code = int.from_bytes(payload[:4], "big")
     pos = 4
     low = 0

@@ -12,6 +12,16 @@ Randomness comes from PCG64 seeded through ``SeedSequence(seed,
 spawn_key=(case, component))``, so a (case, seed) pair yields the same
 samples on every platform, and the noise inside ``sine_noise`` is an
 independent stream from the plain ``noise`` case.
+
+``switching`` samples are those of a loop over segments: draw the opening
+level index from 5, then per segment draw a dwell of ``DWELL_MIN`` plus
+one of 5, fill it, and draw the next level's index among the 4 other
+levels in ``LEVELS`` order. Each bounded draw is numpy's Lemire draw on
+one 32-bit PCG64 output ``x``, ``(x * span) >> 32``; it rejects ``x``, and
+takes the next output for the same draw, when ``(x * span) mod 2^32 <
+2^32 mod span``, which for spans 5 and 4 means ``x == 0`` at a span-5
+draw. The generator takes the whole output stream in one array and maps
+it by this rule, so it returns the loop's samples without running it.
 """
 
 from __future__ import annotations
@@ -75,19 +85,53 @@ def _noise(spec: SynthSpec, component: int) -> np.ndarray:
     return _rng(spec, component).integers(-a, a + 1, size=spec.n, dtype=np.int64)
 
 
+def _bounded_draws(words: np.ndarray) -> np.ndarray:
+    """Map 32-bit generator outputs to the ``switching`` draws, in order.
+
+    Slot 0 is the opening level index (span 5), odd slots are dwell offsets
+    (span 5) and the other even slots next-level indices (span 4). A zero
+    output at a span-5 slot is rejected, as the module docstring states.
+    """
+    rejected = []
+    for j in np.flatnonzero(words == 0).tolist():
+        slot = j - len(rejected)
+        if slot == 0 or slot % 2:
+            rejected.append(j)
+    x = np.delete(words, rejected).astype(np.uint64)
+    x[:1] *= 5
+    x[1::2] *= 5
+    x[2::2] <<= 2
+    x >>= 32
+    return x.astype(np.int8)
+
+
 def _switching(spec: SynthSpec) -> np.ndarray:
     rng = _rng(spec, 0)
-    out = np.empty(spec.n, dtype=np.int64)
-    pos = 0
-    current = int(LEVELS[rng.integers(0, LEVELS.size)])
-    while pos < spec.n:
-        dwell = int(rng.integers(DWELL_MIN, DWELL_MAX + 1))
-        end = min(pos + dwell, spec.n)
-        out[pos:end] = current
-        pos = end
-        others = LEVELS[LEVELS != current]
-        current = int(others[rng.integers(0, others.size)])
-    return out
+    size = 1 + 2 * -(-spec.n // DWELL_MIN)
+    words = rng.integers(0, 1 << 32, size=size, dtype=np.uint32)
+    draws = _bounded_draws(words)
+    while draws.size < size:  # refill what rejected outputs used up
+        more = rng.integers(0, 1 << 32, size=size - draws.size, dtype=np.uint32)
+        words = np.concatenate((words, more))
+        draws = _bounded_draws(words)
+    dwells = DWELL_MIN + draws[1::2]
+    ends = np.cumsum(dwells)
+    segments = int(np.searchsorted(ends, spec.n)) + 1
+    dwells = dwells[:segments]
+    dwells[-1] -= ends[segments - 1] - spec.n
+    # Level j + 1 is pick_j + b_j with b_j = (level_j <= pick_j), level 0
+    # being the opening index. As level_j = pick_{j-1} + b_{j-1}, b_j is 1
+    # after a rise pick_{j-1} < pick_j, 0 after a fall, and not b_{j-1}
+    # after a tie: the bit set by the last rise or fall, flipped once per
+    # tie since. A leading sentinel above every index makes b_{-1} = 0.
+    seq = np.concatenate(([LEVELS.size], draws[:1], draws[2 : 2 * segments : 2]), dtype=np.int8)
+    rises = seq[:-1] < seq[1:]
+    ties = seq[:-1] == seq[1:]
+    tie_count = np.cumsum(ties)
+    last = np.maximum.accumulate(np.where(ties, 0, np.arange(ties.size)))
+    bits = rises[last] ^ ((tie_count - tie_count[last]) & 1).astype(bool)
+    index = seq[1:] + bits
+    return np.repeat(LEVELS[index], dwells)
 
 
 def generate(spec: SynthSpec) -> TimeSeries:

@@ -13,7 +13,9 @@ per-token QuaRs bin search, which the library now runs once per distinct
 value, token-at-a-time rle0 loops and the branchy zigzag formulas.
 ``load_csv`` is the ``csv.reader`` plus one-``float()``-per-cell parser
 that ``np.loadtxt`` replaced, and ``dequantize_column`` inverts
-ingest quantization for the error-bound tests. The differential tests
+ingest quantization for the error-bound tests. ``synth_switching`` is the
+segment-at-a-time generator of the ``switching`` case, with two bounded
+draws and one level mask per segment. The differential tests
 require the library to return exactly what these return on valid input
 (the same bytes, for the encoders), and to raise the same ``FormatError``
 (``ValueError`` for CSV) on invalid input.
@@ -29,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from tscodec import synth
 from tscodec.coders import huffman, lzss, rangecoder
 from tscodec.coders.bitio import BitStream
 from tscodec.core import TimeSeries, as_samples
@@ -612,3 +615,19 @@ def load_csv(path, columns=None, missing: str = "drop") -> Dataset:
         channels.append(TimeSeries(samples=q, channel_id=j))
         quant.append(meta)
     return Dataset(name=path.stem, channels=channels, provenance=[str(path)], quantization=quant, dropped_rows=dropped)
+
+
+def synth_switching(spec: synth.SynthSpec) -> np.ndarray:
+    """The ``switching`` samples, one segment at a time."""
+    rng = synth._rng(spec, 0)
+    out = np.empty(spec.n, dtype=np.int64)
+    pos = 0
+    current = int(synth.LEVELS[rng.integers(0, synth.LEVELS.size)])
+    while pos < spec.n:
+        dwell = int(rng.integers(synth.DWELL_MIN, synth.DWELL_MAX + 1))
+        end = min(pos + dwell, spec.n)
+        out[pos:end] = current
+        pos = end
+        others = synth.LEVELS[synth.LEVELS != current]
+        current = int(others[rng.integers(0, others.size)])
+    return out

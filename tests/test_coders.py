@@ -476,6 +476,35 @@ class TestRangeCoder:
         with pytest.raises(FormatError, match="invalid frequency table"):
             rangecoder.decode(struct.pack("<H", 0), b"\x00" * 4, 0)
 
+    def test_most_skewed_model_decodes_at_its_exact_count(self):
+        x = np.zeros(200_000, dtype=np.int64)
+        x[-1] = 1
+        header, payload = rangecoder.encode(x)
+        assert rangecoder.parse_header(header)[1].tolist() == [rangecoder.TOTAL - 1, 1]
+        assert np.array_equal(rangecoder.decode(header, payload, x.size), x)
+
+    def test_forged_count_is_refused_before_decoding(self):
+        header, payload = rangecoder.encode(np.random.default_rng(0).integers(-98, 99, 2000))
+        start = time.perf_counter()
+        with pytest.raises(FormatError, match="exceeds what"):
+            rangecoder.decode(header, payload, 2**40)
+        assert time.perf_counter() - start < 0.05
+
+    def test_count_bound_is_payload_bits_over_the_cheapest_token(self):
+        # A 16,000/384 model: each token costs at least log2(TOTAL / 16,000)
+        # bits, and 5 payload bytes give 16 + 8 bits plus one bit of slack.
+        header = symtable.write(rangecoder.ENTRY, np.array([0, 1]), np.array([16_000, 384]))
+        limit = math.floor(25 / math.log2(rangecoder.TOTAL / 16_000))
+        with pytest.raises(TruncatedStreamError):
+            rangecoder.decode(header, bytes(5), limit)
+        with pytest.raises(FormatError, match="exceeds what 5 payload bytes"):
+            rangecoder.decode(header, bytes(5), limit + 1)
+
+    def test_single_symbol_model_costs_no_payload_bits(self):
+        header, payload = rangecoder.encode([7] * 100_000)
+        assert len(payload) == 4
+        assert rangecoder.decode(header, payload, 100_000).tolist() == [7] * 100_000
+
 
 class TestLzss:
     def test_zero_run_size_from_token_arithmetic(self):

@@ -7,7 +7,9 @@ registry, once, and checks the round trip. The transform benchmarks run
 rle0 on that series' deltas and QuaRs on the rle0 tokens. The bitpack
 kernel benchmarks pack the zigzagged deltas of one 50,000-sample series of
 each synthetic case, quantized to 16 bits as the columns of the
-wide-bitpack workload are; their block widths span 4-17 bits. A plain
+wide-bitpack workload are; their block widths span 4-17 bits. The
+generator benchmark builds the 100,000-sample ``switching`` series and
+checks it against the segment-at-a-time oracle. A plain
 pytest run uses them as round-trip tests; ``pytest
 tests/test_decode_bench.py --benchmark-only`` prints the per-layer encode
 and decode times.
@@ -16,6 +18,7 @@ and decode times.
 import numpy as np
 import pytest
 
+import oracles
 from tscodec import SynthSpec, TransformChain
 from tscodec.backends import serialize_series
 from tscodec.coders import INTERNAL_CODER_NAMES, bitpack, get_coder
@@ -131,3 +134,10 @@ def test_bitpack_kernel_decode(benchmark, column_deltas):
     benchmark.group = "bitpack kernel decode"
     out = benchmark.pedantic(bitpack.decode, args=(data, column_deltas.size), rounds=1, iterations=1)
     assert np.array_equal(out, column_deltas)
+
+
+def test_switching_generate(benchmark):
+    spec = SynthSpec(case="switching", n=100_000, seed=0)
+    benchmark.group = "synth"
+    series = benchmark.pedantic(generate, args=(spec,), rounds=1, iterations=1)
+    assert np.array_equal(series.samples, oracles.synth_switching(spec))
