@@ -48,12 +48,11 @@ from .synth import SynthSpec, generate, suite
 from .harness import (
     AblationRow,
     BenchRecord,
+    Unavailable,
     ablation_rows,
     emit_report,
-    parse_report_json,
     run_job,
     run_matrix,
-    synthetic_matrix,
 )
 
 __all__ = [
@@ -68,6 +67,7 @@ __all__ = [
     "SynthSpec",
     "TimeSeries",
     "TransformChain",
+    "Unavailable",
     "aad",
     "ablation_rows",
     "availability_report",
@@ -86,7 +86,6 @@ __all__ = [
     "entropy_bits",
     "generate",
     "load_csv",
-    "parse_report_json",
     "quantize_column",
     "quars_decode",
     "quars_encode",
@@ -98,7 +97,6 @@ __all__ = [
     "serialize_series",
     "size_metrics",
     "suite",
-    "synthetic_matrix",
     "unzigzag",
     "zigzag",
 ]

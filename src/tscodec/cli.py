@@ -22,6 +22,7 @@ from .core import size_metrics, source_bytes
 from .errors import BackendUnavailableError, TscodecError
 from .harness import (
     ABLATION_CHAINS,
+    DEFAULT_REPETITIONS,
     AblationRow,
     _csv_table,
     ablation_markdown,
@@ -31,7 +32,7 @@ from .harness import (
 )
 from .ingest import load_csv, write_csv
 from .synth import CASES, SynthSpec, generate
-from .transforms import TransformChain
+from .transforms import DEFAULT_QUARS_BINS, TransformChain
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -115,6 +116,12 @@ def _cmd_stats(args) -> int:
     return EXIT_OK
 
 
+def _add_dataset(datasets: dict, key: str, series) -> None:
+    if key in datasets:
+        raise UsageError(f"dataset {key!r} is selected twice")
+    datasets[key] = series
+
+
 def _load_datasets(args) -> dict:
     datasets = {}
     if args.cases:
@@ -122,12 +129,12 @@ def _load_datasets(args) -> dict:
         for case in names:
             if case not in CASES:
                 raise UsageError(f"unknown case {case!r}; expected one of {', '.join(CASES)}")
-            datasets[case] = generate(SynthSpec(case=case, n=args.n, seed=args.seed))
+            _add_dataset(datasets, case, generate(SynthSpec(case=case, n=args.n, seed=args.seed)))
     for path in args.inputs or []:
         ds = load_csv(path)
         for ch in ds.channels:
             key = f"{ds.name}[{ch.channel_id}]" if len(ds.channels) > 1 else ds.name
-            datasets[key] = ch
+            _add_dataset(datasets, key, ch)
     if not datasets:
         raise UsageError("no datasets selected; use --cases and/or input files")
     return datasets
@@ -190,23 +197,34 @@ def _cmd_bench(args) -> int:
             name, _, values = (p.strip() for p in part.partition("="))
             if name not in coders:
                 raise UsageError(f"--levels: {name!r} is not a selected coder")
+            if name in levels:
+                raise UsageError(f"--levels: coder {name!r} is given twice")
             if not _takes_level(name):
                 raise UsageError(f"--levels: coder {name!r} takes no level")
             try:
                 levels[name] = [int(v) for v in values.split(",")]
             except ValueError:
                 raise UsageError(f"--levels: {part!r} is not name=<int>[,<int>...]") from None
-    result = run_matrix(
-        datasets,
-        chains,
-        coders,
-        levels=levels,
-        repetitions=args.repetitions,
-        seed=args.seed,
-    )
-    fmt = {"csv": "csv", "markdown": "markdown-table", "json": "json-plotdata"}[args.format]
-    if result.records:  # every cell yields a record or a failure
-        payload = emit_report(result.records, fmt, ablations=result.ablations, metadata=result.metadata)
+    try:
+        result = run_matrix(
+            datasets,
+            chains,
+            coders,
+            levels=levels,
+            repetitions=args.repetitions,
+            seed=args.seed,
+        )
+    except ValueError as exc:  # repetitions < 1, rejected before any cell runs
+        raise UsageError(str(exc)) from None
+    # Every cell yields a record, an unavailable entry or a failure.
+    if result.records or result.unavailable:
+        payload = emit_report(
+            result.records,
+            args.format,
+            result.unavailable,
+            ablations=result.ablations,
+            metadata=result.metadata,
+        )
         if args.output:
             Path(args.output).write_bytes(payload)
             print(f"wrote {len(result.records)} records to {args.output}")
@@ -227,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transforms", default="none", help="comma list from delta,rle0,quars")
     p.add_argument("--coder", default="huffman", choices=sorted(CODERS))
     p.add_argument("--level", type=int, default=None, help="backend level override")
-    p.add_argument("--quars-bins", type=int, default=256)
+    p.add_argument("--quars-bins", type=int, default=DEFAULT_QUARS_BINS)
     p.add_argument("--columns", default=None, help="comma list of column indexes or names")
     p.add_argument("--missing", default="drop", choices=["drop", "error"])
     p.set_defaults(fn=_cmd_compress)
@@ -249,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="cardinality/AAD/entropy of CSV channels")
     p.add_argument("input")
     p.add_argument("--transforms", default="none")
-    p.add_argument("--quars-bins", type=int, default=256)
+    p.add_argument("--quars-bins", type=int, default=DEFAULT_QUARS_BINS)
     p.add_argument("--missing", default="drop", choices=["drop", "error"])
     p.set_defaults(fn=_cmd_stats)
 
@@ -265,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run a chain x coder benchmark matrix")
     p.add_argument("--cases", default=None, help='"all" or comma list of synthetic cases')
-    p.add_argument("--synthetic", action="store_true", help="shorthand for --cases all")
     p.add_argument("--n", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
@@ -276,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chains", default="all", help='"all" or ";"-separated chain labels')
     p.add_argument("--coders", default="all-internal", help='"all-internal", "all", or comma list')
     p.add_argument("--levels", default=None, help='e.g. "zstd=1,19;brotli=2,10"')
-    p.add_argument("--repetitions", type=int, default=3)
+    p.add_argument("--repetitions", type=int, default=DEFAULT_REPETITIONS)
     p.add_argument("--format", default="csv", choices=["csv", "markdown", "json"])
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=_cmd_bench)
@@ -287,8 +304,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "synthetic", False) and not args.cases:
-            args.cases = "all"
         if hasattr(args, "inputs") and args.inputs:
             data_dir = os.environ.get("TSCODEC_DATA_DIR")
             resolved = []

@@ -1,10 +1,11 @@
 """Benchmark and ablation harness.
 
 Runs (dataset x transform chain x coder/backend) matrices, verifies every
-round trip, and aggregates records into csv / markdown / json reports. A
-record only enters a report if its decompressed output matched the input
-exactly; unavailable backends produce "n/a" cells instead of silently
-vanishing.
+round trip, and aggregates records into csv / markdown / json reports.
+Only :func:`run_job` builds a :class:`BenchRecord`, and only after the
+decompressed output matched the input exactly; a cell whose backend is not
+installed becomes an :class:`Unavailable` entry, shown as "n/a" instead of
+silently vanishing.
 
 Everything runs in one process, one cell after another. Encode timing
 (``speed_mb_s``) is one whole ``build_container``: transforms,
@@ -23,17 +24,15 @@ import io
 import json
 import time
 from collections.abc import Sequence
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
 from .version import __version__ as _version
 from .backends import availability_report
-from .coders.registry import INTERNAL_CODER_NAMES
 from .container import build_container, read_container
 from .core import TimeSeries, as_samples, compression_speed_mb_s, entropy_and_limit, size_metrics, source_bytes
 from .errors import BackendUnavailableError, TscodecError
-from .synth import suite
 from .transforms import TransformChain, chain_apply
 
 #: Chain axis used by the ablation tables, applied cumulatively.
@@ -58,9 +57,17 @@ class BenchRecord:
     decompress_seconds: float
     speed_mb_s: float
     decode_mb_s: float
-    roundtrip_ok: bool
-    status: str = "ok"  # "ok" or "n/a"
-    note: str = ""
+
+
+@dataclass(frozen=True)
+class Unavailable:
+    """A matrix cell whose backend is not installed: reported as n/a."""
+
+    dataset: str
+    chain: str
+    coder: str
+    level: int | None
+    note: str
 
 
 @dataclass(frozen=True)
@@ -77,8 +84,14 @@ class AblationRow:
 class MatrixResult:
     records: list[BenchRecord]
     ablations: list[AblationRow]
-    failures: list[tuple[str, str]] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
+    unavailable: list[Unavailable]
+    failures: list[tuple[str, str]]
+    metadata: dict
+
+
+def _check_repetitions(repetitions: int) -> None:
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
 
 
 def _as_channels(data) -> list[TimeSeries]:
@@ -100,7 +113,9 @@ def run_job(
     """Compress, decompress, verify, and measure one cell.
 
     A round-trip mismatch raises; it never produces a record.
+    ``repetitions`` below 1 raises ValueError.
     """
+    _check_repetitions(repetitions)
     channels = _as_channels(data)
     original_bytes = source_bytes(channels)
 
@@ -108,7 +123,7 @@ def run_job(
     read_container(build_container(channels, chain, coder_name, level))
     best_enc = float("inf")
     best_dec = float("inf")
-    for _ in range(max(1, repetitions)):
+    for _ in range(repetitions):
         t0 = time.perf_counter()
         container = build_container(channels, chain, coder_name, level)
         t1 = time.perf_counter()
@@ -143,29 +158,6 @@ def run_job(
         decompress_seconds=best_dec,
         speed_mb_s=compression_speed_mb_s(original_bytes, best_enc),
         decode_mb_s=compression_speed_mb_s(original_bytes, best_dec),
-        roundtrip_ok=True,
-    )
-
-
-def _na_record(dataset_name, chain, coder_name, level, note) -> BenchRecord:
-    return BenchRecord(
-        dataset=dataset_name,
-        chain=chain.label(),
-        coder=coder_name,
-        level=level,
-        original_bytes=0,
-        compressed_bytes=0,
-        payload_bytes=0,
-        header_bytes=0,
-        cr=float("nan"),
-        cs=float("nan"),
-        compress_seconds=float("nan"),
-        decompress_seconds=float("nan"),
-        speed_mb_s=float("nan"),
-        decode_mb_s=float("nan"),
-        roundtrip_ok=False,
-        status="n/a",
-        note=note,
     )
 
 
@@ -205,11 +197,14 @@ def run_matrix(
     ``levels`` optionally maps a coder/backend name to a list of levels to
     sweep; other coders run once with their default. Cells run one after
     another in this process, in axis order (dataset, chain, coder, level),
-    each timed by :func:`run_job`.
+    each timed by :func:`run_job`. An empty axis or ``repetitions`` below 1
+    raises ValueError before any cell runs.
     """
     if not datasets or not chains or not coders:
         raise ValueError("empty axis")
+    _check_repetitions(repetitions)
     records: list[BenchRecord] = []
+    unavailable: list[Unavailable] = []
     failures: list[tuple[str, str]] = []
     for name, series in datasets.items():
         for chain in chains:
@@ -220,7 +215,7 @@ def run_matrix(
                             run_job(series, chain, coder_name, level, repetitions, dataset_name=name)
                         )
                     except BackendUnavailableError as exc:
-                        records.append(_na_record(name, chain, coder_name, level, str(exc)))
+                        unavailable.append(Unavailable(name, chain.label(), coder_name, level, str(exc)))
                     except (TscodecError, ValueError) as exc:
                         failures.append((f"{name}/{chain.label()}/{coder_name}", str(exc)))
     ablations = ablation_rows(datasets, chains)
@@ -231,26 +226,7 @@ def run_matrix(
         "timer_resolution_s": time.get_clock_info("perf_counter").resolution,
         "backends": availability_report(),
     }
-    return MatrixResult(records=records, ablations=ablations, failures=failures, metadata=metadata)
-
-
-def synthetic_matrix(
-    n: int = 10000,
-    seed: int = 0,
-    coders: tuple[str, ...] = INTERNAL_CODER_NAMES,
-    repetitions: int = DEFAULT_REPETITIONS,
-    levels: dict[str, list[int]] | None = None,
-) -> MatrixResult:
-    """The standard suite: 4 synthetic cases x 4 chains x the given coders."""
-    chains = [TransformChain.parse(label) for label in ABLATION_CHAINS]
-    return run_matrix(
-        suite(n=n, seed=seed),
-        chains,
-        list(coders),
-        levels=levels,
-        repetitions=repetitions,
-        seed=seed,
-    )
+    return MatrixResult(records, ablations, unavailable, failures, metadata)
 
 
 def _csv_table(cls, rows) -> str:
@@ -262,118 +238,67 @@ def _csv_table(cls, rows) -> str:
     return buf.getvalue()
 
 
-def _reportable(records: list[BenchRecord]) -> list[BenchRecord]:
-    for r in records:
-        if r.status == "ok" and not r.roundtrip_ok:
-            raise TscodecError("record without verified round trip")
-    return [r for r in records if r.status == "ok"]
+def _md_row(cells) -> str:
+    return "| " + " | ".join(map(str, cells)) + " |"
 
 
 def emit_report(
     records: list[BenchRecord],
     fmt: str,
+    unavailable: Sequence[Unavailable] = (),
     ablations: list[AblationRow] | None = None,
     metadata: dict | None = None,
 ) -> bytes:
-    """Render records as csv, markdown-table, or json-plotdata.
+    """Render a report as ``csv``, ``markdown`` or ``json``.
 
+    The csv columns and the json ``records`` are the fields of
+    :class:`BenchRecord`; ``metadata`` is written as given. Unavailable
+    cells are n/a rows in markdown and ``na_cells`` in json; csv holds
+    verified records only. The json is strict (no NaN or Infinity).
     Negative scores are preserved in csv and json; only the markdown view
     clamps them to 0 for display.
     """
-    if not records:
+    if not records and not unavailable:
         raise ValueError("no records to report")
-    metadata = dict(metadata or {})
-    metadata.setdefault("tool_version", _version)
-    metadata.setdefault("backends", availability_report())
-    ok_records = _reportable(records)
-    na_records = [r for r in records if r.status != "ok"]
+    metadata = metadata or {}
 
     if fmt == "csv":
         comments = "".join(f"# {k}: {json.dumps(v, sort_keys=True)}\n" for k, v in metadata.items())
-        return (comments + _csv_table(BenchRecord, ok_records)).encode()
+        return (comments + _csv_table(BenchRecord, records)).encode()
 
-    if fmt == "markdown-table":
-        lines = []
+    if fmt == "markdown":
         meta_bits = ", ".join(f"{k}={v}" for k, v in sorted(metadata.items()) if k != "backends")
-        lines.append(f"Report ({meta_bits})")
-        lines.append("")
+        lines = [f"Report ({meta_bits})", ""]
         lines.append("| dataset | chain | coder | level | cs | speed MB/s | decode MB/s |")
         lines.append("|---|---|---|---|---|---|---|")
-        for r in ok_records:
-            cs = max(0.0, r.cs)  # expansion shown as 0
-            level = "" if r.level is None else str(r.level)
-            lines.append(
-                f"| {r.dataset} | {r.chain} | {r.coder} | {level} "
-                f"| {cs:.3f} | {r.speed_mb_s:.1f} | {r.decode_mb_s:.1f} |"
-            )
-        for r in na_records:
-            level = "" if r.level is None else str(r.level)
-            lines.append(f"| {r.dataset} | {r.chain} | {r.coder} | {level} | n/a | n/a | n/a |")
+        # Expansion (negative cs) is shown as 0.
+        rows = [(r, f"{max(0.0, r.cs):.3f}", f"{r.speed_mb_s:.1f}", f"{r.decode_mb_s:.1f}") for r in records]
+        rows += [(u, "n/a", "n/a", "n/a") for u in unavailable]
+        for cell, *scores in rows:
+            level = "" if cell.level is None else cell.level
+            lines.append(_md_row([cell.dataset, cell.chain, cell.coder, level, *scores]))
         lines.append("")
         return ("\n".join(lines)).encode()
 
-    if fmt == "json-plotdata":
-        score_speed = [
-            {
-                "dataset": r.dataset,
-                "method": r.coder if r.level is None else f"{r.coder}-{r.level}",
-                "chain": r.chain,
-                "cs": r.cs,
-                "speed_mb_s": r.speed_mb_s,
-                "decode_mb_s": r.decode_mb_s,
-            }
-            for r in ok_records
-        ]
-        lines_by_case: dict = {}
-        for r in ok_records:
-            lines_by_case.setdefault(r.dataset, {}).setdefault(r.coder, []).append(
-                {"chain": r.chain, "cs": r.cs}
-            )
+    if fmt == "json":
         doc = {
             "metadata": metadata,
-            "records": [asdict(r) for r in ok_records],
-            "na_cells": [asdict(r) for r in na_records],
-            "plots": {
-                "score_speed": score_speed,
-                "score_vs_chain": lines_by_case,
-            },
+            "records": [asdict(r) for r in records],
+            "na_cells": [asdict(u) for u in unavailable],
         }
         if ablations is not None:
             doc["ablation"] = [asdict(a) for a in ablations]
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=True).encode()
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False).encode()
 
     raise ValueError(f"unknown report format {fmt!r}")
 
 
-def parse_report_json(data: bytes) -> dict:
-    """Inverse of the json-plotdata writer, with shape validation."""
-    doc = json.loads(data)
-    for key in ("metadata", "records", "plots"):
-        if key not in doc:
-            raise ValueError(f"not a report document: missing {key!r}")
-    for key in ("score_speed", "score_vs_chain"):
-        if key not in doc["plots"]:
-            raise ValueError(f"not a report document: missing plot {key!r}")
-    return doc
-
-
 def ablation_markdown(rows: list[AblationRow]) -> str:
     """Ablation rows as a markdown table, one dataset row per chain column."""
-    datasets = []
-    for row in rows:
-        if row.dataset not in datasets:
-            datasets.append(row.dataset)
     by_key = {(r.dataset, r.chain): r for r in rows}
-    chains = []
-    for row in rows:
-        if row.chain not in chains:
-            chains.append(row.chain)
-    lines = ["| case | " + " | ".join(chains) + " |"]
-    lines.append("|---" * (len(chains) + 1) + "|")
-    for ds in datasets:
-        cells = []
-        for ch in chains:
-            r = by_key.get((ds, ch))
-            cells.append("" if r is None else f"{r.cardinality} / {r.aad:.1f}")
-        lines.append(f"| {ds} | " + " | ".join(cells) + " |")
+    chains = list(dict.fromkeys(r.chain for r in rows))
+    lines = [_md_row(["case", *chains]), "|---" * (len(chains) + 1) + "|"]
+    for ds in dict.fromkeys(r.dataset for r in rows):
+        cells = [by_key.get((ds, ch)) for ch in chains]
+        lines.append(_md_row([ds, *("" if r is None else f"{r.cardinality} / {r.aad:.1f}" for r in cells)]))
     return "\n".join(lines) + "\n"

@@ -18,6 +18,19 @@ def run(argv):
     return main(argv)
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def _missing_backend():
+    from tscodec.backends import is_available
+
+    missing = [b for b in ("sprintz", "zstd", "brotli") if not is_available(b)]
+    if not missing:
+        pytest.skip("all probed backends installed")
+    return missing[0]
+
+
 class TestCompressDecompress:
     def test_roundtrip_to_quantized_integers(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
@@ -219,7 +232,7 @@ class TestBenchCommand:
     def test_synthetic_json_has_96_records(self, tmp_path):
         out = tmp_path / "report.json"
         code = run([
-            "bench", "--synthetic", "--n", "1200", "--coders", "all-internal",
+            "bench", "--cases", "all", "--n", "1200", "--coders", "all-internal",
             "--repetitions", "1", "--format", "json", "-o", str(out),
         ])
         assert code == EXIT_OK
@@ -286,3 +299,53 @@ class TestBenchCommand:
     def test_no_datasets_is_usage_error(self, capsys):
         code = run(["bench", "--coders", "drh"])
         assert code == EXIT_USAGE
+
+    def test_files_with_the_same_name_are_a_usage_error(self, tmp_path, capsys):
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "x.csv").write_text("1\n2\n3\n")
+        code = run(["bench", str(tmp_path / "a" / "x.csv"), str(tmp_path / "b" / "x.csv"),
+                    "--coders", "drh", "--chains", "none", "--repetitions", "1"])
+        assert code == EXIT_USAGE
+        assert "'x' is selected twice" in capsys.readouterr().err
+
+    def test_a_file_named_like_a_case_is_a_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "sine.csv"
+        src.write_text("1\n2\n3\n")
+        code = run(["bench", "--cases", "sine", str(src), "--n", "300",
+                    "--coders", "drh", "--chains", "none", "--repetitions", "1"])
+        assert code == EXIT_USAGE
+        assert "'sine' is selected twice" in capsys.readouterr().err
+
+    def test_levels_naming_a_coder_twice_are_a_usage_error(self, capsys):
+        code = run([
+            "bench", "--cases", "sine", "--n", "300", "--coders", "deflate", "--chains", "none",
+            "--repetitions", "1", "--levels", "deflate=1;deflate=9",
+        ])
+        assert code == EXIT_USAGE
+        assert "--levels: coder 'deflate' is given twice" in capsys.readouterr().err
+
+    def test_zero_repetitions_is_a_usage_error(self, capsys):
+        code = run(["bench", "--cases", "sine", "--n", "300", "--coders", "drh",
+                    "--chains", "none", "--repetitions", "0"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "repetitions must be >= 1" in captured.err
+        assert captured.out == ""
+
+    def test_json_with_an_unavailable_backend_is_strict_json(self, capsys):
+        missing = _missing_backend()
+        code = run(["bench", "--cases", "sine", "--n", "300", "--coders", f"huffman,{missing}",
+                    "--chains", "none", "--repetitions", "1", "--format", "json"])
+        assert code == EXIT_OK
+        doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert [r["coder"] for r in doc["records"]] == ["huffman"]
+        assert [c["coder"] for c in doc["na_cells"]] == [missing]
+
+    def test_only_unavailable_backends_print_the_na_rows(self, capsys):
+        missing = _missing_backend()
+        code = run(["bench", "--cases", "sine", "--n", "300", "--coders", missing,
+                    "--chains", "none", "--repetitions", "1", "--format", "markdown"])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert f"| sine | none | {missing} |  | n/a | n/a | n/a |" in out.splitlines()

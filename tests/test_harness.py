@@ -12,17 +12,31 @@ from tscodec.core import TimeSeries, entropy_and_limit
 from tscodec.errors import TscodecError
 from tscodec.harness import (
     ABLATION_CHAINS,
+    Unavailable,
     ablation_markdown,
     ablation_rows,
     emit_report,
-    parse_report_json,
     run_job,
     run_matrix,
-    synthetic_matrix,
 )
 from tscodec.ingest import Dataset
 from tscodec.synth import SynthSpec, generate, suite
 from tscodec.transforms import TransformChain, chain_apply
+
+CHAINS = [TransformChain.parse(label) for label in ABLATION_CHAINS]
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def _missing_backend():
+    from tscodec.backends import is_available
+
+    missing = [b for b in ("sprintz", "zstd", "brotli") if not is_available(b)]
+    if not missing:
+        pytest.skip("all probed backends installed")
+    return missing[0]
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +50,6 @@ class TestRunJob:
         rec = run_job(series, TransformChain(("delta", "rle0")), "expgolomb", dataset_name="const")
         # Token stream collapses to (500, 0, 999): a few bytes of payload.
         assert rec.cs > 0.9
-        assert rec.roundtrip_ok
         assert rec.payload_bytes <= 8
 
     def test_noise_huffman_tracks_shannon_limit(self, small_suite):
@@ -137,9 +150,15 @@ class TestRunJob:
         lines = [l for l in emit_report([rec], "csv").decode().splitlines() if not l.startswith("#")]
         row = next(csv.DictReader(lines))
         assert float(row["decode_mb_s"]) == pytest.approx(rec.decode_mb_s)
-        assert "| decode MB/s |" in emit_report([rec], "markdown-table").decode()
-        doc = parse_report_json(emit_report([rec], "json-plotdata"))
-        assert doc["plots"]["score_speed"][0]["decode_mb_s"] == pytest.approx(rec.decode_mb_s)
+        assert "| decode MB/s |" in emit_report([rec], "markdown").decode()
+        doc = json.loads(emit_report([rec], "json"))
+        assert doc["records"][0]["decode_mb_s"] == pytest.approx(rec.decode_mb_s)
+
+    def test_fewer_than_one_repetition_is_rejected(self, small_suite):
+        with pytest.raises(ValueError, match="repetitions must be >= 1"):
+            run_job(small_suite["sine"], TransformChain(()), "drh", repetitions=0)
+        with pytest.raises(ValueError, match="repetitions must be >= 1"):
+            run_matrix(small_suite, [TransformChain(())], ["drh"], repetitions=0)
 
 
 class TestRunMatrix:
@@ -152,33 +171,30 @@ class TestRunMatrix:
             run_matrix(small_suite, [TransformChain(())], [])
 
     def test_full_synthetic_matrix_shape(self):
-        result = synthetic_matrix(n=1500, seed=0, repetitions=1)
+        result = run_matrix(suite(1500, 0), CHAINS, list(INTERNAL_CODER_NAMES), repetitions=1)
         assert len(result.records) == 4 * 4 * 6
-        assert all(r.roundtrip_ok for r in result.records)
+        assert not result.unavailable
         assert not result.failures
         # 4 cases x 4 cumulative chains
         assert len(result.ablations) == 16
 
     def test_matrix_deterministic_scores(self):
-        a = synthetic_matrix(n=1200, seed=5, repetitions=1)
-        b = synthetic_matrix(n=1200, seed=5, repetitions=1)
+        a = run_matrix(suite(1200, 5), CHAINS, list(INTERNAL_CODER_NAMES), repetitions=1)
+        b = run_matrix(suite(1200, 5), CHAINS, list(INTERNAL_CODER_NAMES), repetitions=1)
         key = lambda r: (r.dataset, r.chain, r.coder)
         assert [key(r) for r in a.records] == [key(r) for r in b.records]
         assert [r.cs for r in a.records] == [r.cs for r in b.records]
 
     def test_unavailable_backend_becomes_na_cell(self, small_suite):
-        from tscodec.backends import is_available
-
-        missing = [b for b in ("sprintz", "zstd", "brotli") if not is_available(b)]
-        if not missing:
-            pytest.skip("all probed backends installed")
+        missing = _missing_backend()
         result = run_matrix(
-            {"sine": small_suite["sine"]}, [TransformChain(())], ["drh", missing[0]]
+            {"sine": small_suite["sine"]}, [TransformChain(())], ["drh", missing]
         )
-        by_coder = {r.coder: r for r in result.records}
-        assert by_coder[missing[0]].status == "n/a"
-        assert not by_coder[missing[0]].roundtrip_ok
-        assert by_coder["drh"].status == "ok"
+        assert [r.coder for r in result.records] == ["drh"]
+        [cell] = result.unavailable
+        assert (cell.dataset, cell.chain, cell.coder, cell.level) == ("sine", "none", missing, None)
+        assert missing in cell.note
+        assert not result.failures
 
     def test_level_sweep(self, small_suite):
         result = run_matrix(
@@ -290,21 +306,20 @@ class TestReports:
         rng = np.random.default_rng(0)
         noisy = TimeSeries(samples=rng.integers(-32768, 32768, 400))
         rec = run_job(noisy, TransformChain(()), "huffman", dataset_name="hostile")
-        text = emit_report([rec], "markdown-table").decode()
+        text = emit_report([rec], "markdown").decode()
         assert "| 0.000 |" in text
 
     def test_json_roundtrip(self, records):
         payload = emit_report(
-            records.records, "json-plotdata", ablations=records.ablations, metadata=records.metadata
+            records.records, "json", ablations=records.ablations, metadata=records.metadata
         )
-        doc = parse_report_json(payload)
-        assert len(doc["records"]) == len(records.records)
-        assert doc["plots"]["score_speed"]
-        assert doc["plots"]["score_vs_chain"]["sine"]
+        doc = json.loads(payload, parse_constant=_reject_constant)
+        assert set(doc) == {"metadata", "records", "na_cells", "ablation"}
+        assert doc["records"] == [dataclasses.asdict(r) for r in records.records]
+        assert doc["ablation"] == [dataclasses.asdict(a) for a in records.ablations]
+        assert doc["na_cells"] == []
+        assert doc["metadata"] == json.loads(json.dumps(records.metadata))
         assert doc["metadata"]["repetitions"] == 1
-        # parse(emit(parse(emit))) is stable
-        again = parse_report_json(json.dumps(doc).encode())
-        assert again == doc
 
     def test_unknown_format_errors(self, records):
         with pytest.raises(ValueError, match="unknown report format"):
@@ -315,10 +330,21 @@ class TestReports:
             emit_report([], "csv")
 
     def test_na_cells_never_enter_tables(self, records):
-        from tscodec.harness import _na_record
-
-        na = _na_record("sine", TransformChain(()), "zstd", None, "missing")
-        text = emit_report(records.records + [na], "csv").decode()
+        na = Unavailable("sine", "none", "zstd", None, "missing")
+        text = emit_report(records.records, "csv", [na]).decode()
         assert "zstd" not in [l.split(",")[2] for l in text.splitlines() if not l.startswith("#")][1:]
-        doc = parse_report_json(emit_report(records.records + [na], "json-plotdata"))
-        assert len(doc["na_cells"]) == 1
+        doc = json.loads(emit_report(records.records, "json", [na]), parse_constant=_reject_constant)
+        assert doc["na_cells"] == [dataclasses.asdict(na)]
+        assert len(doc["records"]) == len(records.records)
+        text = emit_report(records.records, "markdown", [na]).decode()
+        assert "| sine | none | zstd |  | n/a | n/a | n/a |" in text.splitlines()
+
+    def test_unavailable_cells_alone_make_a_report(self):
+        na = Unavailable("sine", "none", "zstd", 3, "missing")
+        assert "| sine | none | zstd | 3 | n/a | n/a | n/a |" in emit_report([], "markdown", [na]).decode()
+        assert json.loads(emit_report([], "json", [na]))["records"] == []
+
+    def test_report_without_metadata_writes_none(self, records):
+        text = emit_report(records.records, "csv").decode()
+        assert not [l for l in text.splitlines() if l.startswith("#")]
+        assert json.loads(emit_report(records.records, "json"))["metadata"] == {}
