@@ -13,12 +13,16 @@ whole bytes, so no per-bit array is ever built.
 
 Prefix codes decode chunk by chunk (``decode_chunks``). For every bit
 position of a chunk of ``CHUNK_BITS`` positions, a coder computes with
-numpy where a codeword starting at that position would end. A tight walk
-over those next-start offsets, from the current stream position, picks the
-true codeword starts, and one gather decodes them. Each chunk sees
-``LOOKAHEAD_BITS`` past its last position, enough for the longest codeword
-and a 64-bit field window, so per-position arrays are sized by the chunk,
-not the payload: working memory stays a few MB at any payload size.
+numpy how many bits a codeword starting there would spend, mostly by one
+table lookup on the ``PEEK_BITS`` bits at that position (``peek_bits``).
+The true codeword starts are then found by pointer jumping (Wyllie's list
+ranking): the next-start table is squared ``JUMP_ROUNDS`` times, Python
+walks only every 2^JUMP_ROUNDS-th start, and 2^JUMP_ROUNDS - 1 gathers of
+the table on those starts recover the ones between. One gather then
+decodes the codewords at the starts. Each chunk sees ``LOOKAHEAD_BITS`` past its last position,
+enough for the longest codeword and a 64-bit field window, so
+per-position arrays are sized by the chunk, not the payload: working
+memory stays a few MB at any payload size.
 """
 
 from __future__ import annotations
@@ -32,11 +36,23 @@ from ..errors import FormatError, TruncatedStreamError
 
 CHUNK_BITS = 1 << 16
 LOOKAHEAD_BITS = 128
+PEEK_BITS = 12
+JUMP_ROUNDS = 3
 _SEGMENT_BITS = CHUNK_BITS + LOOKAHEAD_BITS
 # A segment carries 16 bytes past its last bit and the buffer 32 bytes past
 # the payload, so every 64-bit window a decoder reads lies inside it.
 _SEGMENT_BYTES = _SEGMENT_BITS // 8 + 16
 _PAD_BYTES = 32
+# The PEEK_BITS bits at bit offset o of a byte are the top 32 bits of its
+# 64-bit word >> (32 - PEEK_BITS - o).
+_PEEK_SHIFTS = np.arange(32 - PEEK_BITS, 24 - PEEK_BITS, -1, dtype=np.uint32)
+_PEEK_MASK = np.uint32((1 << PEEK_BITS) - 1)
+# Leading zeros of each PEEK_BITS-bit value (PEEK_BITS for zero); read
+# backwards, leading ones.
+_ZERO_RUN = (PEEK_BITS - np.frexp(np.arange(1 << PEEK_BITS, dtype=np.float64))[1]).astype(np.int8)
+# Bits read where a prefix runs past the peek: any allowed prefix, then its
+# stop bit, fits in them.
+_LONG_PREFIX_BITS = 57
 
 
 @dataclass(frozen=True)
@@ -118,13 +134,56 @@ def read_fields(words: np.ndarray, start: np.ndarray, nbits: np.ndarray) -> np.n
     return (window >> (np.uint64(64) - offset - n)) & ((np.uint64(1) << n) - np.uint64(1))
 
 
-# step(seg, limit, avail) -> (ends, finish). ``seg`` holds the chunk's bytes
-# from a byte-aligned base bit; ``avail`` is the number of stream bits from
-# there. ``ends[j]``, for j < limit, is where a codeword starting at bit j
-# ends, which is also where the next one starts; a position holding no valid
-# codeword must point at or past ``limit``. ``finish(starts)`` validates the
-# codewords at those starts and returns their values.
+def peek_bits(words: np.ndarray, limit: int) -> np.ndarray:
+    """The ``PEEK_BITS`` bits starting at each of bit positions 0 .. limit-1.
+
+    ``words`` comes from ``byte_windows``; the result is uint32.
+    """
+    # One row of 8 copies of each byte's top 32 bits, shifted in place.
+    top = (words[: (limit + 7) >> 3] >> np.uint64(32)).astype(np.uint32)
+    peek = np.repeat(top, 8).reshape(top.size, 8)
+    peek >>= _PEEK_SHIFTS
+    peek &= _PEEK_MASK
+    return peek.ravel()[:limit]
+
+
+# step(seg, limit, avail) -> (lengths, finish). ``seg`` holds the chunk's
+# bytes from a byte-aligned base bit; ``avail`` is the number of stream bits
+# from there. ``lengths[j]`` >= 1, for j < limit, is the number of bits a
+# codeword starting at bit j spends, so the next one starts at j +
+# lengths[j]. ``finish(starts)`` validates the codewords at those starts,
+# including positions that hold no valid codeword, and returns their values.
 Step = Callable[[np.ndarray, int, int], tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]
+
+
+def _codeword_starts(lengths: np.ndarray, first: int, limit: int) -> np.ndarray:
+    """Starts below ``limit`` of the codewords following each other from ``first``.
+
+    ``hop[j]`` is the next start after j, clipped to ``limit``, which maps to
+    itself. Squaring ``hop`` JUMP_ROUNDS times gives the start 2^JUMP_ROUNDS
+    codewords on, so Python walks only every 2^JUMP_ROUNDS-th start; ``hop``
+    gathers on those lanes give the starts between. Once a lane reaches
+    ``limit`` it stays there, so the starts come out sorted.
+    """
+    hop = np.arange(limit + 1, dtype=np.int32)
+    hop[:limit] += lengths
+    np.minimum(hop, limit, out=hop)
+    far = hop
+    for _ in range(JUMP_ROUNDS):
+        far = far.take(far)
+    jumps = memoryview(far)
+    lane = []
+    append = lane.append
+    p = first
+    while p < limit:
+        append(p)
+        p = jumps[p]
+    lanes = np.empty((1 << JUMP_ROUNDS, len(lane)), dtype=np.int32)
+    lanes[0] = lane
+    for r in range(1, 1 << JUMP_ROUNDS):
+        hop.take(lanes[r - 1], out=lanes[r])
+    starts = lanes.T.ravel()
+    return starts[: np.searchsorted(starts, limit)].astype(np.intp)
 
 
 def decode_chunks(stream: BitStream | bytes, count: int, step: Step) -> np.ndarray:
@@ -146,19 +205,12 @@ def decode_chunks(stream: BitStream | bytes, count: int, step: Step) -> np.ndarr
         base = pos & ~7
         avail = nbits - base
         limit = min(avail, CHUNK_BITS)
-        ends, finish = step(buf[base >> 3 : (base >> 3) + _SEGMENT_BYTES], limit, avail)
-        hops = memoryview(ends)
-        starts = []
-        append = starts.append
-        p = pos - base
-        while p < limit:
-            append(p)
-            p = hops[p]
-        del starts[count - done :]
-        at = np.array(starts, dtype=np.int64)
-        out[done : done + at.size] = finish(at)
-        done += at.size
-        pos = base + hops[starts[-1]]
+        lengths, finish = step(buf[base >> 3 : (base >> 3) + _SEGMENT_BYTES], limit, avail)
+        starts = _codeword_starts(lengths, pos - base, limit)[: count - done]
+        out[done : done + starts.size] = finish(starts)
+        done += starts.size
+        last = int(starts[-1])
+        pos = base + last + int(lengths[last])
     return out
 
 
@@ -174,28 +226,31 @@ def decode_prefix_codes(
     The prefix bits are the complement of ``stop_bit``, so a codeword spends
     2k+1 bits. ``value(k, suffix)`` maps each codeword's prefix length and
     suffix (uint64) to its decoded value. A prefix longer than
-    ``max_prefix`` raises ``FormatError``.
+    ``max_prefix`` (at most 56) raises ``FormatError``.
+
+    The prefix length at each position is one lookup of its ``PEEK_BITS``
+    bits; only where all of them are prefix bits is a 57-bit field read.
+    A prefix of 57 bits or more is recorded as 57.
     """
+    run = _ZERO_RUN if stop_bit else _ZERO_RUN[::-1]
+    flip = np.uint64(0 if stop_bit else (1 << _LONG_PREFIX_BITS) - 1)
 
     def step(seg: np.ndarray, limit: int, avail: int):
-        width = min(avail, _SEGMENT_BITS)
-        bits = np.unpackbits(seg, count=width)
-        at = np.arange(width, dtype=np.int64)
-        # Index of the next stop bit at or after each position (``width``
-        # where none follows inside the segment).
-        stop = np.minimum.accumulate(np.where(bits == stop_bit, at, width)[::-1])[::-1][:limit]
-        ends = 2 * stop + 1 - at[:limit]
         words = byte_windows(seg)
+        k = run.take(peek_bits(words, limit))
+        longer = np.flatnonzero(k == PEEK_BITS)
+        if longer.size:
+            field = read_fields(words, longer, np.uint64(_LONG_PREFIX_BITS)) ^ flip
+            k[longer] = _LONG_PREFIX_BITS - bit_length_u64(field)
 
         def finish(starts: np.ndarray) -> np.ndarray:
-            if int(ends[starts].max()) > avail:
+            ks = k[starts].astype(np.int64)
+            if int((starts + 2 * ks).max()) >= avail:
                 raise TruncatedStreamError("truncated stream")
-            q = stop[starts]
-            k = q - starts
-            if int(k.max()) > max_prefix:
+            if int(ks.max()) > max_prefix:
                 raise FormatError(f"codeword prefix longer than {max_prefix} bits")
-            return value(k, read_fields(words, q + 1, k))
+            return value(ks, read_fields(words, starts + ks + 1, ks))
 
-        return ends, finish
+        return 2 * k + 1, finish
 
     return decode_chunks(stream, count, step)

@@ -12,12 +12,13 @@ high-cardinality data.
 
 Decoding is table-driven, as in zlib's inflate and zstd's Huff0, and runs
 chunk by chunk through ``bitio.decode_chunks``. For every bit position of a
-chunk, a primary table of at most ``TABLE_BITS`` bits, indexed by the bits
-at that position, gives the code length and symbol; positions that start a
+chunk, a primary table of at most ``bitio.PEEK_BITS`` bits, indexed by the
+bits at that position, gives the code length; positions that start a
 longer code are resolved by a ``searchsorted`` over the left-justified
-canonical codes. A walk over the resulting next-start offsets then picks
-the true codeword starts. The tables are built per call from the header;
-working memory is bounded by ``bitio.CHUNK_BITS``, not by the payload.
+canonical codes. ``decode_chunks`` finds the true codeword starts from those
+lengths, and only there is the symbol looked up. The tables are built per
+call from the header; working memory is bounded by ``bitio.CHUNK_BITS``,
+not by the payload.
 """
 
 from __future__ import annotations
@@ -27,16 +28,14 @@ import numpy as np
 from ..core import as_samples, token_histogram
 from ..errors import FormatError, TruncatedStreamError
 from . import symtable
-from .bitio import BitStream, byte_windows, decode_chunks, pack_codes
+from .bitio import PEEK_BITS, BitStream, byte_windows, decode_chunks, pack_codes, peek_bits, read_fields
 
 MAX_CODE_LENGTH = 32
 ENTRY = symtable.entry("u1")
-TABLE_BITS = 12
-# Code length recorded for a position where no codeword matches; the walk
-# steps past the chunk from there.
-_INVALID = 1 << 30
-# A 32-bit window at bit offset o of a byte is its 64-bit word >> (32 - o).
-_WINDOW_SHIFTS = np.arange(32, 24, -1, dtype=np.uint64)
+# Code length recorded for a position where no codeword matches: that
+# shows only after MAX_CODE_LENGTH + 1 bits.
+_INVALID = MAX_CODE_LENGTH + 1
+_WINDOW_BITS = np.uint64(MAX_CODE_LENGTH)
 
 
 def code_lengths_from_counts(counts: np.ndarray) -> np.ndarray:
@@ -139,39 +138,40 @@ def decode(header: bytes, payload: BitStream | bytes, count: int) -> np.ndarray:
     syms = symbols[order]
     lens = lengths[order]
     span, first = _left_justified(lens)
-    bits = min(TABLE_BITS, int(lens[-1]))
+    bits = min(PEEK_BITS, int(lens[-1]))
     short = np.flatnonzero(lens <= bits)
     reps = (span[short] >> np.uint64(MAX_CODE_LENGTH - bits)).astype(np.int64)
     filled = int(reps.sum())
-    table_len = np.zeros(1 << bits, dtype=np.int64)
+    table_len = np.zeros(1 << bits, dtype=np.int8)
     table_idx = np.zeros(1 << bits, dtype=np.int64)
     table_len[:filled] = np.repeat(lens[short], reps)
     table_idx[:filled] = np.repeat(short, reps)
 
     def step(seg: np.ndarray, limit: int, avail: int):
-        words = byte_windows(seg)[: (limit + 7) >> 3]
-        window = ((words[:, None] >> _WINDOW_SHIFTS) & np.uint64(0xFFFFFFFF)).ravel()[:limit]
-        primary = (window >> np.uint64(MAX_CODE_LENGTH - bits)).astype(np.intp)
-        ln = table_len[primary]
-        idx = table_idx[primary]
+        words = byte_windows(seg)
+        primary = peek_bits(words, limit)
+        if bits < PEEK_BITS:
+            primary >>= np.uint32(PEEK_BITS - bits)
+        ln = table_len.take(primary)
         longer = np.flatnonzero(ln == 0)
         if longer.size:
-            w = window[longer]
+            w = read_fields(words, longer, _WINDOW_BITS)
             i = np.searchsorted(first, w, side="right") - 1
             ln[longer] = np.where(w - first[i] < span[i], lens[i], _INVALID)
-            idx[longer] = i
-        ends = np.arange(limit) + ln
 
         def finish(starts: np.ndarray) -> np.ndarray:
             ln_s = ln[starts]
-            # A position matching no code still needs MAX_CODE_LENGTH + 1
-            # bits before that shows.
-            if int((starts + np.minimum(ln_s, MAX_CODE_LENGTH + 1)).max()) > avail:
+            if int((starts + ln_s).max()) > avail:
                 raise TruncatedStreamError("truncated stream")
             if int(ln_s.max()) == _INVALID:
                 raise FormatError("invalid codeword")
-            return syms[idx[starts]]
+            idx = table_idx.take(primary[starts])
+            long = np.flatnonzero(ln_s > bits)
+            if long.size:
+                w = read_fields(words, starts[long], _WINDOW_BITS)
+                idx[long] = np.searchsorted(first, w, side="right") - 1
+            return syms[idx]
 
-        return ends, finish
+        return ln, finish
 
     return decode_chunks(payload, count, step)

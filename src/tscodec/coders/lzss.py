@@ -28,6 +28,14 @@ match starts:
 
 The output is byte for byte that of a position-at-a-time encoder with a
 hash-chain dict, which ``tests/oracles.py`` keeps for differential tests.
+
+The decoder's Python loop runs once per flag group: the next group starts
+17 - popcount(flag byte) bytes on. numpy then gives every token its stream
+offset, length, distance and output start. Each output byte points at the
+byte its match copies, or at itself in a literal, and pointer jumping
+(Wyllie's list ranking) resolves every byte to a literal in log2(longest
+copy chain) rounds, so one gather builds the output. It returns and raises
+exactly what the token-at-a-time decoder in ``tests/oracles.py`` does.
 """
 
 from __future__ import annotations
@@ -40,6 +48,9 @@ WINDOW = 4096
 MIN_MATCH = 3
 MAX_MATCH = 18
 MAX_CHAIN = 64  # candidate positions examined per match search
+# Bytes from a group's flag byte to the next group's: the flag byte, 1 per
+# literal (flag bit 1) and 2 per match.
+_GROUP_BYTES = bytes(17 - bin(flags).count("1") for flags in range(256))
 
 
 def _links(buf: np.ndarray) -> tuple[list[int], list[int]]:
@@ -119,38 +130,58 @@ def compress(data: bytes) -> bytes:
 
 
 def decompress(data: bytes, expected_size: int | None = None) -> bytes:
-    out = bytearray()
-    pos = 0
+    """Decode tokens until the data ends, or until ``expected_size`` bytes.
+
+    A match cut short, or an output other than ``expected_size`` bytes,
+    raises ``TruncatedStreamError``; a match reaching before the start of
+    the output raises ``FormatError``.
+    """
     n = len(data)
-    while pos < n:
-        if expected_size is not None and len(out) >= expected_size:
-            break
-        flags = data[pos]
-        pos += 1
-        for t in range(8):
-            if pos >= n:
-                break
-            if expected_size is not None and len(out) >= expected_size:
-                break
-            if flags & (0x80 >> t):
-                out.append(data[pos])
-                pos += 1
-            else:
-                if pos + 2 > n:
-                    raise TruncatedStreamError("truncated stream")
-                b0 = data[pos]
-                b1 = data[pos + 1]
-                pos += 2
-                dist = ((b0 << 4) | (b1 >> 4)) + 1
-                length = (b1 & 0xF) + 3
-                if dist > len(out):
-                    raise FormatError("invalid back-reference")
-                start = len(out) - dist
-                if dist >= length:
-                    out.extend(out[start : start + length])
-                else:
-                    for j in range(length):
-                        out.append(out[start + j])
-    if expected_size is not None and len(out) != expected_size:
+    step = data.translate(_GROUP_BYTES)
+    groups = []
+    append = groups.append
+    p = 0
+    while p < n:
+        append(p)
+        p += step[p]
+    buf = np.zeros(n + 2, dtype=np.uint8)
+    buf[:n] = np.frombuffer(data, dtype=np.uint8)
+    lit = np.unpackbits(buf[groups]).reshape(-1, 8).astype(bool)
+    # A token's stream offset: its group's start, the flag byte and the
+    # tokens before it in the group.
+    size = 2 - lit.astype(np.int64)
+    off = np.cumsum(size, axis=1) - size + np.array(groups, dtype=np.int64)[:, None] + 1
+    # Offsets rise token by token; tokens at or past the end do not exist.
+    ntok = int(np.searchsorted(off.ravel(), n))
+    lit, off = lit.ravel()[:ntok], off.ravel()[:ntok]
+    b0 = buf[off].astype(np.int64)
+    b1 = buf[off + 1].astype(np.int64)
+    length = np.where(lit, 1, (b1 & 0xF) + MIN_MATCH)
+    dist = np.where(lit, 0, ((b0 << 4) | (b1 >> 4)) + 1)
+    start = np.cumsum(length) - length
+    if expected_size is not None:
+        # Decoding stops before the first token that starts at the size.
+        ntok = int(np.searchsorted(start, expected_size))
+    # Only the last token can be a match cut short.
+    cut = ntok > 0 and not lit[ntok - 1] and off[ntok - 1] + 2 > n
+    ntok -= cut
+    off, length, dist, start = off[:ntok], length[:ntok], dist[:ntok], start[:ntok]
+    if ntok and int((dist - start).max()) > 0:
+        raise FormatError("invalid back-reference")
+    if cut:
         raise TruncatedStreamError("truncated stream")
-    return bytes(out)
+    total = int(start[-1] + length[-1]) if ntok else 0
+    if expected_size is not None and total != expected_size:
+        raise TruncatedStreamError("truncated stream")
+    # Each output byte points at the byte its match copies, or at itself in
+    # a literal. Pointer jumping leaves every byte pointing at a literal
+    # byte after log2(longest copy chain) rounds; a take over all bytes is
+    # faster than gathering and scattering only the pending ones.
+    src = np.arange(total) - np.repeat(dist, length)
+    while True:
+        hop = src.take(src)
+        if np.array_equal(hop, src):
+            break
+        src = hop
+    # Literal bytes take their stream byte; match bytes are never sources.
+    return buf.take(np.repeat(off, length)).take(src).tobytes()

@@ -14,12 +14,15 @@ strictly byte-oriented.
 Decoding is inherently sequential. Per symbol it looks the scaled target
 up in a 2^14-entry slot table (slot -> symbol index), fetches bytes
 inline, and collects symbol indices that are mapped to symbol values once
-at the end. The slot table is built per call from the header.
+at the end. The slot table is built per call from the header: a Python
+list, or for fewer tokens than slots a uint16 ``array`` filled from numpy
+in one copy.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
@@ -132,7 +135,11 @@ def decode(header: bytes, payload: bytes, count: int) -> np.ndarray:
     if count * math.log2(TOTAL / int(freqs.max())) > 17 + 8 * (nbytes - 4):
         raise FormatError(f"token count {count} exceeds what {nbytes} payload bytes can hold")
     freq_list, cum = _model_from_counts(freqs)
-    slot = np.repeat(np.arange(freqs.size), freqs).tolist()
+    # m <= TOTAL symbols, so a slot's symbol index fits in 16 bits. A list
+    # boxes all TOTAL slots up front; a uint16 array boxes one per token
+    # and indexes slower, so it pays only for fewer tokens than slots.
+    slot = np.repeat(np.arange(freqs.size, dtype=np.uint16), freqs)
+    slot = array("H", slot.tobytes()) if count < TOTAL else slot.tolist()
     code = int.from_bytes(payload[:4], "big")
     pos = 4
     low = 0

@@ -151,11 +151,16 @@ def load_csv(path, columns: list[int | str] | None = None, missing: str = "drop"
     parse = partial(np.loadtxt, ndmin=2, usecols=selected + list(last), converters=last, **_CSV)
     try:
         data = parse(lines)
-    except ValueError:  # an empty cell; a real error fails again below
+    except ValueError as exc:  # an empty cell; a real error fails again below
+        # The rows before the one numpy names parsed, so only the rest get
+        # their empty cells replaced by nan.
+        first = (_failed_row(exc) or (0, None))[0]
         try:
-            data = parse(_EMPTY_CELL.sub(r"\1nan", "\n".join(lines)).split("\n"))
+            data = parse(_EMPTY_CELL.sub(r"\1nan", "\n".join(lines[first:])).split("\n"))
         except ValueError as exc:
-            raise _bad_cell(exc, path, lines, header, ncols) from None
+            raise _bad_cell(exc, path, lines, header, ncols, first) from None
+        if first:
+            data = np.concatenate([parse(lines[:first]), data])
     data = data[:, : len(selected)]
 
     missing_mask = np.isnan(data)
@@ -186,18 +191,26 @@ def load_csv(path, columns: list[int | str] | None = None, missing: str = "drop"
     )
 
 
-def _bad_cell(exc: ValueError, path: Path, lines: list[str], header, ncols: int) -> ValueError:
-    """Name the row and cell that ``np.loadtxt`` rejected. numpy counts a short
-    row from 1 ("at row 2 with 1 columns"), a bad cell's row from 0 and its
-    column from 1 ("at row 1, column 2.")."""
+def _failed_row(exc: ValueError) -> tuple[int, int | None] | None:
+    """The row, and for a bad cell the column, that ``np.loadtxt`` rejected,
+    both from 0. numpy counts a short row from 1 ("at row 2 with 1
+    columns"), a bad cell's row from 0 and its column from 1 ("at row 1,
+    column 2.")."""
     m = re.search(r"at row (\d+)(?:, column (\d+)\.| with \d+ columns)$", str(exc))
     if m is None:
+        return None
+    return (int(m[1]), int(m[2]) - 1) if m[2] else (int(m[1]) - 1, None)
+
+
+def _bad_cell(exc: ValueError, path: Path, lines: list[str], header, ncols: int, first: int = 0) -> ValueError:
+    """Name the row and cell that ``np.loadtxt`` rejected in ``lines[first:]``."""
+    where = _failed_row(exc)
+    if where is None:
         return ValueError(f"{path}: {exc}")
-    i = int(m[1]) if m[2] else int(m[1]) - 1
+    i, c = where[0] + first, where[1]
     cells = _cells(lines[i])
     if len(cells) < ncols:
         return ValueError(f"{path}: row {i} has {len(cells)} cells, expected {ncols}")
-    c = int(m[2]) - 1
     return ValueError(f"unparseable numeric cell at row {i}, column {_label(header, c)}: {cells[c].strip()!r}")
 
 

@@ -7,7 +7,9 @@ bound on prefix lengths or token counts. ``bitpack_encode`` writes one value
 at a time, ``quantize_counts`` scales a range-coder model down one unit
 per step, and ``code_lengths_from_counts`` merges through a heap and walks
 each Huffman leaf up to the root. ``lzss_compress`` steps through the input
-one byte at a time, keeping hash-chain heads in a dict. The transform
+one byte at a time, keeping hash-chain heads in a dict, and
+``lzss_decompress`` decodes one token at a time, copying an overlapping
+match one byte at a time. The transform
 oracles are the QuaRs fit that places bins one rank at a time, the
 per-token QuaRs bin search, which the library now runs once per distinct
 value, token-at-a-time rle0 loops and the branchy zigzag formulas.
@@ -358,6 +360,46 @@ def lzss_compress(data: bytes) -> bytes:
     if ntok:
         group[0] = flags
         out.extend(group)
+    return bytes(out)
+
+
+
+def lzss_decompress(data: bytes, expected_size: int | None = None) -> bytes:
+    """The token-at-a-time LZSS decoder."""
+    out = bytearray()
+    pos = 0
+    n = len(data)
+    while pos < n:
+        if expected_size is not None and len(out) >= expected_size:
+            break
+        flags = data[pos]
+        pos += 1
+        for t in range(8):
+            if pos >= n:
+                break
+            if expected_size is not None and len(out) >= expected_size:
+                break
+            if flags & (0x80 >> t):
+                out.append(data[pos])
+                pos += 1
+            else:
+                if pos + 2 > n:
+                    raise TruncatedStreamError("truncated stream")
+                b0 = data[pos]
+                b1 = data[pos + 1]
+                pos += 2
+                dist = ((b0 << 4) | (b1 >> 4)) + 1
+                length = (b1 & 0xF) + 3
+                if dist > len(out):
+                    raise FormatError("invalid back-reference")
+                start = len(out) - dist
+                if dist >= length:
+                    out.extend(out[start : start + length])
+                else:
+                    for j in range(length):
+                        out.append(out[start + j])
+    if expected_size is not None and len(out) != expected_size:
+        raise TruncatedStreamError("truncated stream")
     return bytes(out)
 
 

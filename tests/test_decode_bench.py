@@ -3,7 +3,10 @@ transform layer.
 
 Each coder benchmark encodes or decodes the tokens of the synthetic
 ``noise`` series (n = 1e5, seed 0, chain delta,rle0,quars) through the coder
-registry, once, and checks the round trip. The transform benchmarks run
+registry, once, and checks the round trip. The decode benchmarks also run
+on the ``sine`` series' tokens, whose codewords are short (about 4.7 bits
+for expgolomb and drh), and LZSS decodes one short-matrix-sized input: the
+serialized tokens of a 2,000-sample ``noise`` series. The transform benchmarks run
 rle0 on that series' deltas and QuaRs on the rle0 tokens. The bitpack
 kernel benchmarks pack the zigzagged deltas of one 50,000-sample series of
 each synthetic case, quantized to 16 bits as the columns of the
@@ -50,10 +53,20 @@ def runs(deltas):
     return rle0_encode(deltas)
 
 
-@pytest.fixture(scope="module")
-def tokens(series):
+def chain_tokens(case, n):
+    series = generate(SynthSpec(case=case, n=n, seed=0))
     tokens, _ = chain_apply(series.samples, TransformChain.parse("delta,rle0,quars"))
     return tokens
+
+
+@pytest.fixture(scope="module")
+def tokens():
+    return chain_tokens("noise", 100_000)
+
+
+@pytest.fixture(scope="module")
+def sine_tokens():
+    return chain_tokens("sine", 100_000)
 
 
 def coder_input(info, tokens):
@@ -86,6 +99,25 @@ def test_decode(benchmark, tokens, name):
     expected, count = coder_input(info, tokens)
     header, payload = info.encode(expected)
     benchmark.group = "decode"
+    out = benchmark.pedantic(info.decode, args=(header, payload, count), rounds=1, iterations=1)
+    check_roundtrip(info, out, expected)
+
+
+@pytest.mark.parametrize("name", INTERNAL_CODER_NAMES)
+def test_decode_sine(benchmark, sine_tokens, name):
+    info = get_coder(name)
+    expected, count = coder_input(info, sine_tokens)
+    header, payload = info.encode(expected)
+    benchmark.group = "decode sine"
+    out = benchmark.pedantic(info.decode, args=(header, payload, count), rounds=1, iterations=1)
+    check_roundtrip(info, out, expected)
+
+
+def test_lzss_decode_short(benchmark):
+    info = get_coder("lzss")
+    expected, count = coder_input(info, chain_tokens("noise", 2_000))
+    header, payload = info.encode(expected)
+    benchmark.group = "decode short"
     out = benchmark.pedantic(info.decode, args=(header, payload, count), rounds=1, iterations=1)
     check_roundtrip(info, out, expected)
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from tscodec.coders import bitio, bitpack, drh, expgolomb, huffman, rangecoder
+from tscodec.coders import bitio, bitpack, drh, expgolomb, huffman, lzss, rangecoder
 from tscodec.errors import FormatError, TruncatedStreamError
 
 
@@ -26,6 +26,20 @@ def _drh_encode(values):
 def _huffman_encode(values):
     header, payload = huffman.encode(values)
     return header, payload.data
+
+
+def _lzss_encode(values):
+    return b"", lzss.compress(bytes(values))
+
+
+def _lzss_decode(decompress, sized):
+    """An LZSS decoder over token lists; ``sized`` passes the count as the size."""
+
+    def decode(header, payload, count):
+        out = decompress(payload, count) if sized else decompress(payload)
+        return np.frombuffer(out, dtype=np.uint8).astype(np.int64)
+
+    return decode
 
 
 CODERS = {
@@ -49,6 +63,13 @@ CODERS = {
         lambda h, p, n: bitpack.decode(p, n),
         lambda h, p, n: oracles.bitpack_decode(p, n),
         (0, 2**32 - 1),
+    ),
+    "lzss": (_lzss_encode, _lzss_decode(lzss.decompress, True), _lzss_decode(oracles.lzss_decompress, True), (0, 255)),
+    "lzss-unsized": (
+        _lzss_encode,
+        _lzss_decode(lzss.decompress, False),
+        _lzss_decode(oracles.lzss_decompress, False),
+        (0, 255),
     ),
 }
 
@@ -128,6 +149,173 @@ def test_streams_spanning_many_chunks(name, seed):
     assert np.array_equal(got, oracle(header, payload, n))
     assert np.array_equal(got, values)
 
+
+
+def _code_lengths(name, header, values):
+    """Bits each value's codeword spends."""
+    if name == "expgolomb":
+        return expgolomb.code_lengths(values)
+    if name == "drh":
+        return 2 * bitio.bit_length_u64(np.abs(values)) + 1
+    symbols, lengths = huffman.parse_header(header)
+    return lengths[np.searchsorted(symbols, values)]
+
+
+def _chunk_ends(lengths, nbits):
+    """Codewords decoded by the end of each chunk, as ``decode_chunks`` splits them."""
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    out = []
+    pos = done = 0
+    while done < lengths.size:
+        base = pos & ~7
+        done = int(np.searchsorted(starts, base + min(nbits - base, bitio.CHUNK_BITS)))
+        out.append(done)
+        pos = int(ends[done - 1])
+    return out
+
+
+@pytest.mark.parametrize("name", ["expgolomb", "drh", "huffman"])
+def test_every_count_cut_near_chunk_ends(name):
+    """A count ending at each lane residue around every chunk end, and at the end."""
+    encode, new, oracle, (lo, hi) = CODERS[name]
+    rng = np.random.default_rng(7)
+    n = 20_000
+    values = np.clip(rng.integers(0, 1 << 20, n) >> rng.integers(0, 21, n), lo, hi)
+    if lo < 0:
+        values = np.where(rng.random(n) < 0.5, -values, values)
+    header, payload = encode(values)
+    chunk_ends = _chunk_ends(_code_lengths(name, header, values), 8 * len(payload))
+    assert len(chunk_ends) >= 3 and chunk_ends[-1] == n
+    full = new(header, payload, n)
+    assert np.array_equal(full, values)
+    lane = 1 << bitio.JUMP_ROUNDS
+    for end in chunk_ends:
+        for k in range(end - lane - 1, min(end + lane + 1, n) + 1):
+            assert np.array_equal(new(header, payload, k), values[:k]), k
+
+
+def _codeword(name, k, suffix):
+    """Bits and value of the codeword with a k-bit prefix and a k-bit ``suffix``."""
+    tail = format(suffix, f"0{k}b") if k else ""
+    if name == "expgolomb":
+        return "0" * k + "1" + tail, (1 << k | suffix) - 1
+    value = suffix if k == 0 or suffix >> (k - 1) else suffix - (1 << k) + 1
+    return "1" * k + "0" + tail, value
+
+
+@pytest.mark.parametrize("offset", range(8))
+@pytest.mark.parametrize(
+    "name, prefixes, limit",
+    [("expgolomb", (11, 12, 13, 31, 32), expgolomb.MAX_PREFIX), ("drh", (11, 12, 13, 31), drh.MAX_MAGNITUDE_BITS)],
+)
+def test_long_prefixes_at_every_bit_offset(name, prefixes, limit, offset):
+    """Prefixes around and past the peeked bits, starting at bit ``offset``.
+
+    ``offset`` one-bit codewords come first, so the long codeword starts at
+    that bit of its byte; short and long codewords follow it.
+    """
+    _, new, oracle, _ = CODERS[name]
+    for k in prefixes:
+        words = [_codeword(name, 0, 0)] * offset + [
+            _codeword(name, k, 0x5555_5555 % (1 << k)),
+            _codeword(name, 2, 3),
+            _codeword(name, k, (1 << k) - 1),
+            _codeword(name, bitio.PEEK_BITS, 1),
+            _codeword(name, 0, 0),
+        ]
+        payload = _bits("".join(bits for bits, _ in words))
+        values = [v for _, v in words]
+        assert new(b"", payload, len(values)).tolist() == values
+        assert oracle(b"", payload, len(values)).tolist() == values
+    # One prefix bit past the limit: the prefix bits, the stop bit, then as
+    # many suffix bits, all present.
+    zero, _ = _codeword(name, 0, 0)
+    long, _ = _codeword(name, limit + 1, (1 << limit + 1) - 1)
+    with pytest.raises(FormatError, match=f"prefix longer than {limit}"):
+        new(b"", _bits(zero * offset + long), offset + 1)
+
+
+@pytest.mark.parametrize("name", ["expgolomb", "drh", "huffman"])
+def test_codeword_one_bit_past_the_end_is_truncated(name):
+    """The last codeword ends exactly at the stream's end; one bit fewer cuts it."""
+    values = [5, 0, 300, 2, 70_000, 1]
+    if name == "huffman":
+        header, stream = huffman.encode(values)
+        decode = lambda s, n: huffman.decode(header, s, n)  # noqa: E731
+    else:
+        coder = expgolomb if name == "expgolomb" else drh
+        stream, decode = coder.encode(values), coder.decode
+    assert decode(stream, len(values)).tolist() == values
+    cut = bitio.BitStream(stream.data, stream.bit_length - 1)
+    with pytest.raises(TruncatedStreamError):
+        decode(cut, len(values))
+
+def _lzss_stream(tokens) -> bytes:
+    """LZSS bytes of ``tokens``: each a literal byte, or a (distance, length) match."""
+    out = bytearray()
+    for g in range(0, len(tokens), 8):
+        group = tokens[g : g + 8]
+        out.append(sum(0x80 >> t for t, token in enumerate(group) if isinstance(token, int)))
+        for token in group:
+            if isinstance(token, int):
+                out.append(token)
+            else:
+                d, extra = token[0] - 1, token[1] - lzss.MIN_MATCH
+                out += bytes([d >> 4, (d & 0xF) << 4 | extra])
+    return bytes(out)
+
+
+@pytest.mark.parametrize("distance", range(1, 18))
+def test_lzss_self_overlapping_matches(distance):
+    """Matches longer than their distance copy bytes they write themselves."""
+    tokens = list(range(100, 100 + distance)) + [(distance, lzss.MAX_MATCH), (distance, 3), (distance, 17)]
+    data = _lzss_stream(tokens)
+    size = distance + lzss.MAX_MATCH + 3 + 17
+    want = bytes(100 + i % distance for i in range(size))
+    assert lzss.decompress(data) == oracles.lzss_decompress(data) == want
+    assert lzss.decompress(data, size) == want
+
+
+def test_lzss_match_reaching_exactly_to_the_start():
+    data = _lzss_stream([1, 2, 3, (3, 5)])
+    assert lzss.decompress(data, 8) == oracles.lzss_decompress(data, 8) == bytes([1, 2, 3, 1, 2, 3, 1, 2])
+    for tokens in ([1, 2, 3, (4, 3)], [(1, 3)], [7, (1, 3), (5, 3)]):
+        data = _lzss_stream(tokens)
+        for size in (None, 100):
+            assert _outcome(lambda *a: lzss.decompress(*a), data, size) == (FormatError, "invalid back-reference")
+            assert _outcome(lambda *a: oracles.lzss_decompress(*a), data, size) == (
+                FormatError,
+                "invalid back-reference",
+            )
+
+
+def test_lzss_outcomes_equal_the_oracle():
+    """Damaged streams decode to the same bytes, or fail with the same error."""
+    rng = np.random.default_rng(3)
+    for trial in range(400):
+        n = int(rng.integers(0, 300))
+        data = rng.integers(0, int(rng.integers(1, 256)), n, dtype=np.uint8).tobytes()
+        blob = bytearray(lzss.compress(data))
+        kind = trial % 4
+        if kind == 1 and blob:
+            del blob[int(rng.integers(0, len(blob))) :]
+        elif kind == 2 and blob:
+            bit = int(rng.integers(0, 8 * len(blob)))
+            blob[bit >> 3] ^= 0x80 >> (bit & 7)
+        elif kind == 3:
+            at = int(rng.integers(0, len(blob) + 1))
+            blob[at:at] = rng.integers(0, 256, int(rng.integers(1, 17)), dtype=np.uint8).tobytes()
+        for size in {None, 0, n, max(n - 1, 0), n + 1}:
+            args = (bytes(blob), size)
+            want = _outcome(lambda *a: np.frombuffer(oracles.lzss_decompress(*a), dtype=np.uint8), *args)
+            assert _outcome(lambda *a: np.frombuffer(lzss.decompress(*a), dtype=np.uint8), *args) == want
+
+def test_lzss_long_zero_run():
+    data = bytes(100_000)
+    packed = lzss.compress(data)
+    assert lzss.decompress(packed) == oracles.lzss_decompress(packed) == data
+    assert lzss.decompress(packed, len(data)) == data
 
 def test_bitpack_width_groups_spanning_many_slabs():
     """Width groups larger than one unpacking slab, plus a short last block."""

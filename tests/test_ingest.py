@@ -113,6 +113,25 @@ class TestLoadCsv:
         assert ds.dropped_rows == 1
         assert ds.channels[0].samples.tolist() == [1, 5]
 
+    @pytest.mark.parametrize("row", [0, 3, 6])
+    def test_empty_cell_in_first_middle_and_last_row(self, tmp_path, row):
+        """The rows before an empty cell parse once; the rest are re-read."""
+        rows = [[str(10 * i + j) for j in range(3)] for i in range(7)]
+        rows[row][1] = " "
+        path = _write(tmp_path, "a,b,c\n" + "\n".join(",".join(r) for r in rows) + "\n")
+        ds = load_csv(path)
+        want = oracles.load_csv(path)
+        assert [ch.samples.tolist() for ch in ds.channels] == [ch.samples.tolist() for ch in want.channels]
+        assert ds.dropped_rows == want.dropped_rows == 1
+        assert ds.channels[0].samples.tolist() == [10 * i for i in range(7) if i != row]
+        with pytest.raises(ValueError, match=f"missing value at row {row}, column b"):
+            load_csv(path, missing="error")
+        # A bad cell after the empty one is named by its row in the file.
+        rows[-1][2] = "x"
+        path = _write(tmp_path, "\n".join(",".join(r) for r in rows) + "\n")
+        with pytest.raises(ValueError, match="row 6, column 2: 'x'"):
+            load_csv(path)
+
     def test_unparseable_cell_location(self, tmp_path):
         path = _write(tmp_path, "1,2\n3,fish\n")
         with pytest.raises(ValueError, match="row 1, column 1"):
