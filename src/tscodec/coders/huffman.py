@@ -27,7 +27,7 @@ import numpy as np
 
 from ..core import as_samples, token_histogram
 from ..errors import FormatError, TruncatedStreamError
-from . import symtable
+from .. import symtable
 from .bitio import PEEK_BITS, BitStream, byte_windows, decode_chunks, pack_codes, peek_bits, read_fields
 
 MAX_CODE_LENGTH = 32

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..core import as_samples, token_histogram
 from ..errors import FormatError, TruncatedStreamError
-from . import symtable
+from .. import symtable
 
 TOTAL_BITS = 14
 TOTAL = 1 << TOTAL_BITS

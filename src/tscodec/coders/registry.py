@@ -25,7 +25,8 @@ import numpy as np
 
 from ..backends import BACKEND_IDS
 from ..transforms import unzigzag, zigzag
-from . import bitpack, drh, expgolomb, huffman, lzss, rangecoder, symtable
+from .. import symtable
+from . import bitpack, drh, expgolomb, huffman, lzss, rangecoder
 
 
 def _no_header(blob: bytes) -> tuple[bytes, bytes]:

@@ -67,9 +67,7 @@ class TimeSeries:
     channel_id: int = 0
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=np.int64)
-        if arr.ndim != 1:
-            raise ValueError("series must be one-dimensional")
+        arr = as_samples(self.samples)
         if arr.size and (int(arr.min()) < INT32_MIN or int(arr.max()) > INT32_MAX):
             raise ValueError("samples exceed the signed 32-bit range")
         if self.channel_id < 0:

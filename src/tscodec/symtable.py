@@ -1,10 +1,11 @@
-"""Symbol-table headers of the dynamic symbol coders (Huffman, range).
+"""Count-prefixed symbol tables: the headers of the dynamic symbol coders
+(Huffman, range) and the bins of the QuaRs side map.
 
 Layout: symbol count as u16, then one packed little-endian entry per
-symbol, (value as i32, field as an unsigned integer), sorted by symbol
-value. Each coder names its entry as a packed structured dtype, so the
+symbol, (value as i32, field as a fixed-width integer), sorted by symbol
+value. Each user names its entry as a packed structured dtype, so the
 table is written with one ``tobytes`` and read with one ``frombuffer``.
-A coded blob is this table followed by the coder's payload; ``split``
+A blob is this table followed by the user's payload or trailer; ``split``
 separates the two, and ``read`` rejects a table that is cut short or
 empty, since no encoder writes one for an empty input.
 """
@@ -13,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import INT32_MAX, INT32_MIN
-from ..errors import FormatError
+from .core import INT32_MAX, INT32_MIN
+from .errors import FormatError
 
 
 def entry(field: str) -> np.dtype:

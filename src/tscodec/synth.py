@@ -16,12 +16,10 @@ independent stream from the plain ``noise`` case.
 ``switching`` samples are those of a loop over segments: draw the opening
 level index from 5, then per segment draw a dwell of ``DWELL_MIN`` plus
 one of 5, fill it, and draw the next level's index among the 4 other
-levels in ``LEVELS`` order. Each bounded draw is numpy's Lemire draw on
-one 32-bit PCG64 output ``x``, ``(x * span) >> 32``; it rejects ``x``, and
-takes the next output for the same draw, when ``(x * span) mod 2^32 <
-2^32 mod span``, which for spans 5 and 4 means ``x == 0`` at a span-5
-draw. The generator takes the whole output stream in one array and maps
-it by this rule, so it returns the loop's samples without running it.
+levels in ``LEVELS`` order. The generator takes every draw in one
+``integers`` call with an array of spans, which draws each element as
+the loop's scalar calls do, so it returns the loop's samples without
+running it.
 """
 
 from __future__ import annotations
@@ -85,35 +83,14 @@ def _noise(spec: SynthSpec, component: int) -> np.ndarray:
     return _rng(spec, component).integers(-a, a + 1, size=spec.n, dtype=np.int64)
 
 
-def _bounded_draws(words: np.ndarray) -> np.ndarray:
-    """Map 32-bit generator outputs to the ``switching`` draws, in order.
-
-    Slot 0 is the opening level index (span 5), odd slots are dwell offsets
-    (span 5) and the other even slots next-level indices (span 4). A zero
-    output at a span-5 slot is rejected, as the module docstring states.
-    """
-    rejected = []
-    for j in np.flatnonzero(words == 0).tolist():
-        slot = j - len(rejected)
-        if slot == 0 or slot % 2:
-            rejected.append(j)
-    x = np.delete(words, rejected).astype(np.uint64)
-    x[:1] *= 5
-    x[1::2] *= 5
-    x[2::2] <<= 2
-    x >>= 32
-    return x.astype(np.int8)
-
-
 def _switching(spec: SynthSpec) -> np.ndarray:
-    rng = _rng(spec, 0)
-    size = 1 + 2 * -(-spec.n // DWELL_MIN)
-    words = rng.integers(0, 1 << 32, size=size, dtype=np.uint32)
-    draws = _bounded_draws(words)
-    while draws.size < size:  # refill what rejected outputs used up
-        more = rng.integers(0, 1 << 32, size=size - draws.size, dtype=np.uint32)
-        words = np.concatenate((words, more))
-        draws = _bounded_draws(words)
+    # Slot 0 is the opening level index, odd slots are dwell offsets and
+    # the other even slots next-level indices. The default int64 dtype
+    # keeps numpy's 32-bit bounded draw; narrower dtypes draw differently.
+    spans = np.full(1 + 2 * -(-spec.n // DWELL_MIN), LEVELS.size - 1)
+    spans[0] = LEVELS.size
+    spans[1::2] = DWELL_MAX - DWELL_MIN + 1
+    draws = _rng(spec, 0).integers(0, spans)
     dwells = DWELL_MIN + draws[1::2]
     ends = np.cumsum(dwells)
     segments = int(np.searchsorted(ends, spec.n)) + 1

@@ -16,15 +16,17 @@ QuaRs fits its bins and evaluates its map once per distinct value, taken
 from :func:`tscodec.core.token_histogram`, then gathers per token.
 :func:`chain_apply` returns the tokens with the chain's side bytes, the
 serialized map, and :func:`chain_invert` is the one parser of those bytes.
+The map is a :mod:`tscodec.symtable` table of (lower bound, target
+offset) bins followed by the range's upper bound.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import symtable
 from .core import INT32_MAX, INT32_MIN, as_samples, token_histogram
 from .errors import FormatError
 
@@ -117,8 +119,8 @@ def unzigzag(series) -> np.ndarray:
     return (u >> 1) ^ -(u & 1)
 
 
-# One serialized QuaRs bin: (lower bound, target offset), packed little-endian.
-_QUARS_BIN = np.dtype([("lower", "<i4"), ("target", "<i4")])
+# One serialized QuaRs bin: (lower bound, target offset).
+_MAP_ENTRY = symtable.entry("<i4")
 
 
 @dataclass(frozen=True)
@@ -159,42 +161,31 @@ class QuarsMap:
         return (symbols - t_sorted[idx] + lo_sorted[idx])[inverse]
 
     def to_bytes(self) -> bytes:
-        """bin count u16, per bin (lower bound i32, target offset i32),
-        then the exclusive upper bound of the observed range as i32.
-        All little-endian. The upper bound is written mod 2^32, so 2^31 (a
-        series holding INT32_MAX) is stored as the bytes of INT32_MIN."""
+        """A ``symtable`` table of (lower bound, target offset) bins, then
+        the exclusive upper bound of the observed range as i32, little-endian.
+        The upper bound is written mod 2^32, so 2^31 (a series holding
+        INT32_MAX) is stored as the bytes of INT32_MIN."""
         if self.bin_count > 0xFFFF:
             raise ValueError("too many bins to serialize")
         offs = self.target_offsets
         lowest = min(int(self.lower_bounds[0]), int(offs.min()))
         if lowest < INT32_MIN or int(offs.max()) > INT32_MAX or self.upper_exclusive > 1 << 31:
             raise ValueError("QuaRs map outside the int32 range")
-        bins = np.empty(self.bin_count, dtype=_QUARS_BIN)
-        bins["lower"] = self.lower_bounds
-        bins["target"] = offs
-        return (
-            struct.pack("<H", self.bin_count)
-            + bins.tobytes()
-            + struct.pack("<I", self.upper_exclusive & 0xFFFFFFFF)
-        )
+        table = symtable.write(_MAP_ENTRY, self.lower_bounds, offs)
+        return table + (self.upper_exclusive & 0xFFFFFFFF).to_bytes(4, "little")
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "QuarsMap":
-        if len(data) < 2:
+        table, trailer = symtable.split(_MAP_ENTRY, data)
+        if len(trailer) < 4:
             raise FormatError("truncated QuaRs map")
-        (count,) = struct.unpack_from("<H", data, 0)
-        need = 2 + 8 * count + 4
-        if len(data) < need:
-            raise FormatError("truncated QuaRs map")
-        if len(data) > need:
+        if len(trailer) > 4:
             raise FormatError("trailing bytes after QuaRs map")
-        bins = np.frombuffer(data, dtype=_QUARS_BIN, count=count, offset=2)
-        lows = bins["lower"].astype(np.int64)
-        offs = bins["target"].astype(np.int64)
-        (upper,) = struct.unpack_from("<i", data, 2 + 8 * count)
+        lows, offs = symtable.read(_MAP_ENTRY, table, "QuaRs map")
+        upper = int.from_bytes(trailer, "little", signed=True)
         if upper == INT32_MIN:
             upper = 1 << 31  # no bin lies below INT32_MIN, so this is 2^31
-        if count == 0 or np.any(np.diff(lows) <= 0) or upper <= lows[-1]:
+        if np.any(np.diff(lows) <= 0) or upper <= lows[-1]:
             raise FormatError("invalid QuaRs map")
         # A fitted map observed every lower bound and upper - 1 and maps the
         # observed values one to one, so its targets are distinct and none
@@ -205,7 +196,7 @@ class QuarsMap:
         inside_last = (targets > last) & (targets < last + upper - lows[-1])
         if np.any(targets[1:] == targets[:-1]) or np.any(inside_last):
             raise FormatError("overlapping QuaRs target ranges")
-        return cls(lower_bounds=lows, target_offsets=offs, upper_exclusive=int(upper))
+        return cls(lower_bounds=lows, target_offsets=offs, upper_exclusive=upper)
 
 
 def quars_encode(series, bin_count: int = DEFAULT_QUARS_BINS) -> tuple[np.ndarray, QuarsMap]:

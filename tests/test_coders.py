@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from tscodec.coders import bitpack, drh, expgolomb, huffman, lzss, rangecoder, symtable
+from tscodec import symtable
+from tscodec.coders import bitpack, drh, expgolomb, huffman, lzss, rangecoder
 from tscodec.coders.bitio import BitStream, bit_length_u64, pack_codes
 from tscodec.errors import FormatError, TruncatedStreamError
 

@@ -40,6 +40,17 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             ts.samples[0] = 9
 
+    def test_rejects_more_than_one_dimension(self):
+        with pytest.raises(ValueError, match="series must be one-dimensional"):
+            TimeSeries(samples=[[1, 2], [3, 4]])
+
+    def test_samples_are_an_int64_copy(self):
+        source = np.array([1, 2], dtype=np.int64)
+        ts = TimeSeries(samples=source)
+        source[0] = 9
+        assert ts.samples.tolist() == [1, 2]
+        assert TimeSeries(samples=np.array([3], dtype=np.int16)).samples.dtype == np.int64
+
 
 class TestCardinality:
     def test_basic(self):

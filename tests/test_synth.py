@@ -77,13 +77,6 @@ class TestSwitchingDraws:
         spec = SynthSpec(case="switching", n=100_000, seed=seed)
         assert np.array_equal(generate(spec).samples, oracles.synth_switching(spec))
 
-    def test_zero_is_redrawn_at_span_5_slots_only(self):
-        top = 2**32 - 1
-        # Slot 0 (opening level, span 5) and slot 1 (dwell, span 5) each
-        # skip a zero; slot 2 (next level, span 4) keeps its zero.
-        words = np.array([0, top, 0, top, 0, top, top], dtype=np.uint32)
-        assert synth._bounded_draws(words).tolist() == [4, 4, 0, 4, 3]
-
     def test_zero_outputs_are_redrawn_as_the_segment_loop_does(self, monkeypatch):
         top = 2**32 - 1
         state = _pcg64_state([0, top, 0, top, 0])

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from tscodec.core import INT32_MAX, INT32_MIN, aad, cardinality
+from tscodec.container import build_container
+from tscodec.core import INT32_MAX, INT32_MIN, TimeSeries, aad, cardinality
 from tscodec.errors import FormatError
 from tscodec.synth import SynthSpec, generate, suite
 from tscodec.transforms import (
@@ -308,10 +309,40 @@ class TestQuars:
         with pytest.raises(FormatError, match="overlapping"):
             QuarsMap.from_bytes(raw)
 
-    @pytest.mark.parametrize("raw", [b"", b"\x01"])
+    @pytest.mark.parametrize("raw", [b"", b"\x01", b"\x00\x00"])
     def test_map_shorter_than_its_count_rejected(self, raw):
         with pytest.raises(FormatError, match="truncated QuaRs map"):
             QuarsMap.from_bytes(raw)
+
+    def test_map_without_bins_rejected(self):
+        with pytest.raises(FormatError, match="invalid QuaRs map"):
+            QuarsMap.from_bytes(b"\x00\x00" + bytes(4))
+
+    @pytest.mark.parametrize(
+        "values, bins",
+        [
+            ([3, 3, 3], 256),
+            ([-40_000, -7, -7, 2, 2, 2, 500], 256),
+            ([0, INT32_MAX, INT32_MAX], 256),
+            (np.random.default_rng(3).integers(-32768, 32768, 900), 16),
+        ],
+    )
+    def test_map_bytes_keep_the_packed_layout(self, values, bins):
+        # u16 bin count, (i32 lower bound, i32 target) per bin, then the
+        # upper bound mod 2^32, as the format has always written them.
+        qmap = quars_encode(values, bins)[1]
+        expected = struct.pack("<H", qmap.bin_count)
+        for lo, target in zip(qmap.lower_bounds.tolist(), qmap.target_offsets.tolist()):
+            expected += struct.pack("<ii", lo, target)
+        expected += struct.pack("<I", qmap.upper_exclusive % 2**32)
+        assert qmap.to_bytes() == expected
+
+    def test_too_many_bins_for_the_container(self):
+        # Every int16 value in its own bin: one bin more than a u16 count holds.
+        chain = TransformChain(("quars",), quars_bins=65536)
+        channel = TimeSeries(np.arange(-32768, 32768))
+        with pytest.raises(ValueError, match="too many bins to serialize"):
+            build_container([channel], chain, "bitpack")
 
     def test_count_longer_than_the_map_rejected(self):
         raw = bytearray(quars_encode([1, 2, 2, 9], bin_count=2)[1].to_bytes())
