@@ -179,6 +179,11 @@ BACKENDS: dict[str, Backend] = {
 BACKEND_IDS = tuple(BACKENDS)
 
 
+def takes_level(name: str) -> bool:
+    """Only the backends with a default level take a level."""
+    return getattr(BACKENDS.get(name), "default_level", None) is not None
+
+
 def is_available(backend_id: str) -> bool:
     if backend_id not in BACKENDS:
         raise UnknownBackendError(f"unregistered backend {backend_id!r}")

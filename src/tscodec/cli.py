@@ -15,9 +15,9 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .backends import availability_report
+from .backends import availability_report, takes_level
 from .coders.registry import CODERS, INTERNAL_CODER_NAMES
-from .container import _takes_level, build_container, read_container
+from .container import build_container, read_container
 from .core import size_metrics, source_bytes
 from .errors import BackendUnavailableError, TscodecError
 from .harness import (
@@ -57,7 +57,7 @@ def _parse_chain(args) -> TransformChain:
 
 
 def _cmd_compress(args) -> int:
-    if args.level is not None and not _takes_level(args.coder):
+    if args.level is not None and not takes_level(args.coder):
         raise UsageError(f"--level: coder {args.coder!r} takes no level")
     dataset = load_csv(
         args.input,
@@ -199,7 +199,7 @@ def _cmd_bench(args) -> int:
                 raise UsageError(f"--levels: {name!r} is not a selected coder")
             if name in levels:
                 raise UsageError(f"--levels: coder {name!r} is given twice")
-            if not _takes_level(name):
+            if not takes_level(name):
                 raise UsageError(f"--levels: coder {name!r} takes no level")
             try:
                 levels[name] = [int(v) for v in values.split(",")]

@@ -1,20 +1,10 @@
 """Self-describing compressed container.
 
-Layout (all multi-byte integers little-endian):
-
-    magic            4 bytes  "TSC1"
-    version          u8       currently 1
-    transform count  u8
-    transform ids    u8 each  1 = delta, 2 = rle0, 3 = quars
-    coder id         u8       registry id byte
-    channel count    u16
-    per channel:
-        token count    u64    symbols (or serialized items) in the payload
-        width          u8     0 for symbol coders, else bytes per item
-        side length    u32
-        side bytes             the transform chain's side output, unparsed
-        payload length u64
-        payload bytes          coder header followed by coder payload
+The layout is declared once, by the ``struct.Struct`` constants below:
+``build_container`` and ``encode_channel`` write through them, and one
+bounded walker reads the channel table through them. A read error names
+its byte offset and, past the header, the channel; a framing error also
+names the field (channel table, side header or payload).
 
 Token count is the length of the post-transform stream the coder decoded;
 inverting the transform chain recovers the original sample count, so a
@@ -26,7 +16,7 @@ bytes are framed here and parsed only by ``chain_invert``.
 Transform ids number the stages of ``TRANSFORM_ORDER`` from 1. The chain
 grammar is ``TransformChain``'s own, so a container whose transform ids are
 out of order or repeated is rejected on read, not decoded. A level is
-accepted only by the backends that have a default level.
+accepted only where ``backends.takes_level`` allows it.
 """
 
 from __future__ import annotations
@@ -36,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backends import BACKENDS, BackendDescriptor, backend_compress, backend_decompress, deserialize_series, serialize_series
+from .backends import BackendDescriptor, backend_compress, backend_decompress, deserialize_series, serialize_series, takes_level
 from .coders.registry import CODER_BY_ID, CoderInfo, get_coder
 from .core import TimeSeries, as_samples
 from .errors import FormatError
@@ -45,13 +35,14 @@ from .transforms import TRANSFORM_ORDER, TransformChain, chain_apply, chain_inve
 MAGIC = b"TSC1"
 VERSION = 1
 
+# Little-endian. One id byte per transform stage lies between the two header parts.
+_HEAD = struct.Struct("<4sBB")  # magic, version, transform count
+_HEAD_TAIL = struct.Struct("<BH")  # coder id (the registry's id byte), channel count
+_ENTRY = struct.Struct("<QBI")  # per channel: token count, width (0 for symbol coders), side length
+_PAYLOAD_LEN = struct.Struct("<Q")  # after the side bytes: length of the coder header and payload that follow
+
 TRANSFORM_NAME = dict(enumerate(TRANSFORM_ORDER, 1))
 TRANSFORM_ID = {v: k for k, v in TRANSFORM_NAME.items()}
-
-
-def _takes_level(coder_name: str) -> bool:
-    """Only the backends with a default level take a level."""
-    return getattr(BACKENDS.get(coder_name), "default_level", None) is not None
 
 
 def encode_channel(
@@ -76,9 +67,9 @@ def encode_channel(
             desc = BackendDescriptor(coder.name, level, width)
             header, payload = b"", backend_compress(data, desc)
     return b"".join((
-        struct.pack("<QBI", tokens.size, width, len(side)),
+        _ENTRY.pack(tokens.size, width, len(side)),
         side,
-        struct.pack("<Q", len(header) + len(payload)),
+        _PAYLOAD_LEN.pack(len(header) + len(payload)),
         header,
         payload,
     ))
@@ -117,18 +108,14 @@ def build_container(
 ) -> bytes:
     """Compress channels into one container blob."""
     coder = get_coder(coder_name)
-    if level is not None and not _takes_level(coder_name):
+    if level is not None and not takes_level(coder_name):
         raise ValueError(f"coder {coder_name!r} takes no level")
     if not channels:
         raise ValueError("no channels to compress")
-    out = bytearray()
-    out += MAGIC
-    out.append(VERSION)
-    out.append(len(chain.stages))
+    out = bytearray(_HEAD.pack(MAGIC, VERSION, len(chain.stages)))
     for s in chain.stages:
         out.append(TRANSFORM_ID[s])
-    out.append(coder.id_byte)
-    out += struct.pack("<H", len(channels))
+    out += _HEAD_TAIL.pack(coder.id_byte, len(channels))
     for ch in channels:
         out += encode_channel(ch, chain, coder, level)
     return bytes(out)
@@ -142,57 +129,65 @@ class DecodedContainer:
     payload_bytes: int  # coder payloads only: no coder headers, side maps or framing
 
 
+def _take(blob: bytes, pos: int, size: int, ch: int, field: str) -> tuple[bytes, int]:
+    """Channel ``ch``'s ``field``: the ``size`` bytes at ``pos``, bounded
+    before they are sliced, and the offset after them."""
+    if pos + size > len(blob):
+        cause = "truncated stream" if field == "payload" else f"unsupported container: truncated {field}"
+        raise FormatError(f"{cause}: channel {ch} {field} at byte {pos}")
+    return bytes(blob[pos : pos + size]), pos + size
+
+
+def _channel_table(blob: bytes, pos: int, nch: int):
+    """Yield each channel's entry offset, token count, width, side and coded bytes."""
+    for ch in range(nch):
+        fields, end = _take(blob, pos, _ENTRY.size, ch, "channel table")
+        token_count, width, side_len = _ENTRY.unpack(fields)
+        side, end = _take(blob, end, side_len, ch, "side header")
+        fields, end = _take(blob, end, _PAYLOAD_LEN.size, ch, "channel table")
+        coded, end = _take(blob, end, *_PAYLOAD_LEN.unpack(fields), ch, "payload")
+        yield pos, token_count, width, side, coded
+        pos = end
+    if pos != len(blob):
+        raise FormatError(f"unsupported container: trailing bytes at byte {pos}")
+
+
 def read_container(blob: bytes) -> DecodedContainer:
     """Decode a container back to its channels.
 
     Raises :class:`FormatError` on bad magic, unknown version or ids, a
-    truncated header or a chain out of order, and surfaces coder errors
-    (truncated payloads and the like) unchanged.
+    truncated header or entry, or a chain out of order. Each error names
+    its byte offset and, past the header, its channel; coder and transform
+    errors (truncated payloads and the like) keep their class.
     """
-    if len(blob) < 9 or blob[:4] != MAGIC:
-        raise FormatError("unsupported container: bad magic")
-    if blob[4] != VERSION:
-        raise FormatError(f"unsupported container: version {blob[4]}")
-    pos = 6 + blob[5]
-    if pos + 3 > len(blob):
-        raise FormatError("unsupported container: truncated header")
+    if len(blob) < _HEAD.size + _HEAD_TAIL.size or blob[: len(MAGIC)] != MAGIC:
+        raise FormatError("unsupported container: bad magic at byte 0")
+    _, version, nstages = _HEAD.unpack_from(blob)
+    if version != VERSION:
+        raise FormatError(f"unsupported container: version {version} at byte {len(MAGIC)}")
+    pos = _HEAD.size + nstages
+    if pos + _HEAD_TAIL.size > len(blob):
+        raise FormatError(f"unsupported container: truncated header at byte {pos}")
     try:
-        chain = TransformChain(tuple(TRANSFORM_NAME[tid] for tid in blob[6:pos]))
+        chain = TransformChain(tuple(TRANSFORM_NAME[tid] for tid in blob[_HEAD.size : pos]))
     except KeyError as exc:
-        raise FormatError(f"unsupported container: transform id {exc.args[0]}") from None
+        raise FormatError(f"unsupported container: transform id {exc.args[0]} at byte {_HEAD.size}") from None
     except ValueError as exc:
-        raise FormatError(f"unsupported container: {exc}") from None
-    coder_id = blob[pos]
+        raise FormatError(f"unsupported container: {exc} at byte {_HEAD.size}") from None
+    coder_id, nch = _HEAD_TAIL.unpack_from(blob, pos)
     if coder_id not in CODER_BY_ID:
-        raise FormatError(f"unsupported container: coder id {coder_id}")
+        raise FormatError(f"unsupported container: coder id {coder_id} at byte {pos}")
     coder = CODER_BY_ID[coder_id]
-    (nch,) = struct.unpack_from("<H", blob, pos + 1)
-    pos += 3
     channels = []
     payload_bytes = 0
-    for ch in range(nch):
-        if pos + 13 > len(blob):
-            raise FormatError("unsupported container: truncated channel table")
-        token_count, width, side_len = struct.unpack_from("<QBI", blob, pos)
-        pos += 13
-        side = bytes(blob[pos : pos + side_len])
-        if len(side) != side_len:
-            raise FormatError("unsupported container: truncated side header")
-        pos += side_len
-        if pos + 8 > len(blob):
-            raise FormatError("unsupported container: truncated channel table")
-        (plen,) = struct.unpack_from("<Q", blob, pos)
-        pos += 8
-        coded = bytes(blob[pos : pos + plen])
-        if len(coded) != plen:
-            raise FormatError("truncated stream")
-        pos += plen
-        header, payload = coder.split(coded)
+    for ch, (entry, token_count, width, side, coded) in enumerate(_channel_table(blob, pos + _HEAD_TAIL.size, nch)):
+        try:
+            header, payload = coder.split(coded)
+            samples = decode_channel(token_count, width, side, header, payload, chain, coder)
+        except FormatError as exc:
+            raise type(exc)(f"{exc}: channel {ch} entry at byte {entry}") from exc
         payload_bytes += len(payload)
-        samples = decode_channel(token_count, width, side, header, payload, chain, coder)
         channels.append(TimeSeries(samples=samples, channel_id=ch))
-    if pos != len(blob):
-        raise FormatError("unsupported container: trailing bytes")
     return DecodedContainer(
         chain=chain, coder_name=coder.name, channels=channels, payload_bytes=payload_bytes
     )

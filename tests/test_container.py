@@ -15,7 +15,7 @@ from tscodec.backends import is_available
 from tscodec.coders.registry import CODER_BY_ID, CODERS
 from tscodec.container import build_container, decode_channel, read_container
 from tscodec.core import TimeSeries
-from tscodec.errors import FormatError
+from tscodec.errors import FormatError, TruncatedStreamError
 from tscodec.synth import SynthSpec, generate
 from tscodec.transforms import TRANSFORM_ORDER, TransformChain
 
@@ -169,11 +169,7 @@ def test_repeated_transform_id_is_rejected_on_read():
 
 @pytest.mark.parametrize("coder", AVAILABLE_CODERS)
 def test_every_truncation_raises_format_error(coder):
-    channels = [
-        generate(SynthSpec(case="switching", n=120, seed=3)),
-        TimeSeries(samples=generate(SynthSpec(case="noise", n=40, seed=3)).samples, channel_id=1),
-    ]
-    blob = build_container(channels, TransformChain(("delta", "rle0", "quars")), coder)
+    channels, blob = _two_channels(coder)
     assert read_container(blob).channels == channels
     for cut in range(len(blob)):
         with pytest.raises(FormatError):
@@ -222,3 +218,79 @@ def test_level_reaches_a_leveled_backend():
     best = build_container([_SINE], TransformChain(()), "deflate", level=9)
     assert fast != best
     assert read_container(fast).channels == read_container(best).channels == [_SINE]
+
+
+def _two_channels(coder: str) -> tuple[list, bytes]:
+    channels = [
+        generate(SynthSpec(case="switching", n=120, seed=3)),
+        TimeSeries(samples=generate(SynthSpec(case="noise", n=40, seed=3)).samples, channel_id=1),
+    ]
+    return channels, build_container(channels, TransformChain(("delta", "rle0", "quars")), coder)
+
+
+def _entries(blob) -> list[tuple[int, int, int]]:
+    """Each channel's entry offset, side length and payload length, read by hand:
+    token count u64, width u8, side length u32, side, payload length u64, payload."""
+    pos = 6 + blob[5] + 3
+    out = []
+    for _ in range(struct.unpack_from("<H", blob, pos - 2)[0]):
+        side_len = struct.unpack_from("<I", blob, pos + 9)[0]
+        plen = struct.unpack_from("<Q", blob, pos + 13 + side_len)[0]
+        out.append((pos, side_len, plen))
+        pos += 13 + side_len + 8 + plen
+    assert pos == len(blob)
+    return out
+
+
+@pytest.mark.parametrize("coder", ["bitpack", "huffman", "deflate"])
+def test_cut_in_channel_1_names_the_channel_field_and_offset(coder):
+    _, blob = _two_channels(coder)
+    entry, side_len, _ = _entries(blob)[1]
+    side = entry + 13
+    plen_at = side + side_len
+    assert side_len > 0
+    for cut in range(entry, len(blob)):
+        if cut < side:
+            field, at = "channel table", entry
+        elif cut < plen_at:
+            field, at = "side header", side
+        elif cut < plen_at + 8:
+            field, at = "channel table", plen_at
+        else:
+            field, at = "payload", plen_at + 8
+        with pytest.raises(FormatError, match=f": channel 1 {field} at byte {at}$"):
+            read_container(blob[:cut])
+
+
+@pytest.mark.parametrize("field", ["side header", "payload"])
+def test_forged_length_fails_before_copying(field):
+    # Channel 1 holds about 250 KB, which a read that slices before its
+    # bounds check would copy when channel 0's length runs past the end.
+    big = TimeSeries(samples=np.arange(200_000) % 1000, channel_id=1)
+    blob = bytearray(build_container([_SINE, big], TransformChain(()), "bitpack"))
+    entry, side_len, _ = _entries(blob)[0]
+    if field == "side header":
+        struct.pack_into("<I", blob, entry + 9, 2**32 - 1)
+        at = entry + 13
+    else:
+        struct.pack_into("<Q", blob, entry + 13 + side_len, 2**64 - 1)
+        at = entry + 13 + side_len + 8
+    blob = bytes(blob)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=f"channel 0 {field} at byte {at}$"):
+            read_container(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+
+
+def test_truncated_huffman_payload_keeps_its_class_and_names_the_channel():
+    _, blob = _two_channels("huffman")
+    entry, side_len, plen = _entries(blob)[1]
+    # Channel 1 is last: drop its payload's last 4 bytes and declare the shorter length.
+    cut = bytearray(blob[:-4])
+    struct.pack_into("<Q", cut, entry + 13 + side_len, plen - 4)
+    with pytest.raises(TruncatedStreamError, match=f"^truncated stream: channel 1 entry at byte {entry}$"):
+        read_container(bytes(cut))

@@ -1,7 +1,8 @@
 """Each module imports cleanly as the first tscodec module a process loads.
 
 ``transforms`` reads the QuaRs map through ``symtable``, and the coder
-registry imports ``transforms``; a module that imports in a full test run
+registry imports ``transforms``; ``container`` and ``cli`` both take
+``takes_level`` from ``backends``. A module that imports in a full test run
 can still fail alone when such an import closes a cycle.
 """
 
@@ -18,7 +19,15 @@ SRC = str(Path(tscodec.__file__).resolve().parent.parent)
 
 
 @pytest.mark.parametrize(
-    "module", ["tscodec.symtable", "tscodec.transforms", "tscodec.coders.registry", "tscodec.container"]
+    "module",
+    [
+        "tscodec.symtable",
+        "tscodec.transforms",
+        "tscodec.coders.registry",
+        "tscodec.backends",
+        "tscodec.container",
+        "tscodec.cli",
+    ],
 )
 def test_module_imports_first(module):
     result = subprocess.run(

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from tscodec.core import TimeSeries
 from oracles import dequantize_column
-from tscodec.ingest import ingest_column, load_csv, quantize_column, write_csv
+from tscodec.ingest import _EMPTY_CELL, _fill_empty_cells, ingest_column, load_csv, quantize_column, write_csv
 
 finite_floats = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False)
 
@@ -132,6 +132,18 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="row 6, column 2: 'x'"):
             load_csv(path)
 
+    @pytest.mark.parametrize("row", [0, 6])
+    @pytest.mark.parametrize("col", [0, 1, 2])
+    def test_bare_empty_cell_in_first_and_last_row(self, tmp_path, row, col):
+        """A leading, doubled or trailing comma: each empty cell drops its row."""
+        rows = [[str(10 * i + j) for j in range(3)] for i in range(7)]
+        rows[row][col] = ""
+        path = _write(tmp_path, "\n".join(",".join(r) for r in rows) + "\n")
+        ds = load_csv(path)
+        assert ds == oracles.load_csv(path)
+        assert ds.dropped_rows == 1
+        assert ds.channels[2].samples.tolist() == [10 * i + 2 for i in range(7) if i != row]
+
     def test_unparseable_cell_location(self, tmp_path):
         path = _write(tmp_path, "1,2\n3,fish\n")
         with pytest.raises(ValueError, match="row 1, column 1"):
@@ -243,6 +255,19 @@ def _csv_files(draw):
     keys = st.integers(0, ncols - 1) | (st.sampled_from(names) if header else st.nothing())
     columns = draw(st.none() | st.lists(keys, min_size=1, max_size=5))
     return text, columns, draw(st.sampled_from(["drop", "error"]))
+
+
+# Cells as they reach the substitution: a \r is left on the last cell of a
+# CRLF line, and a stray quote or non-ASCII blank must not be skipped.
+_LINE_CELLS = st.one_of(_CELLS, _CELLS.map(lambda c: c + "\r"), st.sampled_from(['"', "\x0b", "\xa0", "a b"]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.lists(_LINE_CELLS, min_size=1, max_size=5).map(",".join).filter(bool), min_size=1, max_size=6))
+def test_filtered_substitution_equals_the_full_text_one(lines):
+    """Only lines that cannot hold an empty cell are skipped, so the result
+    is the substitution over the whole text."""
+    assert _fill_empty_cells(lines) == _EMPTY_CELL.sub(r"\1nan", "\n".join(lines)).split("\n")
 
 
 class TestLoadCsvAgainstOracle:
