@@ -18,7 +18,7 @@ from pathlib import Path
 from .backends import availability_report, takes_level
 from .coders.registry import CODERS, INTERNAL_CODER_NAMES
 from .container import build_container, read_container
-from .core import size_metrics, source_bytes
+from .core import entropy_and_limit, size_metrics, source_bytes
 from .errors import BackendUnavailableError, TscodecError
 from .harness import (
     ABLATION_CHAINS,
@@ -32,7 +32,7 @@ from .harness import (
 )
 from .ingest import load_csv, write_csv
 from .synth import CASES, SynthSpec, generate
-from .transforms import DEFAULT_QUARS_BINS, TransformChain
+from .transforms import DEFAULT_QUARS_BINS, TransformChain, chain_apply
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -99,9 +99,6 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    from .core import entropy_and_limit
-    from .transforms import chain_apply
-
     dataset = load_csv(args.input, missing=args.missing)
     chain = _parse_chain(args)
     for ch, meta in zip(dataset.channels, dataset.quantization):

@@ -40,9 +40,9 @@ _HEAD = struct.Struct("<4sBB")  # magic, version, transform count
 _HEAD_TAIL = struct.Struct("<BH")  # coder id (the registry's id byte), channel count
 _ENTRY = struct.Struct("<QBI")  # per channel: token count, width (0 for symbol coders), side length
 _PAYLOAD_LEN = struct.Struct("<Q")  # after the side bytes: length of the coder header and payload that follow
+_CUT_TABLE = "unsupported container: truncated channel table"  # a cut in either fixed part of an entry
 
 TRANSFORM_NAME = dict(enumerate(TRANSFORM_ORDER, 1))
-TRANSFORM_ID = {v: k for k, v in TRANSFORM_NAME.items()}
 
 
 def encode_channel(
@@ -114,7 +114,7 @@ def build_container(
         raise ValueError("no channels to compress")
     out = bytearray(_HEAD.pack(MAGIC, VERSION, len(chain.stages)))
     for s in chain.stages:
-        out.append(TRANSFORM_ID[s])
+        out.append(TRANSFORM_ORDER.index(s) + 1)
     out += _HEAD_TAIL.pack(coder.id_byte, len(channels))
     for ch in channels:
         out += encode_channel(ch, chain, coder, level)
@@ -129,24 +129,26 @@ class DecodedContainer:
     payload_bytes: int  # coder payloads only: no coder headers, side maps or framing
 
 
-def _take(blob: bytes, pos: int, size: int, ch: int, field: str) -> tuple[bytes, int]:
+def _take(blob: bytes, pos: int, size: int, cause: str, ch: int, field: str) -> tuple[bytes, int]:
     """Channel ``ch``'s ``field``: the ``size`` bytes at ``pos``, bounded
-    before they are sliced, and the offset after them."""
-    if pos + size > len(blob):
-        cause = "truncated stream" if field == "payload" else f"unsupported container: truncated {field}"
+    before they are sliced, and the offset after them. A cut raises
+    ``cause``, followed by the channel, the field and ``pos``."""
+    end = pos + size
+    if end > len(blob):
         raise FormatError(f"{cause}: channel {ch} {field} at byte {pos}")
-    return bytes(blob[pos : pos + size]), pos + size
+    return blob[pos:end], end
 
 
 def _channel_table(blob: bytes, pos: int, nch: int):
     """Yield each channel's entry offset, token count, width, side and coded bytes."""
     for ch in range(nch):
-        fields, end = _take(blob, pos, _ENTRY.size, ch, "channel table")
+        fields, end = _take(blob, pos, _ENTRY.size, _CUT_TABLE, ch, "channel table")
         token_count, width, side_len = _ENTRY.unpack(fields)
-        side, end = _take(blob, end, side_len, ch, "side header")
-        fields, end = _take(blob, end, _PAYLOAD_LEN.size, ch, "channel table")
-        coded, end = _take(blob, end, *_PAYLOAD_LEN.unpack(fields), ch, "payload")
-        yield pos, token_count, width, side, coded
+        side, end = _take(blob, end, side_len, "unsupported container: truncated side header", ch, "side header")
+        fields, end = _take(blob, end, _PAYLOAD_LEN.size, _CUT_TABLE, ch, "channel table")
+        coded, end = _take(blob, end, *_PAYLOAD_LEN.unpack(fields), "truncated stream", ch, "payload")
+        # A bytearray blob slices to bytearrays; the coders get bytes.
+        yield pos, token_count, width, bytes(side), bytes(coded)
         pos = end
     if pos != len(blob):
         raise FormatError(f"unsupported container: trailing bytes at byte {pos}")

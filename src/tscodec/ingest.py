@@ -96,19 +96,6 @@ _CSV = {"delimiter": ",", "quotechar": '"', "comments": None}
 _EMPTY_CELL = re.compile(r'(^|,)(?:"[^\S\n]*")?[^\S\n]*(?=,|$)', re.MULTILINE)
 
 
-def _fill_empty_cells(lines: list[str]) -> list[str]:
-    """Non-empty ``lines`` with every empty cell replaced by ``nan``. The
-    regex runs only on lines that can hold one: a leading, trailing or
-    doubled comma, a quote or whitespace (``isprintable`` is false for all
-    whitespace but the space)."""
-    return [
-        _EMPTY_CELL.sub(r"\1nan", s)
-        if s.startswith(",") or s.endswith(",") or ",," in s or '"' in s or " " in s or not s.isprintable()
-        else s
-        for s in lines
-    ]
-
-
 def _cells(line: str) -> list[str]:
     return np.loadtxt([line], dtype=str, ndmin=1, **_CSV).tolist()
 
@@ -169,7 +156,7 @@ def load_csv(path, columns: list[int | str] | None = None, missing: str = "drop"
         # their empty cells replaced by nan.
         first = (_failed_row(exc) or (0, None))[0]
         try:
-            data = parse(_fill_empty_cells(lines[first:]))
+            data = parse(_EMPTY_CELL.sub(r"\1nan", "\n".join(lines[first:])).split("\n"))
         except ValueError as exc:
             raise _bad_cell(exc, path, lines, header, ncols, first) from None
         if first:

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from tscodec.core import TimeSeries
 from oracles import dequantize_column
-from tscodec.ingest import _EMPTY_CELL, _fill_empty_cells, ingest_column, load_csv, quantize_column, write_csv
+from tscodec.ingest import ingest_column, load_csv, quantize_column, write_csv
 
 finite_floats = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False)
 
@@ -255,19 +255,6 @@ def _csv_files(draw):
     keys = st.integers(0, ncols - 1) | (st.sampled_from(names) if header else st.nothing())
     columns = draw(st.none() | st.lists(keys, min_size=1, max_size=5))
     return text, columns, draw(st.sampled_from(["drop", "error"]))
-
-
-# Cells as they reach the substitution: a \r is left on the last cell of a
-# CRLF line, and a stray quote or non-ASCII blank must not be skipped.
-_LINE_CELLS = st.one_of(_CELLS, _CELLS.map(lambda c: c + "\r"), st.sampled_from(['"', "\x0b", "\xa0", "a b"]))
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.lists(st.lists(_LINE_CELLS, min_size=1, max_size=5).map(",".join).filter(bool), min_size=1, max_size=6))
-def test_filtered_substitution_equals_the_full_text_one(lines):
-    """Only lines that cannot hold an empty cell are skipped, so the result
-    is the substitution over the whole text."""
-    assert _fill_empty_cells(lines) == _EMPTY_CELL.sub(r"\1nan", "\n".join(lines)).split("\n")
 
 
 class TestLoadCsvAgainstOracle:
