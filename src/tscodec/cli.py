@@ -127,7 +127,11 @@ def _load_datasets(args) -> dict:
             if case not in CASES:
                 raise UsageError(f"unknown case {case!r}; expected one of {', '.join(CASES)}")
             _add_dataset(datasets, case, generate(SynthSpec(case=case, n=args.n, seed=args.seed)))
+    data_dir = os.environ.get("TSCODEC_DATA_DIR")
     for path in args.inputs or []:
+        candidate = os.path.join(data_dir, path) if data_dir else path
+        if not os.path.exists(path) and os.path.exists(candidate):
+            path = candidate
         ds = load_csv(path)
         for ch in ds.channels:
             key = f"{ds.name}[{ch.channel_id}]" if len(ds.channels) > 1 else ds.name
@@ -301,16 +305,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if hasattr(args, "inputs") and args.inputs:
-            data_dir = os.environ.get("TSCODEC_DATA_DIR")
-            resolved = []
-            for path in args.inputs:
-                if not os.path.exists(path) and data_dir:
-                    candidate = os.path.join(data_dir, path)
-                    if os.path.exists(candidate):
-                        path = candidate
-                resolved.append(path)
-            args.inputs = resolved
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -45,32 +45,16 @@ def quantize_counts(counts: np.ndarray, n: int) -> np.ndarray:
         raise ValueError("alphabet too large for the quantized model")
     q = np.maximum(1, (counts * TOTAL) // n)
     diff = TOTAL - int(q.sum())
-    if diff > 0:
-        # Largest-remainder apportionment, ties by symbol order.
-        rem = counts * TOTAL - q * n
-        order = np.lexsort((np.arange(m), -rem))
-        q[order[:diff]] += 1
-    elif diff < 0:
-        # Take one unit from each count above 1 per pass, in descending-q
-        # order (ties by symbol order), until the excess is gone. A pass
-        # keeps that order among the counts still above 1, so k full passes
-        # take sum(min(k, q - 1)) units: run the largest k that fits at once,
-        # then one partial pass over the first counts still above 1.
-        excess = -diff
-        spare = q - 1
-        lo, hi = 0, int(spare.max())
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if int(np.minimum(spare, mid).sum()) <= excess:
-                lo = mid
-            else:
-                hi = mid - 1
-        rest = excess - int(np.minimum(spare, lo).sum())
-        order = np.argsort(-q, kind="stable")
-        partial = order[spare[order] > lo][:rest]
-        q -= np.minimum(spare, lo)
-        q[partial] -= 1
-    return q
+    # One rule moves the |diff| units by which the floored sum misses TOTAL.
+    # Short, each count offers one unit, ranked by largest remainder; over,
+    # each offers its q - 1 units above 1, ranked by largest q. Ties go by
+    # symbol order, unit j of a count is in pass j, and units move by (pass, rank).
+    short = diff > 0
+    rank = np.lexsort((np.arange(m), -np.where(short, counts * TOTAL - q * n, q)))
+    units = np.where(short, 1, q - 1)[rank]
+    passes = np.arange(int(units.sum())) - np.repeat(np.cumsum(units) - units, units)
+    moved = np.repeat(rank, units)[np.argsort(passes, kind="stable")[: abs(diff)]]
+    return q + np.sign(diff) * np.bincount(moved, minlength=m)
 
 
 def _model_from_counts(freqs: np.ndarray):
@@ -104,9 +88,8 @@ def encode(values) -> tuple[bytes, bytes]:
             out.append((low >> 24) & 0xFF)
             low = (low << 8) & MASK
             rng <<= 8
-    for _ in range(4):
-        out.append((low >> 24) & 0xFF)
-        low = (low << 8) & MASK
+    # The clipped range keeps low + range <= 2^32, so low fits in 4 bytes.
+    out += low.to_bytes(4, "big")
     return header, bytes(out)
 
 

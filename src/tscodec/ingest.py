@@ -71,8 +71,8 @@ def quantize_column(values) -> tuple[np.ndarray, ChannelQuantization]:
 
 
 def _is_integral_16bit(x: np.ndarray) -> bool:
-    if not np.all(np.isfinite(x)):
-        return False
+    # NaN fails the integral test and +-inf the range test, so non-finite
+    # columns fall through to quantize_column, which names their rows.
     if not np.all(x == np.floor(x)):
         return False
     return INT16_MIN <= float(x.min()) and float(x.max()) <= INT16_MAX

@@ -296,6 +296,18 @@ class TestBenchCommand:
         assert captured.err.startswith("FAILED u16/none/range: alphabet too large")
         assert "no records" not in captured.err
 
+    def test_inputs_are_also_looked_up_in_the_data_dir(self, tmp_path, monkeypatch, capsys):
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        (data_dir / "s.csv").write_text("1\n2\n3\n5\n8\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("TSCODEC_DATA_DIR", str(data_dir))
+        code = run(["bench", "s.csv", "--chains", "delta", "--coders", "huffman",
+                    "--repetitions", "1", "--format", "json"])
+        assert code == EXIT_OK
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert [(r["dataset"], r["chain"], r["coder"]) for r in records] == [("s", "delta", "huffman")]
+
     def test_no_datasets_is_usage_error(self, capsys):
         code = run(["bench", "--coders", "drh"])
         assert code == EXIT_USAGE

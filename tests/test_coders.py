@@ -14,7 +14,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tscodec import symtable
 from tscodec.coders import bitpack, drh, expgolomb, huffman, lzss, rangecoder
@@ -440,17 +440,21 @@ class TestRangeCoder:
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(st.integers(rangecoder.TOTAL, 10**7), min_size=1, max_size=12),
-        st.integers(1, 600),
+        st.integers(0, 600),
         st.integers(1, 3),
         st.integers(0, 2**32 - 1),
     )
+    @example([rangecoder.TOTAL] * 4, 0, 1, 0)  # floors to exactly TOTAL
+    @example([rangecoder.TOTAL, rangecoder.TOTAL + 1, 3 * rangecoder.TOTAL], 0, 1, 0)  # 2 short
+    @example([rangecoder.TOTAL] * 3, 600, 3, 0)  # over
     def test_scaling_down_matches_the_one_unit_loop(self, large, small, small_max, seed):
         # Small counts floored up to 1 push the sum past TOTAL, so the
-        # model has to give the excess back from the larger counts.
+        # model has to give the excess back from the larger counts. Without
+        # them the floored sum is short of TOTAL or meets it, and the
+        # remainders hand out the units that are missing.
         rng = np.random.default_rng(seed)
         counts = rng.permutation(np.concatenate([large, rng.integers(1, small_max + 1, small)]))
         n = int(counts.sum())
-        assume(int(np.maximum(1, counts * rangecoder.TOTAL // n).sum()) > rangecoder.TOTAL)
         q = rangecoder.quantize_counts(counts, n)
         assert q.tolist() == oracles.quantize_counts(counts, n).tolist()
 

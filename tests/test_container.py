@@ -147,6 +147,18 @@ def test_quars_channel_holding_int32_max_roundtrips(coder):
     assert read_container(blob).channels == [series]
 
 
+@pytest.mark.parametrize("stages", [(), ("rle0",)])
+def test_forged_65_bit_expgolomb_codeword_is_rejected(stages):
+    # 32 zeros, a 1 and 32 ones: one bit past the 64-bit codewords that
+    # pack_codes writes. It decodes to the zigzag token 2^33 - 2, whose
+    # sample 2^32 - 1 is outside int32 and would otherwise reach TimeSeries.
+    payload = bytes(4) + b"\xff" * 4 + b"\x80"
+    blob = b"TSC1\x01" + bytes([len(stages)] + [TRANSFORM_ORDER.index(s) + 1 for s in stages])
+    blob += bytes([CODERS["expgolomb"].id_byte]) + struct.pack("<HQBIQ", 1, 1, 0, 0, len(payload))
+    with pytest.raises(FormatError, match="channel 0 entry at byte"):
+        read_container(blob + payload)
+
+
 def _delta_rle0_container() -> tuple[TimeSeries, bytearray]:
     series = generate(SynthSpec(case="sine", n=300, seed=1))
     return series, bytearray(build_container([series], TransformChain(("delta", "rle0")), "drh"))

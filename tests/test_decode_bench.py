@@ -12,7 +12,10 @@ kernel benchmarks pack the zigzagged deltas of one 50,000-sample series of
 each synthetic case, quantized to 16 bits as the columns of the
 wide-bitpack workload are; their block widths span 4-17 bits. The
 generator benchmark builds the 100,000-sample ``switching`` series and
-checks it against the segment-at-a-time oracle. A plain
+checks it against the segment-at-a-time oracle. The range model
+benchmarks quantize the noise tokens' counts, whose floored sum is short
+of the model total, and 9,999 singletons beside one count of 6,500, whose
+floored sum is over it; each checks the one-unit-at-a-time oracle. A plain
 pytest run uses them as round-trip tests; ``pytest
 tests/test_decode_bench.py --benchmark-only`` prints the per-layer encode
 and decode times.
@@ -24,7 +27,8 @@ import pytest
 import oracles
 from tscodec import SynthSpec, TransformChain
 from tscodec.backends import serialize_series
-from tscodec.coders import INTERNAL_CODER_NAMES, bitpack, get_coder
+from tscodec.coders import INTERNAL_CODER_NAMES, bitpack, get_coder, rangecoder
+from tscodec.core import token_histogram
 from tscodec.ingest import ingest_column
 from tscodec.synth import CASES, generate
 from tscodec.transforms import (
@@ -173,3 +177,23 @@ def test_switching_generate(benchmark):
     benchmark.group = "synth"
     series = benchmark.pedantic(generate, args=(spec,), rounds=1, iterations=1)
     assert np.array_equal(series.samples, oracles.synth_switching(spec))
+
+
+@pytest.fixture(params=["short", "over"])
+def model_counts(request, tokens):
+    """Token counts whose floored range model is short of its total, or over it."""
+    if request.param == "short":
+        counts = token_histogram(tokens)[1]
+    else:
+        # 69 over, so the oracle needs 69 passes over the 10,000 counts.
+        counts = np.concatenate([[6_500], np.ones(9_999, dtype=np.int64)])
+    floored = np.maximum(1, counts * rangecoder.TOTAL // int(counts.sum()))
+    assert (int(floored.sum()) < rangecoder.TOTAL) == (request.param == "short")
+    return counts
+
+
+def test_quantize_counts(benchmark, model_counts):
+    n = int(model_counts.sum())
+    benchmark.group = "range model"
+    q = benchmark.pedantic(rangecoder.quantize_counts, args=(model_counts, n), rounds=1, iterations=1)
+    assert q.tolist() == oracles.quantize_counts(model_counts, n).tolist()

@@ -69,6 +69,13 @@ class TestIngestColumn:
         q, meta = ingest_column([0.25, 0.75])
         assert not meta.identity
 
+    @pytest.mark.parametrize(
+        "values, rows", [([1.0, np.inf], "1"), ([np.nan, 2.0], "0"), ([-np.inf], "0")]
+    )
+    def test_non_finite_values_name_their_rows(self, values, rows):
+        with pytest.raises(ValueError, match=f"^non-finite values at rows: {rows}$"):
+            ingest_column(values)
+
 
 def _write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
