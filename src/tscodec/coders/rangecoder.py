@@ -5,18 +5,20 @@ written as a header so the decoder can rebuild the exact same cumulative
 intervals. The header is a ``symtable`` table whose entry field is the
 quantized frequency as u16.
 
-Coding state is the classic 32-bit low/range pair. Renormalization emits
-the top byte once it is settled; when the range underflows the bottom
-threshold the range is clipped to the next boundary instead of carrying,
-which costs a fraction of a bit on rare occasions but keeps the stream
-strictly byte-oriented.
+Coding state is the classic 32-bit low/range pair. Renormalization runs
+only once the range falls below 2^24 (``TOP``): it emits the top byte once
+it is settled; when the range underflows the bottom threshold the range is
+clipped to the next boundary instead of carrying, which costs a fraction
+of a bit on rare occasions but keeps the stream strictly byte-oriented.
 
 Decoding is inherently sequential. Per symbol it looks the scaled target
-up in a 2^14-entry slot table (slot -> symbol index), fetches bytes
-inline, and collects symbol indices that are mapped to symbol values once
-at the end. The slot table is built per call from the header: a Python
-list, or for fewer tokens than slots a uint16 ``array`` filled from numpy
-in one copy.
+up in a 2^14-entry slot table (slot -> symbol index), reads payload bytes
+through one iterator, and collects symbol indices that are mapped to
+symbol values once at the end. The slot table is built per call from the
+header: a Python list, or for fewer tokens than slots a uint16 ``array``
+filled from numpy in one copy. A single-symbol model reads no payload
+byte past the first four, so it decodes as one check of the first code
+and one ``np.full``.
 """
 
 from __future__ import annotations
@@ -78,17 +80,21 @@ def encode(values) -> tuple[bytes, bytes]:
         r = rng // TOTAL
         low += r * cum[idx]
         rng = r * freq_list[idx]
-        while True:
-            if (low ^ (low + rng)) < TOP:
-                pass
-            elif rng < BOT:
+        # A range of at least TOP spans a change in bit 24 or above, so its
+        # top byte is unsettled and it is at least BOT: nothing to emit.
+        # Below TOP, emit a settled top byte, break on an unsettled one
+        # while the range is at least BOT, and clip it to the next BOT
+        # boundary otherwise.
+        while rng < TOP:
+            if (low ^ (low + rng)) >= TOP:
+                if rng >= BOT:
+                    break
                 rng = -low & (BOT - 1)
-            else:
-                break
-            out.append((low >> 24) & 0xFF)
+            out.append(low >> 24)
             low = (low << 8) & MASK
             rng <<= 8
-    # The clipped range keeps low + range <= 2^32, so low fits in 4 bytes.
+    # The clipped range keeps low + range <= 2^32, so low fits in 4 bytes
+    # and low >> 24 is one byte.
     out += low.to_bytes(4, "big")
     return header, bytes(out)
 
@@ -108,8 +114,10 @@ def decode(header: bytes, payload: bytes, count: int) -> np.ndarray:
     and each shift by 8 bits reads one payload byte. So a valid stream has
     ``count * log2(TOTAL / max_freq) <= 16 + 8 * (len(payload) - 4)``; a
     count above that, with one bit of slack, is refused before decoding.
-    A single-symbol model (``max_freq == TOTAL``) costs no bits, so its
-    count stays unbounded until the container records a sample count.
+    A single-symbol model (``max_freq == TOTAL``) costs no bits and
+    decodes as one ``np.full`` in constant Python steps, so its count is
+    bounded neither by the payload nor in memory until the container
+    records a sample count.
     """
     symbols, freqs = parse_header(header)
     nbytes = len(payload)
@@ -117,38 +125,44 @@ def decode(header: bytes, payload: bytes, count: int) -> np.ndarray:
         raise TruncatedStreamError("truncated stream")
     if count * math.log2(TOTAL / int(freqs.max())) > 17 + 8 * (nbytes - 4):
         raise FormatError(f"token count {count} exceeds what {nbytes} payload bytes can hold")
+    code = int.from_bytes(payload[:4], "big")
+    if freqs.size == 1:
+        # One symbol: every step has low = 0 and r = MASK >> TOTAL_BITS and
+        # leaves rng = r * TOTAL >= TOP, so it reads no byte and computes
+        # the same target code // r.
+        if count > 0 and code // (MASK >> TOTAL_BITS) >= TOTAL:
+            raise FormatError("corrupt stream")
+        return np.full(count, symbols[0], dtype=symbols.dtype)
     freq_list, cum = _model_from_counts(freqs)
     # m <= TOTAL symbols, so a slot's symbol index fits in 16 bits. A list
     # boxes all TOTAL slots up front; a uint16 array boxes one per token
     # and indexes slower, so it pays only for fewer tokens than slots.
     slot = np.repeat(np.arange(freqs.size, dtype=np.uint16), freqs)
     slot = array("H", slot.tobytes()) if count < TOTAL else slot.tolist()
-    code = int.from_bytes(payload[:4], "big")
-    pos = 4
+    next_byte = iter(payload[4:]).__next__
     low = 0
     rng = MASK
     indices = []
     append = indices.append
-    for _ in range(count):
-        r = rng >> TOTAL_BITS
-        dv = (code - low) // r
-        if dv < 0 or dv >= TOTAL:
-            raise FormatError("corrupt stream")
-        idx = slot[dv]
-        append(idx)
-        low += r * cum[idx]
-        rng = r * freq_list[idx]
-        while True:
-            if (low ^ (low + rng)) < TOP:
-                pass
-            elif rng < BOT:
-                rng = -low & (BOT - 1)
-            else:
-                break
-            if pos >= nbytes:
-                raise TruncatedStreamError("truncated stream")
-            code = ((code << 8) | payload[pos]) & MASK
-            pos += 1
-            low = (low << 8) & MASK
-            rng <<= 8
+    try:
+        for _ in range(count):
+            r = rng >> TOTAL_BITS
+            dv = (code - low) // r
+            if dv < 0 or dv >= TOTAL:
+                raise FormatError("corrupt stream")
+            idx = slot[dv]
+            append(idx)
+            low += r * cum[idx]
+            rng = r * freq_list[idx]
+            # The same renormalization as in encode, reading one byte per shift.
+            while rng < TOP:
+                if (low ^ (low + rng)) >= TOP:
+                    if rng >= BOT:
+                        break
+                    rng = -low & (BOT - 1)
+                code = ((code << 8) | next_byte()) & MASK
+                low = (low << 8) & MASK
+                rng <<= 8
+    except StopIteration:
+        raise TruncatedStreamError("truncated stream") from None
     return symbols[np.array(indices, dtype=np.intp)]

@@ -4,9 +4,11 @@ The decoders are the one-bit-or-one-codeword-at-a-time loops the vectorized
 decoders in ``tscodec.coders`` replaced. They read the same formats and
 raise ``TruncatedStreamError`` when a stream runs out, but they apply no
 bound on prefix lengths or token counts. ``bitpack_encode`` writes one value
-at a time, ``quantize_counts`` scales a range-coder model down one unit
-per step, and ``code_lengths_from_counts`` merges through a heap and walks
-each Huffman leaf up to the root. ``lzss_compress`` steps through the input
+at a time, ``range_encode`` renormalizes through a loop that tests every
+case on every step and counts the clipped ranges, ``quantize_counts``
+scales a range-coder model down one unit per step, and
+``code_lengths_from_counts`` merges through a heap and walks each Huffman
+leaf up to the root. ``lzss_compress`` steps through the input
 one byte at a time, keeping hash-chain heads in a dict, and
 ``lzss_decompress`` decodes one token at a time, copying an overlapping
 match one byte at a time. The transform
@@ -33,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tscodec import synth
+from tscodec import symtable, synth
 from tscodec.coders import huffman, lzss, rangecoder
 from tscodec.coders.bitio import BitStream
 from tscodec.core import TimeSeries, as_samples
@@ -204,6 +206,41 @@ def huffman_decode(header: bytes, payload: BitStream | bytes, count: int) -> np.
             if ln > huffman.MAX_CODE_LENGTH:
                 raise FormatError("invalid code table")
     return out
+
+
+def range_encode(values) -> tuple[bytes, bytes, int]:
+    """``rangecoder.encode`` through the renormalization loop it replaced,
+    which tests every case on every step. Also returns how many times the
+    range was clipped: it fell below ``BOT`` with its top byte not settled."""
+    x = as_samples(values)
+    if x.size == 0:
+        raise ValueError("undefined on empty input")
+    symbols, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    freqs_q = rangecoder.quantize_counts(counts, x.size)
+    header = symtable.write(rangecoder.ENTRY, symbols, freqs_q)
+    freq_list = freqs_q.tolist()
+    cum = np.concatenate(([0], np.cumsum(freqs_q))).tolist()
+    out = bytearray()
+    clips = 0
+    low = 0
+    rng = rangecoder.MASK
+    for idx in inverse.tolist():
+        r = rng // rangecoder.TOTAL
+        low += r * cum[idx]
+        rng = r * freq_list[idx]
+        while True:
+            if (low ^ (low + rng)) < rangecoder.TOP:
+                pass
+            elif rng < rangecoder.BOT:
+                rng = -low & (rangecoder.BOT - 1)
+                clips += 1
+            else:
+                break
+            out.append((low >> 24) & 0xFF)
+            low = (low << 8) & rangecoder.MASK
+            rng <<= 8
+    out += low.to_bytes(4, "big")
+    return header, bytes(out), clips
 
 
 def range_decode(header: bytes, payload: bytes, count: int) -> np.ndarray:

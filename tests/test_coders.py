@@ -510,6 +510,29 @@ class TestRangeCoder:
         assert len(payload) == 4
         assert rangecoder.decode(header, payload, 100_000).tolist() == [7] * 100_000
 
+    # The last code whose target code // (MASK >> 14) is below TOTAL, the
+    # first one past it, and the two ends.
+    @pytest.mark.parametrize("count", [0, 1, 5000])
+    @pytest.mark.parametrize("code", [0, 0xFFFFBFFF, 0xFFFFC000, 0xFFFFFFFF])
+    def test_single_symbol_model_matches_the_oracle(self, code, count):
+        header, _ = rangecoder.encode([7, 7, 7])
+        payload = code.to_bytes(4, "big")
+        outcomes = []
+        for decode in (rangecoder.decode, oracles.range_decode):
+            try:
+                got = decode(header, payload, count)
+                outcomes.append((got.dtype, got.tolist()))
+            except FormatError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+    def test_single_symbol_count_decodes_in_constant_steps(self):
+        header, payload = rangecoder.encode([7, 7, 7])
+        start = time.perf_counter()
+        got = rangecoder.decode(header, payload, 1_000_000)
+        assert time.perf_counter() - start < 0.05
+        assert got.size == 1_000_000 and np.all(got == 7)
+
 
 class TestLzss:
     def test_zero_run_size_from_token_arithmetic(self):
