@@ -30,12 +30,17 @@ The output is byte for byte that of a position-at-a-time encoder with a
 hash-chain dict, which ``tests/oracles.py`` keeps for differential tests.
 
 The decoder's Python loop runs once per flag group: the next group starts
-17 - popcount(flag byte) bytes on. numpy then gives every token its stream
-offset, length, distance and output start. Each output byte points at the
-byte its match copies, or at itself in a literal, and pointer jumping
-(Wyllie's list ranking) resolves every byte to a literal in log2(longest
-copy chain) rounds, so one gather builds the output. It returns and raises
-exactly what the token-at-a-time decoder in ``tests/oracles.py`` does.
+17 - popcount(flag byte) bytes on. numpy then decodes ``BLOCK_GROUPS``
+groups at a time: every token's stream offset, length, distance and output
+start. Each output byte of the block points at the byte its match copies,
+or at itself in a literal. A match reaches back at most ``WINDOW`` bytes,
+so the block's pointers stay within it and the ``WINDOW`` bytes before it,
+which are already resolved. Pointer jumping (Wyllie's list ranking)
+resolves every byte to a literal or window byte in log2(longest copy
+chain) rounds, and one gather builds the block. Working memory is thus
+bounded by the block, at most 16,384 tokens and 294,912 output bytes, plus
+the input, its group offsets and the output. It returns and raises exactly
+what the token-at-a-time decoder in ``tests/oracles.py`` does.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ WINDOW = 4096
 MIN_MATCH = 3
 MAX_MATCH = 18
 MAX_CHAIN = 64  # candidate positions examined per match search
+BLOCK_GROUPS = 2048  # flag groups decoded at a time
 # Bytes from a group's flag byte to the next group's: the flag byte, 1 per
 # literal (flag bit 1) and 2 per match.
 _GROUP_BYTES = bytes(17 - bin(flags).count("1") for flags in range(256))
@@ -146,42 +152,56 @@ def decompress(data: bytes, expected_size: int | None = None) -> bytes:
         p += step[p]
     buf = np.zeros(n + 2, dtype=np.uint8)
     buf[:n] = np.frombuffer(data, dtype=np.uint8)
-    lit = np.unpackbits(buf[groups]).reshape(-1, 8).astype(bool)
-    # A token's stream offset: its group's start, the flag byte and the
-    # tokens before it in the group.
-    size = 2 - lit.astype(np.int64)
-    off = np.cumsum(size, axis=1) - size + np.array(groups, dtype=np.int64)[:, None] + 1
-    # Offsets rise token by token; tokens at or past the end do not exist.
-    ntok = int(np.searchsorted(off.ravel(), n))
-    lit, off = lit.ravel()[:ntok], off.ravel()[:ntok]
-    b0 = buf[off].astype(np.int64)
-    b1 = buf[off + 1].astype(np.int64)
-    length = np.where(lit, 1, (b1 & 0xF) + MIN_MATCH)
-    dist = np.where(lit, 0, ((b0 << 4) | (b1 >> 4)) + 1)
-    start = np.cumsum(length) - length
-    if expected_size is not None:
-        # Decoding stops before the first token that starts at the size.
-        ntok = int(np.searchsorted(start, expected_size))
-    # Only the last token can be a match cut short.
-    cut = ntok > 0 and not lit[ntok - 1] and off[ntok - 1] + 2 > n
-    ntok -= cut
-    off, length, dist, start = off[:ntok], length[:ntok], dist[:ntok], start[:ntok]
-    if ntok and int((dist - start).max()) > 0:
-        raise FormatError("invalid back-reference")
-    if cut:
-        raise TruncatedStreamError("truncated stream")
-    total = int(start[-1] + length[-1]) if ntok else 0
+    blocks = []
+    window = buf[:0]  # the last WINDOW output bytes, resolved
+    total = 0
+    for first in range(0, len(groups), BLOCK_GROUPS):
+        heads = np.array(groups[first : first + BLOCK_GROUPS], dtype=np.int64)
+        lit = np.unpackbits(buf[heads]).reshape(-1, 8).astype(bool)
+        # A token's stream offset: its group's start, the flag byte and the
+        # tokens before it in the group.
+        size = 2 - lit.astype(np.int64)
+        off = np.cumsum(size, axis=1) - size + heads[:, None] + 1
+        # Offsets rise token by token; tokens at or past the end do not exist.
+        ntok = int(np.searchsorted(off.ravel(), n))
+        lit, off = lit.ravel()[:ntok], off.ravel()[:ntok]
+        b0 = buf[off].astype(np.int64)
+        b1 = buf[off + 1].astype(np.int64)
+        length = np.where(lit, 1, (b1 & 0xF) + MIN_MATCH)
+        dist = np.where(lit, 0, ((b0 << 4) | (b1 >> 4)) + 1)
+        start = np.cumsum(length) - length  # from the block's first output byte
+        if expected_size is not None:
+            # Decoding stops before the first token that starts at the size.
+            ntok = int(np.searchsorted(start, expected_size - total))
+        # Only the last token can be a match cut short.
+        cut = ntok > 0 and not lit[ntok - 1] and off[ntok - 1] + 2 > n
+        ntok -= cut
+        lit, off, length, dist, start = lit[:ntok], off[:ntok], length[:ntok], dist[:ntok], start[:ntok]
+        if ntok and int((dist - start).max()) > total:
+            raise FormatError("invalid back-reference")
+        if cut:
+            raise TruncatedStreamError("truncated stream")
+        if not ntok:
+            break
+        # A frame of the window, then the block. Window bytes point at
+        # themselves; a take over the whole frame is faster than gathering
+        # and scattering only the pending bytes.
+        w = window.size
+        ptr = np.arange(w + int(start[-1] + length[-1]))
+        ptr[w:] -= np.repeat(dist, length)
+        while True:
+            hop = ptr.take(ptr)
+            if np.array_equal(hop, ptr):
+                break
+            ptr = hop
+        frame = np.empty(ptr.size, dtype=np.uint8)  # match bytes are never sources
+        frame[:w] = window
+        at = np.flatnonzero(lit)
+        frame[w + start[at]] = buf[off[at]]
+        frame = frame.take(ptr)
+        blocks.append(frame[w:])
+        window = frame[-WINDOW:]
+        total += frame.size - w
     if expected_size is not None and total != expected_size:
         raise TruncatedStreamError("truncated stream")
-    # Each output byte points at the byte its match copies, or at itself in
-    # a literal. Pointer jumping leaves every byte pointing at a literal
-    # byte after log2(longest copy chain) rounds; a take over all bytes is
-    # faster than gathering and scattering only the pending ones.
-    src = np.arange(total) - np.repeat(dist, length)
-    while True:
-        hop = src.take(src)
-        if np.array_equal(hop, src):
-            break
-        src = hop
-    # Literal bytes take their stream byte; match bytes are never sources.
-    return buf.take(np.repeat(off, length)).take(src).tobytes()
+    return b"".join(blocks)

@@ -189,7 +189,7 @@ def read_container(blob: bytes) -> DecodedContainer:
         except FormatError as exc:
             raise type(exc)(f"{exc}: channel {ch} entry at byte {entry}") from exc
         payload_bytes += len(payload)
-        channels.append(TimeSeries(samples=samples, channel_id=ch))
+        channels.append(TimeSeries._adopt(samples, ch))
     return DecodedContainer(
         chain=chain, coder_name=coder.name, channels=channels, payload_bytes=payload_bytes
     )

@@ -59,6 +59,16 @@ def token_histogram(series) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return symbols, counts, inverse
 
 
+def _checked(samples, channel_id: int) -> np.ndarray:
+    """The samples as 1-D int64, once they fit 32 bits and the id is valid."""
+    arr = as_samples(samples)
+    if arr.size and (int(arr.min()) < INT32_MIN or int(arr.max()) > INT32_MAX):
+        raise ValueError("samples exceed the signed 32-bit range")
+    if channel_id < 0:
+        raise ValueError("channel_id must be non-negative")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
     """One channel of integer samples in chronological order."""
@@ -67,14 +77,21 @@ class TimeSeries:
     channel_id: int = 0
 
     def __post_init__(self):
-        arr = as_samples(self.samples)
-        if arr.size and (int(arr.min()) < INT32_MIN or int(arr.max()) > INT32_MAX):
-            raise ValueError("samples exceed the signed 32-bit range")
-        if self.channel_id < 0:
-            raise ValueError("channel_id must be non-negative")
-        arr = arr.copy()
+        arr = _checked(self.samples, self.channel_id).copy()
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
+
+    @classmethod
+    def _adopt(cls, samples: np.ndarray, channel_id: int) -> TimeSeries:
+        """A series over ``samples``, an array its caller has just made and
+        keeps no other reference to: checked as by the constructor, then
+        marked read-only in place instead of copied."""
+        arr = _checked(samples, channel_id)
+        arr.setflags(write=False)
+        series = object.__new__(cls)
+        object.__setattr__(series, "samples", arr)
+        object.__setattr__(series, "channel_id", channel_id)
+        return series
 
     def __len__(self) -> int:
         return int(self.samples.size)

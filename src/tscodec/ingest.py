@@ -12,6 +12,13 @@ unchanged and are marked as identity-quantized.
 
 Expected CSV shape: comma separated, UTF-8, decimal point '.', optional
 single header row, one sample per row per channel column.
+
+``load_csv`` reads a file a line at a time: the first non-empty line
+decides the header, the first data row the column count, and
+``np.loadtxt`` parses the data rows straight from the open file. Only when
+numpy rejects a row, for an empty cell or a real error, is the whole text
+read into a list of lines: empty cells from that row on become nan and are
+parsed again, and a cell that still fails is named by its row and column.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +34,7 @@ import numpy as np
 from .core import INT16_MAX, INT16_MIN, TimeSeries
 
 QUANT_STEPS = 65535
+WRITE_ROWS = 4096  # CSV rows per formatting operation
 
 
 @dataclass(frozen=True)
@@ -117,50 +126,55 @@ def load_csv(path, columns: list[int | str] | None = None, missing: str = "drop"
     if missing not in ("drop", "error"):
         raise ValueError('missing policy must be "drop" or "error"')
     path = Path(path)
-    lines = [line for line in path.read_text(encoding="utf-8").split("\n") if line]
-    if not lines:
-        raise ValueError(f"{path}: empty file")
+    with path.open(encoding="utf-8") as fh:
+        rows = _rows(path, fh)
+        row = next(rows, None)
+        if row is None:
+            raise ValueError(f"{path}: empty file")
 
-    header: list[str] | None = None
-    first = _cells(lines[0])
-    try:
-        [float(c) for c in first if c.strip()]
-    except ValueError:  # a cell that is neither numeric nor blank: a name
-        header = [c.strip() for c in first]
-        lines = lines[1:]
-    if not lines:
-        raise ValueError(f"{path}: no data rows")
-
-    ncols = len(_cells(lines[0]))
-    if columns is None:
-        selected = list(range(ncols))
-    else:
-        selected = []
-        for c in columns:
-            if isinstance(c, str):
-                if header is None or c not in header:
-                    raise ValueError(f"unknown column name {c!r}")
-                c = header.index(c)
-            if not 0 <= c < ncols:
-                raise ValueError(f"column index {c} out of range")
-            selected.append(c)
-
-    # The last column is always read, unparsed unless selected, so that a
-    # short row fails the parse.
-    last = {} if ncols - 1 in selected else {ncols - 1: lambda _: 0.0}
-    parse = partial(np.loadtxt, ndmin=2, usecols=selected + list(last), converters=last, **_CSV)
-    try:
-        data = parse(lines)
-    except ValueError as exc:  # an empty cell; a real error fails again below
-        # The rows before the one numpy names parsed, so only the rest get
-        # their empty cells replaced by nan.
-        first = (_failed_row(exc) or (0, None))[0]
+        header: list[str] | None = None
+        first = _cells(row)
         try:
-            data = parse(_EMPTY_CELL.sub(r"\1nan", "\n".join(lines[first:])).split("\n"))
-        except ValueError as exc:
-            raise _bad_cell(exc, path, lines, header, ncols, first) from None
-        if first:
-            data = np.concatenate([parse(lines[:first]), data])
+            [float(c) for c in first if c.strip()]
+        except ValueError:  # a cell that is neither numeric nor blank: a name
+            header = [c.strip() for c in first]
+            row = next(rows, None)
+        if row is None:
+            raise ValueError(f"{path}: no data rows")
+
+        ncols = len(_cells(row))
+        if columns is None:
+            selected = list(range(ncols))
+        else:
+            selected = []
+            for c in columns:
+                if isinstance(c, str):
+                    if header is None or c not in header:
+                        raise ValueError(f"unknown column name {c!r}")
+                    c = header.index(c)
+                if not 0 <= c < ncols:
+                    raise ValueError(f"column index {c} out of range")
+                selected.append(c)
+
+        # The last column is always read, unparsed unless selected, so that a
+        # short row fails the parse.
+        last = {} if ncols - 1 in selected else {ncols - 1: lambda _: 0.0}
+        parse = partial(np.loadtxt, ndmin=2, usecols=selected + list(last), converters=last, **_CSV)
+        try:
+            data = parse(chain([row], rows))
+        except ValueError as exc:  # an empty cell; a real error fails again below
+            lines = [line for line in path.read_text(encoding="utf-8").split("\n") if line]
+            if header is not None:
+                del lines[0]
+            # The rows before the one numpy names parsed, so only the rest get
+            # their empty cells replaced by nan.
+            first = (_failed_row(exc) or (0, None))[0]
+            try:
+                data = parse(_EMPTY_CELL.sub(r"\1nan", "\n".join(lines[first:])).split("\n"))
+            except ValueError as exc:
+                raise _bad_cell(exc, path, lines, header, ncols, first) from None
+            if first:
+                data = np.concatenate([parse(lines[:first]), data])
     data = data[:, : len(selected)]
 
     missing_mask = np.isnan(data)
@@ -191,6 +205,21 @@ def load_csv(path, columns: list[int | str] | None = None, missing: str = "drop"
     )
 
 
+def _rows(path: Path, fh):
+    """The lines of ``path``, open as ``fh``, without their "\\n" and empty
+    ones left out: the strings of the line list ``load_csv`` builds on a
+    rejected row, read one at a time."""
+    try:
+        for line in fh:
+            if line := line.removesuffix("\n"):
+                yield line
+    except UnicodeDecodeError:
+        # Raised again by decoding the whole file, it names its byte by the
+        # offset in the file, not in the chunk being decoded.
+        path.read_text(encoding="utf-8")
+        raise
+
+
 def _failed_row(exc: ValueError) -> tuple[int, int | None] | None:
     """The row, and for a bad cell the column, that ``np.loadtxt`` rejected,
     both from 0. numpy counts a short row from 1 ("at row 2 with 1
@@ -215,7 +244,16 @@ def _bad_cell(exc: ValueError, path: Path, lines: list[str], header, ncols: int,
 
 
 def write_csv(path, channels: list[TimeSeries], header: bool = True) -> None:
-    """Write channels column-wise; inverse of loading an integer CSV."""
-    arrays = [ch.samples for ch in channels]  # column_stack rejects none and unequal lengths
-    names = ",".join(f"ch{ch.channel_id}" for ch in channels) if header else ""
-    np.savetxt(path, np.column_stack(arrays), fmt="%d", delimiter=",", header=names, comments="")
+    """Write channels column-wise; inverse of loading an integer CSV.
+
+    The bytes are those of ``np.savetxt(..., fmt="%d", delimiter=",")``,
+    formatted ``WRITE_ROWS`` rows per ``%`` operation.
+    """
+    table = np.column_stack([ch.samples for ch in channels])  # rejects none and unequal lengths
+    row = ",".join(["%d"] * table.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        if header:
+            fh.write(",".join(f"ch{ch.channel_id}" for ch in channels) + "\n")
+        for i in range(0, len(table), WRITE_ROWS):
+            block = table[i : i + WRITE_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))

@@ -298,6 +298,19 @@ def test_forged_length_fails_before_copying(field):
     assert peak < 64 << 10
 
 
+def test_decoded_channels_own_the_decoders_arrays(monkeypatch):
+    """read_container keeps each decoded array, read-only, without a copy;
+    the range check still applies."""
+    blob = build_container([TimeSeries(samples=[1, 2, 3])], TransformChain(("delta",)), "bitpack")
+    decoded = np.array([4, 5, 6])
+    monkeypatch.setattr(container, "decode_channel", lambda *args: decoded)
+    assert read_container(blob).channels[0].samples is decoded
+    assert not decoded.flags.writeable
+    monkeypatch.setattr(container, "decode_channel", lambda *args: np.array([1 << 31]))
+    with pytest.raises(ValueError, match="signed 32-bit range"):
+        read_container(blob)
+
+
 def test_truncated_huffman_payload_keeps_its_class_and_names_the_channel():
     _, blob = _two_channels("huffman")
     entry, side_len, plen = _entries(blob)[1]

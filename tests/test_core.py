@@ -51,6 +51,16 @@ class TestTimeSeries:
         assert ts.samples.tolist() == [1, 2]
         assert TimeSeries(samples=np.array([3], dtype=np.int16)).samples.dtype == np.int64
 
+    def test_adopt_keeps_the_array_read_only_and_checks_it(self):
+        arr = np.array([5, -7], dtype=np.int64)
+        ts = TimeSeries._adopt(arr, 3)
+        assert ts.samples is arr and not arr.flags.writeable
+        assert ts == TimeSeries(samples=[5, -7], channel_id=3)
+        with pytest.raises(ValueError, match="signed 32-bit range"):
+            TimeSeries._adopt(np.array([1 << 31]), 0)
+        with pytest.raises(ValueError, match="channel_id must be non-negative"):
+            TimeSeries._adopt(np.array([1]), -1)
+
 
 class TestCardinality:
     def test_basic(self):

@@ -6,6 +6,8 @@ instead raise a ``FormatError`` subclass, but never any other exception,
 and never return something the oracle would not.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -329,6 +331,49 @@ def test_lzss_long_zero_run():
     packed = lzss.compress(data)
     assert lzss.decompress(packed) == oracles.lzss_decompress(packed) == data
     assert lzss.decompress(packed, len(data)) == data
+
+
+@pytest.mark.parametrize("block_groups", [1, 3])
+def test_lzss_blocks_resolve_across_their_edges(monkeypatch, block_groups):
+    """Blocks of a few groups: matches copy from earlier blocks, up to a full
+    window back, and damaged streams stop or fail where the oracle does."""
+    monkeypatch.setattr(lzss, "BLOCK_GROUPS", block_groups)
+    rng = np.random.default_rng(block_groups)
+    for trial in range(8):
+        head = rng.integers(0, 256, lzss.WINDOW - int(rng.integers(0, 40)), dtype=np.uint8).tobytes()
+        walk = np.cumsum(rng.integers(-2, 3, int(rng.integers(0, 1000)))).astype(np.int16).tobytes()
+        data = head + head + bytes(int(rng.integers(0, 400))) + walk
+        n = len(data)
+        blob = bytearray(lzss.compress(data))
+        kind = trial % 4
+        if kind == 1:
+            del blob[int(rng.integers(len(blob) // 2, len(blob))) :]
+        elif kind == 2:
+            bit = int(rng.integers(8 * len(blob) // 2, 8 * len(blob)))
+            blob[bit >> 3] ^= 0x80 >> (bit & 7)
+        elif kind == 3:
+            at = int(rng.integers(len(blob) // 2, len(blob) + 1))
+            blob[at:at] = rng.integers(0, 256, int(rng.integers(1, 17)), dtype=np.uint8).tobytes()
+        for size in {None, 0, n // 2, n - 1, n, n + 1}:
+            args = (bytes(blob), size)
+            want = _outcome(lambda *a: np.frombuffer(oracles.lzss_decompress(*a), dtype=np.uint8), *args)
+            assert _outcome(lambda *a: np.frombuffer(lzss.decompress(*a), dtype=np.uint8), *args) == want
+
+
+def test_lzss_decode_memory_is_bounded_by_the_block():
+    """A 1 MB output needs the input, the output and one block, not arrays
+    of 8-byte indices per output byte (42.6 MB before blocks)."""
+    data = np.cumsum(np.random.default_rng(0).integers(-3, 4, 500_000)).astype(np.int16).tobytes()
+    packed = lzss.compress(data)
+    tracemalloc.start()
+    try:
+        out = lzss.decompress(packed, len(data))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == data
+    assert peak <= 10_000_000
+
 
 def test_bitpack_width_groups_spanning_many_slabs():
     """Width groups larger than one unpacking slab, plus a short last block."""

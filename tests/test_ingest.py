@@ -1,11 +1,14 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from tscodec.core import TimeSeries
 from oracles import dequantize_column
-from tscodec.ingest import ingest_column, load_csv, quantize_column, write_csv
+from tscodec.ingest import WRITE_ROWS, ingest_column, load_csv, quantize_column, write_csv
 
 finite_floats = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False)
 
@@ -182,6 +185,18 @@ class TestLoadCsv:
         assert [ch.samples.tolist() for ch in ds.channels] == [ch.samples.tolist() for ch in channels]
         assert all(m.identity for m in ds.quantization)
 
+    @pytest.mark.parametrize("rows", [0, 2 * WRITE_ROWS + 5])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("header", [True, False])
+    def test_written_bytes_equal_savetxt(self, tmp_path, rows, k, header):
+        rng = np.random.default_rng(k)
+        channels = [TimeSeries(samples=rng.integers(-(2**31), 2**31, rows), channel_id=j + 7) for j in range(k)]
+        write_csv(tmp_path / "got.csv", channels, header=header)
+        names = ",".join(f"ch{j + 7}" for j in range(k)) if header else ""
+        table = np.column_stack([ch.samples for ch in channels])
+        np.savetxt(tmp_path / "want.csv", table, fmt="%d", delimiter=",", header=names, comments="")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
     def test_empty_file_errors(self, tmp_path):
         path = _write(tmp_path, "")
         with pytest.raises(ValueError, match="empty file"):
@@ -227,6 +242,45 @@ class TestLoadCsv:
         ds = load_csv(path, columns=["load, kW", "temp"])
         assert [ch.samples.tolist() for ch in ds.channels] == [[2, 4], [1, 3]]
 
+    def test_clean_file_is_parsed_without_its_whole_text(self, tmp_path, monkeypatch):
+        """Only a file numpy rejects is read whole, for its line list."""
+        clean = _write(tmp_path, "\r\na,b\r\n1,2\r\n\r\n3,4\r\n")
+        gap = _write(tmp_path, "a,b\n1,\n3,4\n", "gap.csv")
+
+        def read_text(self, *args, **kwargs):
+            raise AssertionError(f"{self} read whole")
+
+        monkeypatch.setattr(Path, "read_text", read_text)
+        assert [ch.samples.tolist() for ch in load_csv(clean).channels] == [[1, 3], [2, 4]]
+        with pytest.raises(AssertionError, match="gap.csv read whole"):
+            load_csv(gap)
+
+    @pytest.mark.parametrize("at", [100, 9000, 10_050])
+    def test_undecodable_byte_is_named_by_its_offset_in_the_file(self, tmp_path, at):
+        """In the header within and past the first 8 KiB read, and in a data row."""
+        data = bytearray(b"a" * 10_000 + b"\n" + b"1\n" * 100)
+        data[at] = 0xFF
+        path = tmp_path / "data.csv"
+        path.write_bytes(bytes(data))
+        with pytest.raises(UnicodeDecodeError, match=f"byte 0xff in position {at}:"):
+            load_csv(path)
+
+    def test_clean_file_peak_memory_is_bounded_by_its_data(self, tmp_path):
+        """50k x 32 floats: the parse holds a line at a time, not the text
+        and its line list (3.25x the float64 data before)."""
+        values = np.cumsum(np.random.default_rng(0).normal(size=(50_000, 32)), axis=0)
+        path = tmp_path / "wide.csv"
+        header = ",".join(f"c{i}" for i in range(values.shape[1]))
+        np.savetxt(path, values, fmt="%.2f", delimiter=",", header=header, comments="")
+        tracemalloc.start()
+        try:
+            ds = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ds.channels) == 32 and len(ds.channels[0]) == 50_000
+        assert peak <= 2.6 * values.nbytes
+
 
 _VALUES = st.one_of(st.integers(-40000, 40000).map(str), st.floats(-1e6, 1e6, allow_nan=False).map(repr))
 _CELLS = st.one_of(
@@ -267,6 +321,12 @@ def _csv_files(draw):
 class TestLoadCsvAgainstOracle:
     @settings(max_examples=300, deadline=None)
     @given(_csv_files())
+    @example(case=("a,b\r\n1,2\r\n3,4\r\n", None, "drop"))  # a clean file: streamed
+    @example(case=("\n\na,b\n1,2\n\n\n3,4\n", ["b", 0], "error"))
+    @example(case=("a,b\n1,2\n \t\n3,4\n", None, "drop"))
+    @example(case=("a,b\r\n\r\n", None, "drop"))
+    @example(case=("a,b\n1,\n3,4\n", None, "drop"))
+    @example(case=("a,b\n1,\n3,4\n", None, "error"))
     def test_same_dataset_or_same_error(self, tmp_path_factory, case):
         text, columns, missing = case
         path = tmp_path_factory.mktemp("csv") / "data.csv"
