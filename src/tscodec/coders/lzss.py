@@ -30,16 +30,16 @@ The output is byte for byte that of a position-at-a-time encoder with a
 hash-chain dict, which ``tests/oracles.py`` keeps for differential tests.
 
 The decoder's Python loop runs once per flag group: the next group starts
-17 - popcount(flag byte) bytes on. numpy then decodes ``BLOCK_GROUPS``
-groups at a time: every token's stream offset, length, distance and output
-start. Each output byte of the block points at the byte its match copies,
-or at itself in a literal. A match reaches back at most ``WINDOW`` bytes,
-so the block's pointers stay within it and the ``WINDOW`` bytes before it,
-which are already resolved. Pointer jumping (Wyllie's list ranking)
-resolves every byte to a literal or window byte in log2(longest copy
-chain) rounds, and one gather builds the block. Working memory is thus
-bounded by the block, at most 16,384 tokens and 294,912 output bytes, plus
-the input, its group offsets and the output. It returns and raises exactly
+17 - popcount(flag byte) bytes on. It finds ``BLOCK_GROUPS`` groups at a
+time, and numpy decodes them: every token's stream offset, length,
+distance and output start. Each output byte of the block points at the
+byte its match copies, or at itself in a literal. A match reaches back at
+most ``WINDOW`` bytes, so the block's pointers stay within it and the
+``WINDOW`` bytes before it, which are already resolved. Pointer jumping
+(Wyllie's list ranking) resolves every byte to a literal or window byte in
+log2(longest copy chain) rounds, and one gather builds the block. Working
+memory is thus bounded by the block, at most 16,384 tokens and 294,912
+output bytes, plus the input and the output. It returns and raises exactly
 what the token-at-a-time decoder in ``tests/oracles.py`` does.
 """
 
@@ -144,19 +144,20 @@ def decompress(data: bytes, expected_size: int | None = None) -> bytes:
     """
     n = len(data)
     step = data.translate(_GROUP_BYTES)
-    groups = []
-    append = groups.append
-    p = 0
-    while p < n:
-        append(p)
-        p += step[p]
     buf = np.zeros(n + 2, dtype=np.uint8)
     buf[:n] = np.frombuffer(data, dtype=np.uint8)
     blocks = []
     window = buf[:0]  # the last WINDOW output bytes, resolved
     total = 0
-    for first in range(0, len(groups), BLOCK_GROUPS):
-        heads = np.array(groups[first : first + BLOCK_GROUPS], dtype=np.int64)
+    p = 0  # the next group's flag byte
+    while p < n:
+        groups = []
+        for _ in range(BLOCK_GROUPS):
+            groups.append(p)
+            p += step[p]
+            if p >= n:
+                break
+        heads = np.array(groups, dtype=np.int64)
         lit = np.unpackbits(buf[heads]).reshape(-1, 8).astype(bool)
         # A token's stream offset: its group's start, the flag byte and the
         # tokens before it in the group.

@@ -15,10 +15,11 @@ single header row, one sample per row per channel column.
 
 ``load_csv`` reads a file a line at a time: the first non-empty line
 decides the header, the first data row the column count, and
-``np.loadtxt`` parses the data rows straight from the open file. Only when
-numpy rejects a row, for an empty cell or a real error, is the whole text
-read into a list of lines: empty cells from that row on become nan and are
-parsed again, and a cell that still fails is named by its row and column.
+``np.loadtxt`` parses the data rows straight from the open file. When
+numpy rejects a row, for an empty cell or a real error, the file is
+streamed a second time from its start: the rows before the rejected one
+pass unchanged, empty cells from it on become nan, and a cell that still
+fails is named by its row and column.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -163,18 +164,15 @@ def load_csv(path, columns: list[int | str] | None = None, missing: str = "drop"
         try:
             data = parse(chain([row], rows))
         except ValueError as exc:  # an empty cell; a real error fails again below
-            lines = [line for line in path.read_text(encoding="utf-8").split("\n") if line]
-            if header is not None:
-                del lines[0]
             # The rows before the one numpy names parsed, so only the rest get
             # their empty cells replaced by nan.
             first = (_failed_row(exc) or (0, None))[0]
+            fh.seek(0)
+            rows = islice(_rows(path, fh), header is not None, None)
             try:
-                data = parse(_EMPTY_CELL.sub(r"\1nan", "\n".join(lines[first:])).split("\n"))
+                data = parse(chain(islice(rows, first), map(partial(_EMPTY_CELL.sub, r"\1nan"), rows)))
             except ValueError as exc:
-                raise _bad_cell(exc, path, lines, header, ncols, first) from None
-            if first:
-                data = np.concatenate([parse(lines[:first]), data])
+                raise _bad_cell(exc, path, header, ncols) from None
     data = data[:, : len(selected)]
 
     missing_mask = np.isnan(data)
@@ -206,9 +204,8 @@ def load_csv(path, columns: list[int | str] | None = None, missing: str = "drop"
 
 
 def _rows(path: Path, fh):
-    """The lines of ``path``, open as ``fh``, without their "\\n" and empty
-    ones left out: the strings of the line list ``load_csv`` builds on a
-    rejected row, read one at a time."""
+    """The lines of ``path``, open as ``fh``, read one at a time without
+    their "\\n", empty ones left out."""
     try:
         for line in fh:
             if line := line.removesuffix("\n"):
@@ -231,13 +228,15 @@ def _failed_row(exc: ValueError) -> tuple[int, int | None] | None:
     return (int(m[1]), int(m[2]) - 1) if m[2] else (int(m[1]) - 1, None)
 
 
-def _bad_cell(exc: ValueError, path: Path, lines: list[str], header, ncols: int, first: int = 0) -> ValueError:
-    """Name the row and cell that ``np.loadtxt`` rejected in ``lines[first:]``."""
+def _bad_cell(exc: ValueError, path: Path, header, ncols: int) -> ValueError:
+    """Name the row and cell that ``np.loadtxt`` rejected in the data rows
+    of ``path``, read again up to that row."""
     where = _failed_row(exc)
     if where is None:
         return ValueError(f"{path}: {exc}")
-    i, c = where[0] + first, where[1]
-    cells = _cells(lines[i])
+    i, c = where
+    with path.open(encoding="utf-8") as fh:
+        cells = _cells(next(islice(_rows(path, fh), i + (header is not None), None)))
     if len(cells) < ncols:
         return ValueError(f"{path}: row {i} has {len(cells)} cells, expected {ncols}")
     return ValueError(f"unparseable numeric cell at row {i}, column {_label(header, c)}: {cells[c].strip()!r}")
