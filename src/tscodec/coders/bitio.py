@@ -38,6 +38,8 @@ CHUNK_BITS = 1 << 16
 LOOKAHEAD_BITS = 128
 PEEK_BITS = 12
 JUMP_ROUNDS = 3
+# The longest prefix of a 2k+1-bit codeword: pack_codes writes at most 64 bits.
+MAX_PREFIX = 31
 _SEGMENT_BITS = CHUNK_BITS + LOOKAHEAD_BITS
 # A segment carries 16 bytes past its last bit and the buffer 32 bytes past
 # the payload, so every 64-bit window a decoder reads lies inside it.
@@ -218,7 +220,6 @@ def decode_prefix_codes(
     stream: BitStream | bytes,
     count: int,
     stop_bit: int,
-    max_prefix: int,
     value: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> np.ndarray:
     """Decode codewords of k prefix bits, a stop bit, then k suffix bits.
@@ -226,7 +227,7 @@ def decode_prefix_codes(
     The prefix bits are the complement of ``stop_bit``, so a codeword spends
     2k+1 bits. ``value(k, suffix)`` maps each codeword's prefix length and
     suffix (uint64) to its decoded value. A prefix longer than
-    ``max_prefix`` (at most 56) raises ``FormatError``.
+    ``MAX_PREFIX``, a codeword no encoder can write, raises ``FormatError``.
 
     The prefix length at each position is one lookup of its ``PEEK_BITS``
     bits; only where all of them are prefix bits is a 57-bit field read.
@@ -247,8 +248,8 @@ def decode_prefix_codes(
             ks = k[starts].astype(np.int64)
             if int((starts + 2 * ks).max()) >= avail:
                 raise TruncatedStreamError("truncated stream")
-            if int(ks.max()) > max_prefix:
-                raise FormatError(f"codeword prefix longer than {max_prefix} bits")
+            if int(ks.max()) > MAX_PREFIX:
+                raise FormatError(f"codeword prefix longer than {MAX_PREFIX} bits")
             return value(ks, read_fields(words, starts + ks + 1, ks))
 
         return 2 * k + 1, finish

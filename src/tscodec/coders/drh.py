@@ -16,7 +16,8 @@ ones, so the top magnitude bit doubles as the sign.
 Decoding runs the shared chunked prefix kernel of ``bitio``: the category
 is ones ending at a 0, and the k bits after it are the magnitude bits.
 Working memory is bounded by ``bitio.CHUNK_BITS``, not by the payload. A
-category above ``MAX_MAGNITUDE_BITS`` raises ``FormatError``.
+category is at most ``bitio.MAX_PREFIX``, so magnitudes of 2^31 and more
+are not encoded, and a higher category raises ``FormatError`` on decode.
 """
 
 from __future__ import annotations
@@ -26,17 +27,10 @@ import numpy as np
 from ..core import as_samples
 from .bitio import BitStream, bit_length_u64, decode_prefix_codes, pack_codes
 
-MAX_MAGNITUDE_BITS = 31
-
 
 def encode(values) -> BitStream:
     v = as_samples(values)
-    if v.size == 0:
-        return BitStream(b"", 0)
-    mag = np.abs(v)
-    if int(mag.max()) >= 1 << MAX_MAGNITUDE_BITS:
-        raise ValueError("magnitude exceeds 31 bits")
-    k = bit_length_u64(mag)
+    k = bit_length_u64(np.abs(v))
     m = np.where(v > 0, v, v + (np.int64(1) << k) - 1).astype(np.uint64)
     ones = (np.uint64(1) << k.astype(np.uint64)) - np.uint64(1)
     # Codeword bits: k ones, one zero, then k magnitude bits.
@@ -53,4 +47,4 @@ def _value(k: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
 
 
 def decode(stream: BitStream | bytes, count: int) -> np.ndarray:
-    return decode_prefix_codes(stream, count, 0, MAX_MAGNITUDE_BITS, _value)
+    return decode_prefix_codes(stream, count, 0, _value)

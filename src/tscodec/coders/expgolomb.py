@@ -8,8 +8,9 @@ zigzag before reaching this coder.
 Decoding runs the shared chunked prefix kernel of ``bitio``: the prefix is
 zeros ending at a 1, and the codeword value is that 1 followed by the k
 suffix bits, minus one. Working memory is bounded by ``bitio.CHUNK_BITS``,
-not by the payload. Zigzagged int32 tokens fit in 33 bits, so a prefix of
-more than ``MAX_PREFIX`` zeros raises ``FormatError``.
+not by the payload. A codeword has at most ``bitio.MAX_PREFIX`` zeros, so
+values of 2^32 - 1 and more are not encoded, and a longer prefix raises
+``FormatError`` on decode.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import numpy as np
 
 from ..core import as_samples
 from .bitio import BitStream, bit_length_u64, decode_prefix_codes, pack_codes
-
-MAX_PREFIX = 32
 
 
 def code_lengths(values) -> np.ndarray:
@@ -41,4 +40,4 @@ def _value(k: np.ndarray, suffix: np.ndarray) -> np.ndarray:
 
 
 def decode(stream: BitStream | bytes, count: int) -> np.ndarray:
-    return decode_prefix_codes(stream, count, 1, MAX_PREFIX, _value)
+    return decode_prefix_codes(stream, count, 1, _value)

@@ -24,7 +24,6 @@ from typing import Callable
 import numpy as np
 
 from ..backends import BACKEND_IDS
-from ..errors import FormatError
 from ..transforms import unzigzag, zigzag
 from .. import symtable
 from . import bitpack, drh, expgolomb, huffman, lzss, rangecoder
@@ -49,12 +48,7 @@ def _expgolomb_encode(tokens: np.ndarray):
 
 
 def _expgolomb_decode(header: bytes, payload: bytes, count: int):
-    # pack_codes writes codewords of at most 64 bits, so a real stream holds
-    # no zigzag token of 2^32 - 1 or more; a forged one would pass the coder.
-    tokens = expgolomb.decode(payload, count)
-    if tokens.size and int(tokens.max()) >= (1 << 32) - 1:
-        raise FormatError("Exp-Golomb codeword longer than 64 bits")
-    return unzigzag(tokens)
+    return unzigzag(expgolomb.decode(payload, count))
 
 
 def _bitpack_encode(tokens: np.ndarray):

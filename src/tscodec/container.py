@@ -9,7 +9,8 @@ names the field (channel table, side header or payload).
 Token count is the length of the post-transform stream the coder decoded;
 inverting the transform chain recovers the original sample count, so a
 container decodes with no external information. Unknown versions, ids, or
-magic are rejected outright, never partially parsed, and so is a width
+magic are rejected outright, never partially parsed, and so are the
+shapes no encoder writes: no channels, a channel of zero tokens, a width
 other than 0 for a symbol coder and other than 2 or 4 otherwise. The side
 bytes are framed here and parsed only by ``chain_invert``.
 
@@ -144,6 +145,8 @@ def _channel_table(blob: bytes, pos: int, nch: int):
     for ch in range(nch):
         fields, end = _take(blob, pos, _ENTRY.size, _CUT_TABLE, ch, "channel table")
         token_count, width, side_len = _ENTRY.unpack(fields)
+        if token_count == 0:
+            raise FormatError(f"unsupported container: no tokens: channel {ch} channel table at byte {pos}")
         side, end = _take(blob, end, side_len, "unsupported container: truncated side header", ch, "side header")
         fields, end = _take(blob, end, _PAYLOAD_LEN.size, _CUT_TABLE, ch, "channel table")
         coded, end = _take(blob, end, *_PAYLOAD_LEN.unpack(fields), "truncated stream", ch, "payload")
@@ -158,9 +161,10 @@ def read_container(blob: bytes) -> DecodedContainer:
     """Decode a container back to its channels.
 
     Raises :class:`FormatError` on bad magic, unknown version or ids, a
-    truncated header or entry, or a chain out of order. Each error names
-    its byte offset and, past the header, its channel; coder and transform
-    errors (truncated payloads and the like) keep their class.
+    truncated header or entry, no channels or tokens, or a chain out of
+    order. Each error names its byte offset and, past the header, its
+    channel; coder and transform errors (truncated payloads and the like)
+    keep their class.
     """
     if len(blob) < _HEAD.size + _HEAD_TAIL.size or blob[: len(MAGIC)] != MAGIC:
         raise FormatError("unsupported container: bad magic at byte 0")
@@ -180,6 +184,8 @@ def read_container(blob: bytes) -> DecodedContainer:
     if coder_id not in CODER_BY_ID:
         raise FormatError(f"unsupported container: coder id {coder_id} at byte {pos}")
     coder = CODER_BY_ID[coder_id]
+    if nch == 0:
+        raise FormatError(f"unsupported container: no channels at byte {pos + 1}")
     channels = []
     payload_bytes = 0
     for ch, (entry, token_count, width, side, coded) in enumerate(_channel_table(blob, pos + _HEAD_TAIL.size, nch)):

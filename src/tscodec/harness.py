@@ -166,22 +166,19 @@ def ablation_rows(
     chains: Sequence[TransformChain] = tuple(map(TransformChain.parse, ABLATION_CHAINS)),
 ) -> list[AblationRow]:
     """Cardinality / AAD / entropy / limit of each dataset's tokens per chain."""
-    rows = []
-    for name, series in datasets.items():
-        for chain in chains:
-            tokens, _ = chain_apply(series, chain)
-            stats = entropy_and_limit(tokens)
-            rows.append(
-                AblationRow(
-                    dataset=name,
-                    chain=chain.label(),
-                    cardinality=stats.cardinality,
-                    aad=stats.aad,
-                    entropy_bits=stats.entropy_bits,
-                    shannon_cs=stats.shannon_cs,
-                )
-            )
-    return rows
+    return [_ablation_row(name, series, chain) for name, series in datasets.items() for chain in chains]
+
+
+def _ablation_row(name: str, series: TimeSeries, chain: TransformChain) -> AblationRow:
+    stats = entropy_and_limit(chain_apply(series, chain)[0])
+    return AblationRow(
+        dataset=name,
+        chain=chain.label(),
+        cardinality=stats.cardinality,
+        aad=stats.aad,
+        entropy_bits=stats.entropy_bits,
+        shannon_cs=stats.shannon_cs,
+    )
 
 
 def run_matrix(
@@ -197,17 +194,23 @@ def run_matrix(
     ``levels`` optionally maps a coder/backend name to a list of levels to
     sweep; other coders run once with their default. Cells run one after
     another in this process, in axis order (dataset, chain, coder, level),
-    each timed by :func:`run_job`. An empty axis or ``repetitions`` below 1
-    raises ValueError before any cell runs.
+    each timed by :func:`run_job`. A (dataset, chain) pair whose transforms
+    fail has no ablation row; its error joins the failures. An empty axis
+    or ``repetitions`` below 1 raises ValueError before any cell runs.
     """
     if not datasets or not chains or not coders:
         raise ValueError("empty axis")
     _check_repetitions(repetitions)
     records: list[BenchRecord] = []
+    ablations: list[AblationRow] = []
     unavailable: list[Unavailable] = []
     failures: list[tuple[str, str]] = []
     for name, series in datasets.items():
         for chain in chains:
+            try:
+                ablations.append(_ablation_row(name, series, chain))
+            except (TscodecError, ValueError) as exc:
+                failures.append((f"{name}/{chain.label()}/ablation", str(exc)))
             for coder_name in coders:
                 for level in (levels or {}).get(coder_name, [None]):
                     try:
@@ -218,7 +221,6 @@ def run_matrix(
                         unavailable.append(Unavailable(name, chain.label(), coder_name, level, str(exc)))
                     except (TscodecError, ValueError) as exc:
                         failures.append((f"{name}/{chain.label()}/{coder_name}", str(exc)))
-    ablations = ablation_rows(datasets, chains)
     metadata = {
         "tool_version": _version,
         "seed": seed,

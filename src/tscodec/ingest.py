@@ -10,8 +10,9 @@ so the quantization error is bounded by one step, (hi - lo) / 65535.
 Columns that are already integral and within the 16-bit range pass through
 unchanged and are marked as identity-quantized.
 
-Expected CSV shape: comma separated, UTF-8, decimal point '.', optional
-single header row, one sample per row per channel column.
+Expected CSV shape: comma separated, UTF-8 (a leading byte-order mark is
+skipped), decimal point '.', optional single header row, one sample per
+row per channel column.
 
 ``load_csv`` reads a file a line at a time: the first non-empty line
 decides the header, the first data row the column count, and
@@ -127,7 +128,7 @@ def load_csv(path, columns: list[int | str] | None = None, missing: str = "drop"
     if missing not in ("drop", "error"):
         raise ValueError('missing policy must be "drop" or "error"')
     path = Path(path)
-    with path.open(encoding="utf-8") as fh:
+    with path.open(encoding="utf-8-sig") as fh:
         rows = _rows(path, fh)
         row = next(rows, None)
         if row is None:
@@ -212,7 +213,8 @@ def _rows(path: Path, fh):
                 yield line
     except UnicodeDecodeError:
         # Raised again by decoding the whole file, it names its byte by the
-        # offset in the file, not in the chunk being decoded.
+        # offset in the file, a byte-order mark included, not in the chunk
+        # being decoded.
         path.read_text(encoding="utf-8")
         raise
 
@@ -235,7 +237,7 @@ def _bad_cell(exc: ValueError, path: Path, header, ncols: int) -> ValueError:
     if where is None:
         return ValueError(f"{path}: {exc}")
     i, c = where
-    with path.open(encoding="utf-8") as fh:
+    with path.open(encoding="utf-8-sig") as fh:
         cells = _cells(next(islice(_rows(path, fh), i + (header is not None), None)))
     if len(cells) < ncols:
         return ValueError(f"{path}: row {i} has {len(cells)} cells, expected {ncols}")

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from tscodec import container
 from tscodec.backends import is_available
-from tscodec.coders.registry import CODER_BY_ID, CODERS
+from tscodec.coders.registry import CODER_BY_ID, CODERS, INTERNAL_CODER_NAMES
 from tscodec.container import build_container, decode_channel, read_container
 from tscodec.core import TimeSeries
 from tscodec.errors import FormatError, TruncatedStreamError
@@ -296,6 +296,24 @@ def test_forged_length_fails_before_copying(field):
     finally:
         tracemalloc.stop()
     assert peak < 64 << 10
+
+
+@pytest.mark.parametrize("coder", [*INTERNAL_CODER_NAMES, "deflate"])
+@pytest.mark.parametrize("stages", sorted(ORDERED_SUBSEQUENCES))
+def test_no_channels_and_a_channel_of_no_tokens_are_rejected(stages, coder):
+    # build_container refuses both; a forged count must not decode to an
+    # empty channel, an empty list or an error of another class.
+    blob = bytearray(build_container([_SINE], TransformChain(stages), coder))
+    assert read_container(bytes(blob)).channels == [_SINE]
+    [(entry, _, _)] = _entries(blob)
+    no_tokens = blob.copy()
+    struct.pack_into("<Q", no_tokens, entry, 0)
+    with pytest.raises(FormatError, match=f"no tokens: channel 0 channel table at byte {entry}$"):
+        read_container(bytes(no_tokens))
+    no_channels = blob[:entry]
+    struct.pack_into("<H", no_channels, entry - 2, 0)
+    with pytest.raises(FormatError, match=f"no channels at byte {entry - 2}$"):
+        read_container(bytes(no_channels))
 
 
 def test_decoded_channels_own_the_decoders_arrays(monkeypatch):

@@ -222,7 +222,7 @@ def _codeword(name, k, suffix):
 @pytest.mark.parametrize("offset", range(8))
 @pytest.mark.parametrize(
     "name, prefixes, limit",
-    [("expgolomb", (11, 12, 13, 31, 32), expgolomb.MAX_PREFIX), ("drh", (11, 12, 13, 31), drh.MAX_MAGNITUDE_BITS)],
+    [("expgolomb", (11, 12, 13, 31), bitio.MAX_PREFIX), ("drh", (11, 12, 13, 31), bitio.MAX_PREFIX)],
 )
 def test_long_prefixes_at_every_bit_offset(name, prefixes, limit, offset):
     """Prefixes around and past the peeked bits, starting at bit ``offset``.
@@ -477,14 +477,24 @@ class TestBoundedDecode:
             bitpack.decode(b"\x00", 10**12)
 
     def test_expgolomb_prefix_limit(self):
-        longest = bytes(4) + b"\xff" * 5  # 32 zeros, then a 1 and 32 suffix bits
-        assert expgolomb.decode(longest, 1).tolist() == [2**33 - 2]
-        for zeros in (33, 47, 79):
-            with pytest.raises(FormatError, match="prefix longer than 32"):
+        longest = _bits("0" * 31 + "1" * 32)  # 31 zeros, then a 1 and 31 suffix bits
+        assert expgolomb.decode(longest, 1).tolist() == [2**32 - 2]
+        for zeros in (32, 33, 47, 79):
+            with pytest.raises(FormatError, match="prefix longer than 31"):
                 expgolomb.decode(_bits("0" * zeros + "1" * (zeros + 1)), 1)
         # 47 zeros used to decode silently to 2**48 - 2.
-        with pytest.raises(FormatError, match="prefix longer than 32"):
+        with pytest.raises(FormatError, match="prefix longer than 31"):
             expgolomb.decode(b"\x00" * 5 + b"\x01" + b"\xff" * 12, 1)
+
+    def test_encoders_share_the_64_bit_codeword_limit(self):
+        # 2^32 - 1 needs a 32-zero prefix, -2^31 a category of 32: each
+        # codeword would be 65 bits.
+        with pytest.raises(ValueError) as eg:
+            expgolomb.encode([2**32 - 1])
+        with pytest.raises(ValueError) as dr:
+            drh.encode([-(2**31)])
+        assert str(eg.value) == str(dr.value) == "codeword lengths must be in [1, 64]"
+        assert drh.encode([]) == bitio.BitStream(b"", 0)
 
     def test_drh_category_limit(self):
         longest = b"\xff" * 3 + b"\xfe" + b"\xff" * 4  # category 31, then 31 ones

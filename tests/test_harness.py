@@ -223,6 +223,23 @@ class TestRunMatrix:
         assert cell == "noise/none/range"
         assert "alphabet too large" in message
 
+    def test_dataset_without_ablation_statistics_keeps_the_others(self):
+        # QuaRs cannot map the deltas of the int32 extremes, so every "w"
+        # cell fails, its ablation row included; "ok" still reports.
+        chain = TransformChain(("delta", "quars"))
+        result = run_matrix(
+            {"w": TimeSeries([-(2**31), 2**31 - 1, 0]), "ok": TimeSeries(range(50))},
+            [chain],
+            ["huffman", "bitpack"],
+            repetitions=1,
+        )
+        assert [(r.dataset, r.coder) for r in result.records] == [("ok", "huffman"), ("ok", "bitpack")]
+        assert result.ablations == ablation_rows({"ok": TimeSeries(range(50))}, [chain])
+        assert [cell for cell, _ in result.failures] == [
+            "w/delta,quars/ablation", "w/delta,quars/huffman", "w/delta,quars/bitpack",
+        ]
+        assert "QuaRs map outside the int32 range" in result.failures[0][1]
+
 
 class TestShannonDominance:
     def test_payload_cs_never_beats_post_transform_limit(self, small_suite):

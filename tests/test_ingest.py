@@ -265,6 +265,40 @@ class TestLoadCsv:
         with pytest.raises(UnicodeDecodeError, match=f"byte 0xff in position {at}:"):
             load_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, columns, dropped",
+        [
+            ("1.5,2\n3,4\n5,6\n", None, 0),
+            ("c0,c1\n1.5,2\n3,4\n5,6\n", ["c0"], 0),
+            ("c0,c1\n1.5,2\n3,\n5,6\n", ["c1", "c0"], 1),  # read a second time
+            ("1.5,2\n3,x\n5,6\n", None, None),  # its bad cell read a third time
+        ],
+        ids=["no-header", "header", "header-gap", "bad-cell"],
+    )
+    def test_byte_order_mark_is_skipped(self, tmp_path, text, columns, dropped):
+        """A file with a UTF-8 byte-order mark loads as the same file without one."""
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        try:
+            want = load_csv(plain, columns)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                load_csv(marked, columns)
+            assert str(got.value) == str(exc)
+            return
+        got = load_csv(marked, columns)
+        assert [ch.samples.tolist() for ch in got.channels] == [ch.samples.tolist() for ch in want.channels]
+        assert got.quantization == want.quantization
+        assert got.dropped_rows == want.dropped_rows == dropped
+
+    def test_undecodable_byte_past_a_byte_order_mark_counts_the_mark(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + b"1,2\n3,4\n5,6\xff\n")  # 3 + 11 bytes before it
+        with pytest.raises(UnicodeDecodeError, match="byte 0xff in position 14:"):
+            load_csv(path)
+
     @pytest.mark.parametrize("gap", [None, 0, -1], ids=["clean", "gap-first-row", "gap-last-row"])
     def test_peak_memory_is_bounded_by_its_data(self, tmp_path, gap):
         """50k x 32 floats, clean or with one empty cell: the parses hold a
