@@ -113,10 +113,7 @@ def _check_kraft(lengths: np.ndarray) -> None:
 
 def encode(values) -> tuple[bytes, BitStream]:
     """Returns (header, payload). Payload spends in [H, H+1) bits/symbol."""
-    x = as_samples(values)
-    if x.size == 0:
-        raise ValueError("undefined on empty input")
-    symbols, counts, inverse = token_histogram(x)
+    symbols, counts, inverse = token_histogram(as_samples(values))
     lengths = code_lengths_from_counts(counts)
     codes = canonical_codes(symbols, lengths)
     header = symtable.write(ENTRY, symbols, lengths)

@@ -177,7 +177,7 @@ def read_container(blob: bytes) -> DecodedContainer:
     try:
         chain = TransformChain(tuple(TRANSFORM_NAME[tid] for tid in blob[_HEAD.size : pos]))
     except KeyError as exc:
-        raise FormatError(f"unsupported container: transform id {exc.args[0]} at byte {_HEAD.size}") from None
+        raise FormatError(f"unsupported container: transform id {exc.args[0]} at byte {blob.index(exc.args[0], _HEAD.size)}") from None
     except ValueError as exc:
         raise FormatError(f"unsupported container: {exc} at byte {_HEAD.size}") from None
     coder_id, nch = _HEAD_TAIL.unpack_from(blob, pos)

@@ -126,10 +126,7 @@ class SizeReport:
 
 def cardinality(series) -> int:
     """Number of distinct sample values; 0 for an empty series."""
-    x = as_samples(series)
-    if x.size == 0:
-        return 0
-    return int(token_histogram(x)[0].size)
+    return int(token_histogram(as_samples(series))[0].size)
 
 
 def aad(series) -> float:
@@ -153,8 +150,6 @@ def entropy_and_limit(series) -> SeriesStats:
     fixed-width encoding of ``SAMPLE_BITS`` bits per sample.
     """
     x = as_samples(series)
-    if x.size == 0:
-        raise ValueError("undefined on empty input")
     symbols, counts, _ = token_histogram(x)
     p = counts / x.size
     h = float(-np.sum(p * np.log2(p)))

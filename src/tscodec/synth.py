@@ -16,10 +16,9 @@ independent stream from the plain ``noise`` case.
 ``switching`` samples are those of a loop over segments: draw the opening
 level index from 5, then per segment draw a dwell of ``DWELL_MIN`` plus
 one of 5, fill it, and draw the next level's index among the 4 other
-levels in ``LEVELS`` order. The generator takes every draw in one
-``integers`` call with an array of spans, which draws each element as
-the loop's scalar calls do, so it returns the loop's samples without
-running it.
+levels in ``LEVELS`` order. All draws come from one ``integers`` call
+with an array of spans, which draws each element as the loop's scalar
+calls do.
 """
 
 from __future__ import annotations
@@ -96,18 +95,9 @@ def _switching(spec: SynthSpec) -> np.ndarray:
     segments = int(np.searchsorted(ends, spec.n)) + 1
     dwells = dwells[:segments]
     dwells[-1] -= ends[segments - 1] - spec.n
-    # Level j + 1 is pick_j + b_j with b_j = (level_j <= pick_j), level 0
-    # being the opening index. As level_j = pick_{j-1} + b_{j-1}, b_j is 1
-    # after a rise pick_{j-1} < pick_j, 0 after a fall, and not b_{j-1}
-    # after a tie: the bit set by the last rise or fall, flipped once per
-    # tie since. A leading sentinel above every index makes b_{-1} = 0.
-    seq = np.concatenate(([LEVELS.size], draws[:1], draws[2 : 2 * segments : 2]), dtype=np.int8)
-    rises = seq[:-1] < seq[1:]
-    ties = seq[:-1] == seq[1:]
-    tie_count = np.cumsum(ties)
-    last = np.maximum.accumulate(np.where(ties, 0, np.arange(ties.size)))
-    bits = rises[last] ^ ((tie_count - tie_count[last]) & 1).astype(bool)
-    index = seq[1:] + bits
+    index = [level := int(draws[0])]
+    for pick in draws[2 : 2 * segments : 2].tolist():
+        index.append(level := pick + (level <= pick))
     return np.repeat(LEVELS[index], dwells)
 
 

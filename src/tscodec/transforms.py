@@ -146,10 +146,7 @@ class QuarsMap:
 
     def invert(self, mapped) -> np.ndarray:
         """Inverse of the fitted map; a token no bin maps to raises FormatError."""
-        x = as_samples(mapped)
-        if x.size == 0:
-            return x.copy()
-        symbols, _, inverse = token_histogram(x)
+        symbols, _, inverse = token_histogram(as_samples(mapped))
         order = np.argsort(self.target_offsets, kind="stable")
         t_sorted = self.target_offsets[order]
         lo_sorted = self.lower_bounds[order]

@@ -632,7 +632,7 @@ def load_csv(path, columns=None, missing: str = "drop") -> Dataset:
     if missing not in ("drop", "error"):
         raise ValueError('missing policy must be "drop" or "error"')
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh))
     rows = [r for r in rows if r]
     if not rows:

@@ -63,6 +63,12 @@ class TestCompressDecompress:
         assert run(["decompress", str(out2), "-o", str(back2)]) == EXIT_OK
         assert back.read_text() == back2.read_text()
 
+    def test_dropped_rows_are_reported(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_text("a,b\n1,2\n3,\n5,6\n,8\n9,10\n")
+        assert run(["compress", str(src), "-o", str(tmp_path / "out.tsc")]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == "dropped 2 rows with missing values"
+
     def test_invalid_chain_order_is_usage_error(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
         src.write_text("1\n2\n")
@@ -220,6 +226,22 @@ class TestAblateCommand:
             assert [len(r) for r in rows] == [6] * (1 + len(want))
             assert [r[1] for r in rows[1:]] == [w["chain"] for w in want]
 
+    def test_comma_list_of_chain_aliases(self, capsys):
+        assert run(["ablate", "--cases", "sine", "--n", "500", "--chains", "none,d,d+r",
+                    "--format", "json"]) == EXIT_OK
+        chains = [TransformChain.parse(c) for c in ("none", "delta", "delta,rle0")]
+        want = [asdict(r) for r in ablation_rows({"sine": generate(SynthSpec("sine", 500, 0))}, chains)]
+        assert json.loads(capsys.readouterr().out) == want
+
+    def test_output_file_holds_the_printed_table(self, tmp_path, capsys):
+        argv = ["ablate", "--cases", "sine,switching", "--n", "500", "--format", "csv"]
+        assert run(argv) == EXIT_OK
+        printed = capsys.readouterr().out
+        out = tmp_path / "table.csv"
+        assert run([*argv, "-o", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == printed
+
     @pytest.mark.parametrize("command", ["ablate", "bench"])
     @pytest.mark.parametrize("chains", ["quars,delta", "delta,delta", "rle0,delta"])
     def test_invalid_chain_is_usage_error(self, command, chains, capsys):
@@ -353,6 +375,18 @@ class TestBenchCommand:
         doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
         assert [r["coder"] for r in doc["records"]] == ["huffman"]
         assert [c["coder"] for c in doc["na_cells"]] == [missing]
+
+    def test_all_coders_makes_na_cells_of_the_uninstalled_backends(self, capsys):
+        from tscodec.backends import is_available
+        from tscodec.coders.registry import CODERS
+
+        code = run(["bench", "--cases", "sine", "--n", "300", "--coders", "all",
+                    "--chains", "none", "--repetitions", "1", "--format", "json"])
+        assert code == EXIT_OK
+        doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        installed = [c for c, info in CODERS.items() if info.kind != "backend" or is_available(c)]
+        assert [r["coder"] for r in doc["records"]] == installed
+        assert [c["coder"] for c in doc["na_cells"]] == [c for c in CODERS if c not in installed]
 
     def test_only_unavailable_backends_print_the_na_rows(self, capsys):
         missing = _missing_backend()

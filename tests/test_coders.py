@@ -348,7 +348,7 @@ class TestHuffman:
             huffman.decode(struct.pack("<H", 0), b"", 0)
 
     def test_empty_input_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^undefined on empty input$"):
             huffman.encode([])
 
     @settings(max_examples=60)

@@ -179,6 +179,30 @@ def test_repeated_transform_id_is_rejected_on_read():
         read_container(bytes(blob))
 
 
+@pytest.mark.parametrize("tid", [0, 4, 255])
+@pytest.mark.parametrize("at", [6, 7, 8])
+def test_unknown_transform_id_names_its_own_byte(at, tid):
+    blob = bytearray(build_container([_SINE], TransformChain(TRANSFORM_ORDER), "drh"))
+    blob[at] = tid
+    with pytest.raises(FormatError, match=f"^unsupported container: transform id {tid} at byte {at}$"):
+        read_container(bytes(blob))
+
+
+def test_trailing_bytes_are_named_at_their_offset():
+    blob = build_container([TimeSeries(samples=[1, 2, 3])], TransformChain(("delta",)), "huffman")
+    assert len(blob) == 39
+    with pytest.raises(FormatError, match="^unsupported container: trailing bytes at byte 39$"):
+        read_container(blob + b"\x00\x00")
+
+
+def test_no_channels_or_an_empty_channel_is_refused_on_write():
+    with pytest.raises(ValueError, match="^no channels to compress$"):
+        build_container([], TransformChain(()), "drh")
+    for channels in ([TimeSeries(samples=[])], [_SINE, TimeSeries(samples=[], channel_id=1)]):
+        with pytest.raises(ValueError, match="^undefined on empty input$"):
+            build_container(channels, TransformChain(("delta",)), "drh")
+
+
 @pytest.mark.parametrize("coder", AVAILABLE_CODERS)
 def test_every_truncation_raises_format_error(coder):
     channels, blob = _two_channels(coder)

@@ -135,7 +135,7 @@ class TestEntropy:
         assert s.shannon_cs == pytest.approx(0.9375)
 
     def test_empty_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^undefined on empty input$"):
             entropy_and_limit([])
 
     @given(series_values)

@@ -354,6 +354,8 @@ def _csv_files(draw):
         lines.insert(draw(st.integers(0, len(lines))), "")
     eol = draw(st.sampled_from(["\n", "\r\n"]))
     text = eol.join(lines) + (eol if draw(st.booleans()) else "")
+    if draw(st.booleans()):  # a UTF-8 byte-order mark
+        text = "\ufeff" + text
     keys = st.integers(0, ncols - 1) | (st.sampled_from(names) if header else st.nothing())
     columns = draw(st.none() | st.lists(keys, min_size=1, max_size=5))
     return text, columns, draw(st.sampled_from(["drop", "error"]))
@@ -368,6 +370,8 @@ class TestLoadCsvAgainstOracle:
     @example(case=("a,b\r\n\r\n", None, "drop"))
     @example(case=("a,b\n1,\n3,4\n", None, "drop"))
     @example(case=("a,b\n1,\n3,4\n", None, "error"))
+    @example(case=("\ufeff1.5,2\n3,4\n5,6\n", None, "drop"))
+    @example(case=("\ufeffa,b\n1,2\n3,4\n", ["a"], "drop"))
     def test_same_dataset_or_same_error(self, tmp_path_factory, case):
         text, columns, missing = case
         path = tmp_path_factory.mktemp("csv") / "data.csv"

@@ -365,6 +365,11 @@ class TestQuars:
         with pytest.raises(ValueError):
             quars_encode([])
 
+    def test_empty_decodes_to_empty(self):
+        _, qmap = quars_encode([3, 9, 9])
+        out = quars_decode([], qmap)
+        assert out.dtype == np.int64 and out.shape == (0,)
+
     @settings(max_examples=60)
     @given(token_series, st.sampled_from([1, 4, 64, 256]))
     def test_encode_decode_match_oracle(self, values, bins):
