@@ -38,17 +38,19 @@ _BLOCK_BYTES = tuple(1 + BLOCK_SIZE * w // 8 for w in range(MAX_WIDTH + 1))
 
 
 @functools.lru_cache(maxsize=MAX_WIDTH + 1)
-def _word_layout(w: int) -> tuple:
-    """Read-only word layout of a block of w-bit values, made once per width.
+def _block_layout(w: int) -> tuple:
+    """Read-only bit layout of a block of w-bit values, made once per width.
 
-    Per value, its offset in the word where it starts; the values that open
-    a word (one opens every word up to the last); and the values that cross
-    into the next word, that word and the shift of their low bits.
+    To pack, per value, its offset in the word where it starts; the values
+    that open a word (one opens every word up to the last); and the values
+    that cross into the next word, that word and the shift of their low
+    bits. To unpack, per value, its window's byte and right shift.
     """
     bit = np.arange(BLOCK_SIZE, dtype=np.int64) * w
     offset = (bit & 63).astype(np.uint64)
     cross = np.flatnonzero(offset > 64 - w)
     layout = (offset, np.flatnonzero(offset < w), cross, (bit[cross] >> 6) + 1, 64 - offset[cross])
+    layout += (bit >> 3, (64 - w - (bit & 7)).astype(np.uint64))
     for a in layout:
         a.flags.writeable = False
     return layout
@@ -74,7 +76,7 @@ def encode(values) -> bytes:
     words = np.zeros((nblocks, nw), dtype=np.uint64)
     for w in np.unique(widths).tolist():
         if w:
-            offset, first, cross, cross_word, cross_shift = _word_layout(w)
+            offset, first, cross, cross_word, cross_shift, _, _ = _block_layout(w)
             idx = np.flatnonzero(widths == w)
             aligned = blocks.take(idx, axis=0).view(np.uint64) << np.uint64(64 - w)
             words[idx, : first.size] = np.bitwise_or.reduceat(aligned >> offset, first, axis=1)
@@ -115,11 +117,10 @@ def decode(data: bytes, count: int) -> np.ndarray:
     blocks = out.reshape(nblocks, BLOCK_SIZE)
     for w in np.unique(widths).tolist():
         if w:
-            bit = np.arange(BLOCK_SIZE, dtype=np.int64) * w
-            shift = (64 - w - (bit & 7)).astype(np.uint64)
+            *_, byte, shift = _block_layout(w)
             idx = np.flatnonzero(widths == w)
             for s in range(0, idx.size, _SLAB_BLOCKS):
                 slab = idx[s : s + _SLAB_BLOCKS]
-                fields = windows.take(starts[slab, None] + (bit >> 3)) >> shift
+                fields = windows.take(starts[slab, None] + byte) >> shift
                 blocks[slab] = fields & np.uint64((1 << w) - 1)
     return out[:count]

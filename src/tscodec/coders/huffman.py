@@ -36,6 +36,9 @@ ENTRY = symtable.entry("u1")
 # shows only after MAX_CODE_LENGTH + 1 bits.
 _INVALID = MAX_CODE_LENGTH + 1
 _WINDOW_BITS = np.uint64(MAX_CODE_LENGTH)
+# Indexed by code length: the 32-bit windows a code of that length covers
+# once left-justified, 2^(32 - length).
+_SPAN = np.uint64(1) << np.arange(MAX_CODE_LENGTH, -1, -1, dtype=np.uint64)
 
 
 def code_lengths_from_counts(counts: np.ndarray) -> np.ndarray:
@@ -81,34 +84,26 @@ def code_lengths_from_counts(counts: np.ndarray) -> np.ndarray:
     return lengths
 
 
-def _left_justified(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spans and first windows of canonical codes, left-justified to 32 bits.
+def _canonical(symbols: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical order, by (length, symbol), with each code's span and first window.
 
-    ``lengths`` is in canonical order (ascending). Code i covers the 32-bit
-    windows [first[i], first[i] + span[i]) with span[i] = 2^(32 - length):
-    each code starts where the previous one's span ends, and Kraft keeps
-    the spans inside 2^32.
+    In that order code i covers the 32-bit windows [first[i], first[i] +
+    span[i]); Kraft's inequality keeps them all inside 2^32.
     """
-    span = np.uint64(1) << (MAX_CODE_LENGTH - lengths).astype(np.uint64)
-    first = np.zeros(lengths.size, dtype=np.uint64)
+    order = np.lexsort((symbols, lengths))
+    span = _SPAN[lengths[order]]
+    first = np.zeros(order.size, dtype=np.uint64)
     np.cumsum(span[:-1], out=first[1:])
-    return span, first
+    return order, span, first
 
 
 def canonical_codes(symbols: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Assign canonical codewords: sorted by (length, symbol), counting up."""
-    order = np.lexsort((symbols, lengths))
-    lens = lengths[order]
-    _, first = _left_justified(lens)
+    order, span, first = _canonical(symbols, lengths)
     codes = np.empty(symbols.size, dtype=np.uint64)
-    codes[order] = first >> (MAX_CODE_LENGTH - lens).astype(np.uint64)
+    # Every earlier code is no longer, so its span is a multiple of this one's.
+    codes[order] = first // span
     return codes
-
-
-def _check_kraft(lengths: np.ndarray) -> None:
-    kraft = np.sum(2.0 ** (-lengths.astype(np.float64)))
-    if kraft > 1.0 + 1e-12:
-        raise FormatError("invalid code table")
 
 
 def encode(values) -> tuple[bytes, BitStream]:
@@ -125,16 +120,16 @@ def parse_header(header: bytes) -> tuple[np.ndarray, np.ndarray]:
     symbols, lengths = symtable.read(ENTRY, header, "code table")
     if int(lengths.min()) < 1 or int(lengths.max()) > MAX_CODE_LENGTH:
         raise FormatError("invalid code table")
-    _check_kraft(lengths)
+    if int(_SPAN[lengths].sum()) > 1 << MAX_CODE_LENGTH:  # Kraft's inequality, exactly
+        raise FormatError("invalid code table")
     return symbols, lengths
 
 
 def decode(header: bytes, payload: BitStream | bytes, count: int) -> np.ndarray:
     symbols, lengths = parse_header(header)
-    order = np.lexsort((symbols, lengths))
+    order, span, first = _canonical(symbols, lengths)
     syms = symbols[order]
     lens = lengths[order]
-    span, first = _left_justified(lens)
     bits = min(PEEK_BITS, int(lens[-1]))
     short = np.flatnonzero(lens <= bits)
     reps = (span[short] >> np.uint64(MAX_CODE_LENGTH - bits)).astype(np.int64)

@@ -174,12 +174,15 @@ def read_container(blob: bytes) -> DecodedContainer:
     pos = _HEAD.size + nstages
     if pos + _HEAD_TAIL.size > len(blob):
         raise FormatError(f"unsupported container: truncated header at byte {pos}")
-    try:
-        chain = TransformChain(tuple(TRANSFORM_NAME[tid] for tid in blob[_HEAD.size : pos]))
-    except KeyError as exc:
-        raise FormatError(f"unsupported container: transform id {exc.args[0]} at byte {blob.index(exc.args[0], _HEAD.size)}") from None
-    except ValueError as exc:
-        raise FormatError(f"unsupported container: {exc} at byte {_HEAD.size}") from None
+    # Grown one stage at a time, so an error names the first id that breaks the grammar.
+    chain = TransformChain()
+    for at in range(_HEAD.size, pos):
+        try:
+            chain = TransformChain((*chain.stages, TRANSFORM_NAME[blob[at]]))
+        except KeyError:
+            raise FormatError(f"unsupported container: transform id {blob[at]} at byte {at}") from None
+        except ValueError as exc:
+            raise FormatError(f"unsupported container: {exc} at byte {at}") from None
     coder_id, nch = _HEAD_TAIL.unpack_from(blob, pos)
     if coder_id not in CODER_BY_ID:
         raise FormatError(f"unsupported container: coder id {coder_id} at byte {pos}")

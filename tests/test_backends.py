@@ -45,6 +45,17 @@ class TestSerialize:
             with pytest.raises(ValueError, match="out of range for 32-bit serialization"):
                 serialize_series([0, value])
 
+    @pytest.mark.parametrize(
+        ("data", "width", "count", "message"),
+        [
+            (b"\x00" * 3, 3, 1, "width must be 2 or 4"),
+            (b"\x00" * 4, 2, 3, "byte length does not match count and width"),
+        ],
+    )
+    def test_deserialize_rejects_a_bad_width_or_length(self, data, width, count, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            deserialize_series(data, width, count)
+
     @settings(max_examples=50)
     @given(st.lists(st.integers(-(2**31), 2**31 - 1), max_size=200))
     def test_roundtrip_both_widths(self, values):

@@ -114,6 +114,11 @@ class TestBitIO:
         stream = w.getvalue()
         assert stream.data == b"\xa0"
 
+    @pytest.mark.parametrize("bit_length", [-1, 17])
+    def test_bit_length_must_fit_the_bytes(self, bit_length):
+        with pytest.raises(ValueError, match="^bit_length inconsistent with byte count$"):
+            BitStream(b"\x00\x00", bit_length)
+
 
 class TestExpGolomb:
     @pytest.mark.parametrize("value,bits", [(0, "1"), (4, "00101"), (7, "0001000")])
@@ -177,6 +182,14 @@ class TestBitpack:
     def test_short_final_block(self):
         v = list(range(130))
         assert bitpack.decode(bitpack.encode(v), 130).tolist() == v
+
+    def test_empty_input_packs_to_nothing(self):
+        assert bitpack.encode([]) == b""
+        assert bitpack.decode(b"", 0).tolist() == []
+
+    def test_negative_value_rejected(self):
+        with pytest.raises(ValueError, match="^bit packing requires non-negative values$"):
+            bitpack.encode([3, -1])
 
 
 # Alphabets for the symbol-table header checks: one symbol, two, a wide
@@ -341,6 +354,35 @@ class TestHuffman:
         with pytest.raises(FormatError, match="invalid code table"):
             huffman.decode(header, b"\x00", 1)
 
+    @pytest.mark.parametrize(
+        ("lengths", "valid"),
+        [
+            ([1, 1], True),
+            ([1, 1, 32], False),
+            # One code of each length 1..31 and two of 32 fill 2^32 exactly.
+            ([*range(1, 32), 32, 32], True),
+            ([*range(1, 32), 32, 32, 32], False),
+        ],
+    )
+    def test_kraft_boundary(self, lengths, valid):
+        symbols, lens = np.arange(len(lengths)), np.array(lengths)
+        header = symtable.write(huffman.ENTRY, symbols, lens)
+        if not valid:
+            with pytest.raises(FormatError, match="^invalid code table$"):
+                huffman.parse_header(header)
+            return
+        assert huffman.parse_header(header)[1].tolist() == lengths
+        payload = pack_codes(huffman.canonical_codes(symbols, lens), lens)
+        assert huffman.decode(header, payload, symbols.size).tolist() == symbols.tolist()
+
+    def test_code_length_limit(self):
+        # 34 Fibonacci counts build a 33-level tree, one past MAX_CODE_LENGTH.
+        fib = [1, 1]
+        while len(fib) < 34:
+            fib.append(fib[-1] + fib[-2])
+        with pytest.raises(ValueError, match="^code length limit exceeded$"):
+            huffman.code_lengths_from_counts(np.array(fib))
+
     def test_empty_symbol_table_rejected(self):
         import struct
 
@@ -384,6 +426,10 @@ class TestDrh:
 
 
 class TestRangeCoder:
+    def test_empty_input_errors(self):
+        with pytest.raises(ValueError, match="^undefined on empty input$"):
+            rangecoder.encode([])
+
     def test_constant_series_collapses(self):
         x = [3] * 10000
         header, payload = rangecoder.encode(x)

@@ -2,6 +2,7 @@
 rejection of malformed containers."""
 
 import itertools
+import re
 import struct
 import tracemalloc
 import zlib
@@ -186,6 +187,50 @@ def test_unknown_transform_id_names_its_own_byte(at, tid):
     blob[at] = tid
     with pytest.raises(FormatError, match=f"^unsupported container: transform id {tid} at byte {at}$"):
         read_container(bytes(blob))
+
+
+# delta, rle0, quars are ids 1, 2, 3 at bytes 6, 7, 8: the error names the
+# first id after which the stages stop following that order once each.
+@pytest.mark.parametrize(
+    ("tids", "at"), [((1, 2, 2), 8), ((1, 1, 3), 7), ((3, 2, 3), 7)], ids=["122", "113", "323"]
+)
+def test_chain_order_error_names_the_first_id_out_of_order(tids, at):
+    blob = bytearray(build_container([_SINE], TransformChain(TRANSFORM_ORDER), "huffman"))
+    blob[6:9] = bytes(tids)
+    order = "invalid chain order: stages follow delta, rle0, quars; no duplicate"
+    with pytest.raises(FormatError, match=f"^unsupported container: {order} at byte {at}$"):
+        read_container(bytes(blob))
+
+
+# What each coder makes of the int32 extremes, without and after delta
+# (whose step from INT32_MIN to INT32_MAX needs 33 bits); None builds.
+INT32_EXTREMES_FAILURES = {
+    "expgolomb": ("codeword lengths must be in [1, 64]", "codeword lengths must be in [1, 64]"),
+    "bitpack": (None, "value wider than 32 bits"),
+    "huffman": (None, "symbol outside the int32 alphabet"),
+    "drh": ("codeword lengths must be in [1, 64]", "codeword lengths must be in [1, 64]"),
+    "range": (None, "symbol outside the int32 alphabet"),
+    "lzss": (None, "sample out of range for 32-bit serialization"),
+    "deflate": (None, "sample out of range for 32-bit serialization"),
+}
+
+
+@pytest.mark.parametrize("coder", INT32_EXTREMES_FAILURES)
+@pytest.mark.parametrize("stage", [0, 1], ids=["none", "delta"])
+def test_int32_extremes_encode_or_fail_with_the_coders_message(coder, stage):
+    channels = [TimeSeries(samples=[-(2**31), 2**31 - 1, 0])]
+    chain = TransformChain(("delta",)[:stage])
+    message = INT32_EXTREMES_FAILURES[coder][stage]
+    if message is None:
+        assert read_container(build_container(channels, chain, coder)).channels == channels
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_container(channels, chain, coder)
+
+
+def test_unknown_coder_name_is_rejected():
+    with pytest.raises(ValueError, match="^unknown coder 'paq8'$"):
+        build_container([_SINE], TransformChain(()), "paq8")
 
 
 def test_trailing_bytes_are_named_at_their_offset():

@@ -10,6 +10,7 @@ from tscodec.core import (
     TimeSeries,
     aad,
     cardinality,
+    compression_speed_mb_s,
     entropy_and_limit,
     entropy_bits,
     size_metrics,
@@ -26,6 +27,7 @@ class TestTimeSeries:
         b = TimeSeries(samples=[1, 2, 3])
         assert len(a) == 3
         assert a == b
+        assert a.__eq__(1) is NotImplemented and a != 1
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -106,6 +108,10 @@ class TestSizeMetrics:
             size_metrics(0, 10)
         with pytest.raises(ValueError):
             size_metrics(10, 0)
+
+    def test_speed_over_no_time_is_infinite(self):
+        assert compression_speed_mb_s(3_000_000, 1.5) == 2.0
+        assert compression_speed_mb_s(3_000_000, 0.0) == math.inf
 
     def test_source_bytes_counts_16_bit_samples_over_all_channels(self):
         channels = [TimeSeries(samples=[1, 2, 3]), TimeSeries(samples=[4], channel_id=1)]

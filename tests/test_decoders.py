@@ -253,7 +253,8 @@ def test_long_prefixes_at_every_bit_offset(name, prefixes, limit, offset):
 
 @pytest.mark.parametrize("name", ["expgolomb", "drh", "huffman"])
 def test_codeword_one_bit_past_the_end_is_truncated(name):
-    """The last codeword ends exactly at the stream's end; one bit fewer cuts it."""
+    """The last codeword ends exactly at the stream's end; one bit fewer cuts
+    it, and so does asking for one codeword more."""
     values = [5, 0, 300, 2, 70_000, 1]
     if name == "huffman":
         header, stream = huffman.encode(values)
@@ -265,6 +266,8 @@ def test_codeword_one_bit_past_the_end_is_truncated(name):
     cut = bitio.BitStream(stream.data, stream.bit_length - 1)
     with pytest.raises(TruncatedStreamError):
         decode(cut, len(values))
+    with pytest.raises(TruncatedStreamError, match="^truncated stream$"):
+        decode(stream, len(values) + 1)
 
 def _lzss_stream(tokens) -> bytes:
     """LZSS bytes of ``tokens``: each a literal byte, or a (distance, length) match."""

@@ -64,6 +64,17 @@ class TestRunJob:
         assert rec.compressed_bytes == rec.payload_bytes + rec.header_bytes
         assert rec.original_bytes == 2 * len(small_suite["sine"])
 
+    def test_plain_array_is_one_channel(self, small_suite):
+        series = small_suite["sine"]
+        rec = run_job(series.samples, TransformChain(("delta",)), "huffman", repetitions=1)
+        assert rec == dataclasses.replace(
+            run_job(series, TransformChain(("delta",)), "huffman", repetitions=1),
+            compress_seconds=rec.compress_seconds,
+            decompress_seconds=rec.decompress_seconds,
+            speed_mb_s=rec.speed_mb_s,
+            decode_mb_s=rec.decode_mb_s,
+        )
+
     def test_decoder_fault_is_fatal(self, small_suite, monkeypatch):
         # A coder whose decode corrupts one token must never yield a record.
         from tscodec.coders import registry

@@ -79,6 +79,11 @@ class TestIngestColumn:
         with pytest.raises(ValueError, match=f"^non-finite values at rows: {rows}$"):
             ingest_column(values)
 
+    @pytest.mark.parametrize("ingest", [ingest_column, quantize_column])
+    def test_empty_column_errors(self, ingest):
+        with pytest.raises(ValueError, match="^undefined on empty input$"):
+            ingest([])
+
 
 def _write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
@@ -107,6 +112,11 @@ class TestLoadCsv:
         ds = load_csv(path, columns=[1])
         assert ds.channels[0].samples.tolist() == [10, 20]
 
+    @pytest.mark.parametrize("column", [2, -1])
+    def test_column_index_out_of_range(self, tmp_path, column):
+        with pytest.raises(ValueError, match=f"^column index {column} out of range$"):
+            load_csv(_write(tmp_path, "1,10\n2,20\n"), columns=[column])
+
     def test_unknown_column_name(self, tmp_path):
         path = _write(tmp_path, "a,b\n1,2\n")
         with pytest.raises(ValueError, match="unknown column name"):
@@ -116,6 +126,10 @@ class TestLoadCsv:
         path = _write(tmp_path, "a,b\n1,2\n3,\n")
         with pytest.raises(ValueError, match="row 1, column b"):
             load_csv(path, missing="error")
+
+    def test_unknown_missing_policy_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match='^missing policy must be "drop" or "error"$'):
+            load_csv(_write(tmp_path, "1,2\n"), missing="skip")
 
     def test_missing_cell_drop_policy_counts(self, tmp_path):
         path = _write(tmp_path, "1,2\n3,\n5,6\n")

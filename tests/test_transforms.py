@@ -365,6 +365,12 @@ class TestQuars:
         with pytest.raises(ValueError):
             quars_encode([])
 
+    def test_bin_count_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^bin_count must be >= 1$"):
+            quars_encode([1, 2, 3], bin_count=0)
+        with pytest.raises(ValueError, match="^quars_bins must be >= 1$"):
+            TransformChain(("quars",), quars_bins=0)
+
     def test_empty_decodes_to_empty(self):
         _, qmap = quars_encode([3, 9, 9])
         out = quars_decode([], qmap)
