@@ -141,7 +141,7 @@ def _load_datasets(args) -> dict:
     return datasets
 
 
-_CHAIN_ALIAS = {"none": "none", "d": "delta", "d+r": "delta,rle0", "d+r+q": "delta,rle0,quars"}
+_CHAIN_ALIAS = dict(zip(("none", "d", "d+r", "d+r+q"), ABLATION_CHAINS))
 
 
 def _parse_chains(text: str) -> list[TransformChain]:

@@ -113,6 +113,8 @@ def build_container(
         raise ValueError(f"coder {coder_name!r} takes no level")
     if not channels:
         raise ValueError("no channels to compress")
+    if len(channels) > 0xFFFF:
+        raise ValueError(f"{len(channels)} channels: a container holds at most 65535")
     out = bytearray(_HEAD.pack(MAGIC, VERSION, len(chain.stages)))
     for s in chain.stages:
         out.append(TRANSFORM_ORDER.index(s) + 1)
@@ -158,7 +160,8 @@ def _channel_table(blob: bytes, pos: int, nch: int):
 
 
 def read_container(blob: bytes) -> DecodedContainer:
-    """Decode a container back to its channels.
+    """Decode a container back to its channels, numbered 0 to n-1 in
+    their order: a container stores no channel id.
 
     Raises :class:`FormatError` on bad magic, unknown version or ids, a
     truncated header or entry, no channels or tokens, or a chain out of
@@ -166,14 +169,16 @@ def read_container(blob: bytes) -> DecodedContainer:
     channel; coder and transform errors (truncated payloads and the like)
     keep their class.
     """
-    if len(blob) < _HEAD.size + _HEAD_TAIL.size or blob[: len(MAGIC)] != MAGIC:
+    if not MAGIC.startswith(blob[: len(MAGIC)]):
         raise FormatError("unsupported container: bad magic at byte 0")
-    _, version, nstages = _HEAD.unpack_from(blob)
-    if version != VERSION:
-        raise FormatError(f"unsupported container: version {version} at byte {len(MAGIC)}")
-    pos = _HEAD.size + nstages
+    if len(blob) > len(MAGIC) and blob[len(MAGIC)] != VERSION:
+        raise FormatError(f"unsupported container: version {blob[len(MAGIC)]} at byte {len(MAGIC)}")
+    pos = _HEAD.size + (blob[_HEAD.size - 1] if len(blob) >= _HEAD.size else 0)  # the coder id's offset
     if pos + _HEAD_TAIL.size > len(blob):
-        raise FormatError(f"unsupported container: truncated header at byte {pos}")
+        # The first field cut short starts at the cut, unless the cut falls
+        # inside the magic or the channel count.
+        at = 0 if len(blob) < len(MAGIC) else min(len(blob), pos + 1)
+        raise FormatError(f"unsupported container: truncated header at byte {at}")
     # Grown one stage at a time, so an error names the first id that breaks the grammar.
     chain = TransformChain()
     for at in range(_HEAD.size, pos):

@@ -112,7 +112,9 @@ def run_job(
 ) -> BenchRecord:
     """Compress, decompress, verify, and measure one cell.
 
-    A round-trip mismatch raises; it never produces a record.
+    A round-trip mismatch raises; it never produces a record. Only samples
+    are compared: the container stores no channel id, so a channel comes
+    back numbered by its position.
     ``repetitions`` below 1 raises ValueError.
     """
     _check_repetitions(repetitions)

@@ -50,11 +50,10 @@ class ChannelQuantization:
 
 @dataclass
 class Dataset:
-    """Named multichannel series with provenance and quantization info."""
+    """Named multichannel series with quantization info."""
 
     name: str
     channels: list[TimeSeries]
-    provenance: list[str] = field(default_factory=list)
     quantization: list[ChannelQuantization] = field(default_factory=list)
     dropped_rows: int = 0
 
@@ -81,22 +80,17 @@ def quantize_column(values) -> tuple[np.ndarray, ChannelQuantization]:
     return q, ChannelQuantization(lo=lo, hi=hi)
 
 
-def _is_integral_16bit(x: np.ndarray) -> bool:
-    # NaN fails the integral test and +-inf the range test, so non-finite
-    # columns fall through to quantize_column, which names their rows.
-    if not np.all(x == np.floor(x)):
-        return False
-    return INT16_MIN <= float(x.min()) and float(x.max()) <= INT16_MAX
-
-
 def ingest_column(values) -> tuple[np.ndarray, ChannelQuantization]:
     """Quantize unless the column is already integral and in range."""
     x = np.asarray(values, dtype=np.float64)
     if x.size == 0:
         raise ValueError("undefined on empty input")
-    if _is_integral_16bit(x):
-        q = x.astype(np.int64)
-        return q, ChannelQuantization(lo=float(x.min()), hi=float(x.max()), identity=True)
+    # NaN fails the integral test and +-inf the range test, so non-finite
+    # columns fall through to quantize_column, which names their rows.
+    if np.all(x == np.floor(x)):
+        lo, hi = float(x.min()), float(x.max())
+        if INT16_MIN <= lo and hi <= INT16_MAX:
+            return x.astype(np.int64), ChannelQuantization(lo=lo, hi=hi, identity=True)
     return quantize_column(x)
 
 
@@ -108,7 +102,8 @@ _EMPTY_CELL = re.compile(r'(^|,)(?:"[^\S\n]*")?[^\S\n]*(?=,|$)', re.MULTILINE)
 
 
 def _cells(line: str) -> list[str]:
-    return np.loadtxt([line], dtype=str, ndmin=1, **_CSV).tolist()
+    # One row: without max_rows numpy sizes its first chunk for 50,000 rows.
+    return np.loadtxt([line], dtype=str, ndmin=1, max_rows=1, **_CSV).tolist()
 
 
 def _label(header: list[str] | None, c: int):
@@ -144,7 +139,7 @@ def load_csv(path, columns: list[int | str] | None = None, missing: str = "drop"
         if row is None:
             raise ValueError(f"{path}: no data rows")
 
-        ncols = len(_cells(row))
+        ncols = len(first if header is None else _cells(row))
         if columns is None:
             selected = list(range(ncols))
         else:
@@ -173,7 +168,7 @@ def load_csv(path, columns: list[int | str] | None = None, missing: str = "drop"
             try:
                 data = parse(chain(islice(rows, first), map(partial(_EMPTY_CELL.sub, r"\1nan"), rows)))
             except ValueError as exc:
-                raise _bad_cell(exc, path, header, ncols) from None
+                raise _bad_cell(exc, path, fh, header, ncols) from None
     data = data[:, : len(selected)]
 
     missing_mask = np.isnan(data)
@@ -195,13 +190,7 @@ def load_csv(path, columns: list[int | str] | None = None, missing: str = "drop"
         q, meta = ingest_column(data[:, j])
         channels.append(TimeSeries(samples=q, channel_id=j))
         quant.append(meta)
-    return Dataset(
-        name=path.stem,
-        channels=channels,
-        provenance=[str(path)],
-        quantization=quant,
-        dropped_rows=dropped,
-    )
+    return Dataset(name=path.stem, channels=channels, quantization=quant, dropped_rows=dropped)
 
 
 def _rows(path: Path, fh):
@@ -230,15 +219,15 @@ def _failed_row(exc: ValueError) -> tuple[int, int | None] | None:
     return (int(m[1]), int(m[2]) - 1) if m[2] else (int(m[1]) - 1, None)
 
 
-def _bad_cell(exc: ValueError, path: Path, header, ncols: int) -> ValueError:
+def _bad_cell(exc: ValueError, path: Path, fh, header, ncols: int) -> ValueError:
     """Name the row and cell that ``np.loadtxt`` rejected in the data rows
-    of ``path``, read again up to that row."""
+    of ``path``, open as ``fh``, read again from its start up to that row."""
     where = _failed_row(exc)
     if where is None:
         return ValueError(f"{path}: {exc}")
     i, c = where
-    with path.open(encoding="utf-8-sig") as fh:
-        cells = _cells(next(islice(_rows(path, fh), i + (header is not None), None)))
+    fh.seek(0)
+    cells = _cells(next(islice(_rows(path, fh), i + (header is not None), None)))
     if len(cells) < ncols:
         return ValueError(f"{path}: row {i} has {len(cells)} cells, expected {ncols}")
     return ValueError(f"unparseable numeric cell at row {i}, column {_label(header, c)}: {cells[c].strip()!r}")

@@ -46,9 +46,8 @@ def split(dtype: np.dtype, blob: bytes) -> tuple[bytes, bytes]:
 
 def read(dtype: np.dtype, header: bytes, what: str) -> tuple[np.ndarray, np.ndarray]:
     """(symbols, fields) as int64, from a table of at least one entry."""
-    if len(header) < 2:
-        raise FormatError(f"truncated {what}")
     m = int.from_bytes(header[:2], "little")
+    # A header under 2 bytes counts at most 255 entries, so it fails here too.
     if len(header) < 2 + dtype.itemsize * m:
         raise FormatError(f"truncated {what}")
     if m == 0:

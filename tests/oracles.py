@@ -693,7 +693,7 @@ def load_csv(path, columns=None, missing: str = "drop") -> Dataset:
         q, meta = ingest_column(data[:, j])
         channels.append(TimeSeries(samples=q, channel_id=j))
         quant.append(meta)
-    return Dataset(name=path.stem, channels=channels, provenance=[str(path)], quantization=quant, dropped_rows=dropped)
+    return Dataset(name=path.stem, channels=channels, quantization=quant, dropped_rows=dropped)
 
 
 def synth_switching(spec: synth.SynthSpec) -> np.ndarray:

@@ -103,6 +103,14 @@ class TestCompressDecompress:
         # chain (4+1+1+1+2 + 8+1+4 + 8 = 30 bytes) and is stock zlib.
         assert zlib.decompress(blob[30:]) == series.astype("<i2").tobytes()
 
+    def test_more_columns_than_a_container_holds_is_a_data_error(self, tmp_path, capsys):
+        src = tmp_path / "wide.csv"
+        src.write_text(",".join(f"c{i}" for i in range(65536)) + "\n" + ",".join(["1"] * 65536) + "\n")
+        out = tmp_path / "out.tsc"
+        assert run(["compress", str(src), "-o", str(out), "--coder", "drh"]) == EXIT_DATA
+        assert capsys.readouterr().err == "error: 65536 channels: a container holds at most 65535\n"
+        assert not out.exists()
+
     def test_unavailable_backend_exit_code(self, tmp_path, capsys):
         from tscodec.backends import is_available
 

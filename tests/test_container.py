@@ -51,7 +51,7 @@ def test_coder_ids_are_pinned():
 @pytest.mark.parametrize("name", ["huffman", "range"])
 @pytest.mark.parametrize("blob", [b"", b"\x05"])
 def test_blob_shorter_than_the_table_count_is_rejected(name, blob):
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="^truncated (code|frequency) table$"):
         decode_channel(3, 0, b"", *CODERS[name].split(blob), TransformChain(()), CODERS[name])
 
 
@@ -246,6 +246,30 @@ def test_no_channels_or_an_empty_channel_is_refused_on_write():
     for channels in ([TimeSeries(samples=[])], [_SINE, TimeSeries(samples=[], channel_id=1)]):
         with pytest.raises(ValueError, match="^undefined on empty input$"):
             build_container(channels, TransformChain(("delta",)), "drh")
+
+
+def test_more_channels_than_the_count_field_holds_are_refused_before_encoding(monkeypatch):
+    monkeypatch.setattr(container, "encode_channel", None)  # any call would fail with a TypeError
+    with pytest.raises(ValueError, match="^65536 channels: a container holds at most 65535$"):
+        build_container([TimeSeries([1])] * 65536, TransformChain(()), "drh")
+
+
+def test_channel_ids_are_not_stored():
+    blob = build_container([TimeSeries([1, 2, 3], channel_id=5)], TransformChain(("delta",)), "drh")
+    assert read_container(blob).channels == [TimeSeries([1, 2, 3], channel_id=0)]
+
+
+def test_a_cut_fixed_header_names_the_first_missing_field():
+    # magic (4 bytes), version, transform count, 3 transform ids, coder id,
+    # channel count (2 bytes): 12 bytes.
+    blob = build_container([_SINE], TransformChain(("delta", "rle0", "quars")), "huffman")
+    missing = [0, 0, 0, 0, 4, 5, 6, 7, 8, 9, 10, 10]
+    for cut, at in enumerate(missing):
+        with pytest.raises(FormatError, match=f"^unsupported container: truncated header at byte {at}$"):
+            read_container(blob[:cut])
+    for cut in range(1, len(missing)):  # a wrong magic stays bad magic, however short
+        with pytest.raises(FormatError, match="^unsupported container: bad magic at byte 0$"):
+            read_container(bytes([blob[0] ^ 0xFF]) + blob[1:cut])
 
 
 @pytest.mark.parametrize("coder", AVAILABLE_CODERS)

@@ -45,6 +45,11 @@ def small_suite():
 
 
 class TestRunJob:
+    def test_a_channel_id_is_not_compared(self):
+        # The container stores no channel id: channel 5 comes back as 0.
+        rec = run_job(TimeSeries([1, 2, 3], channel_id=5), TransformChain(()), "drh", repetitions=1)
+        assert rec.original_bytes == 6
+
     def test_constant_series_delta_rle0_expgolomb(self):
         series = TimeSeries(samples=np.full(1000, 500))
         rec = run_job(series, TransformChain(("delta", "rle0")), "expgolomb", dataset_name="const")

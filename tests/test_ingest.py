@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from tscodec.core import TimeSeries
 from oracles import dequantize_column
-from tscodec.ingest import WRITE_ROWS, ingest_column, load_csv, quantize_column, write_csv
+from tscodec.ingest import WRITE_ROWS, ChannelQuantization, ingest_column, load_csv, quantize_column, write_csv
 
 finite_floats = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False)
 
@@ -73,6 +73,19 @@ class TestIngestColumn:
         assert not meta.identity
 
     @pytest.mark.parametrize(
+        "values, q, identity",
+        [
+            ([-32768.0, 32767.0], [-32768, 32767], True),
+            ([-32769.0, 0.0], [-32768, 32767], False),
+            ([1.5, 2.0, 1.5], [-32768, 32767, -32768], False),
+        ],
+    )
+    def test_identity_needs_integral_values_in_the_16bit_range(self, values, q, identity):
+        got, meta = ingest_column(values)
+        assert got.tolist() == q
+        assert meta == ChannelQuantization(lo=min(values), hi=max(values), identity=identity)
+
+    @pytest.mark.parametrize(
         "values, rows", [([1.0, np.inf], "1"), ([np.nan, 2.0], "0"), ([-np.inf], "0")]
     )
     def test_non_finite_values_name_their_rows(self, values, rows):
@@ -99,7 +112,6 @@ class TestLoadCsv:
         assert all(len(ch) == 3 for ch in ds.channels)
         assert ds.channels[0].samples.tolist() == [1, 2, 3]
         assert ds.name == "data"
-        assert ds.provenance == [str(path)]
 
     def test_header_detected_and_selectable(self, tmp_path):
         path = _write(tmp_path, "temp,load\n1,10\n2,20\n")
@@ -335,6 +347,19 @@ class TestLoadCsv:
         assert ds.dropped_rows == dropped
         assert len(ds.channels) == 32 and len(ds.channels[0]) == 50_000 - dropped
         assert peak <= 2.6 * values.nbytes
+
+    def test_a_wide_leading_row_is_tokenized_alone(self, tmp_path):
+        """A header and one data row of 1,000 columns: tokenizing a line
+        holds that line, not a chunk sized for 50,000 rows (near 400 MB)."""
+        path = _write(tmp_path, ",".join(f"c{i}" for i in range(1000)) + "\n" + ",".join(map(str, range(1000))) + "\n")
+        tracemalloc.start()
+        try:
+            ds = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [ch.samples.tolist() for ch in ds.channels] == [[i] for i in range(1000)]
+        assert peak < 5 * 2**20
 
 
 _VALUES = st.one_of(st.integers(-40000, 40000).map(str), st.floats(-1e6, 1e6, allow_nan=False).map(repr))
