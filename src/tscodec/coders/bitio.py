@@ -3,13 +3,18 @@
 Bits are filled most-significant-first within each byte; unused trailing
 bits of the final byte are zero.
 
-Codewords are packed a 64-bit word at a time (``pack_codes``), as fast
-integer codecs write bits. A ``cumsum`` of the lengths gives each code's
-start bit; the code, left-aligned, is shifted to its offset in the word
-where it starts, and the codes sharing a word are OR-ed together by one
-``bitwise_or.reduceat``. The low bits of a code that crosses into the next
-word go there in one scatter. The words are written big-endian and cut to
-whole bytes, so no per-bit array is ever built.
+Codewords are packed block by block (``pack_codes``), as fast integer
+codecs write bits: a coder's ``codeword`` function turns ``PACK_TOKENS``
+tokens at a time into codes and lengths, so working memory is bounded by
+one block, as decoding is bounded by one chunk. In a block, a ``cumsum``
+of the lengths gives each code's start bit, counted on from the bits the
+blocks before left in the open word; the code, left-aligned, is shifted
+to its offset in the word where it starts, and the codes sharing a word
+are OR-ed together by one ``bitwise_or.reduceat``. The low bits of a code
+that crosses into the next word go there in one scatter. The block's
+first word is OR-ed onto the open word, its whole words are written
+big-endian, and its last partial word stays open for the next block, so
+no per-bit array is ever built.
 
 Prefix codes decode chunk by chunk (``decode_chunks``). For every bit
 position of a chunk of ``CHUNK_BITS`` positions, a coder computes with
@@ -27,6 +32,7 @@ memory stays a few MB at any payload size.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,6 +41,9 @@ import numpy as np
 from ..errors import FormatError, TruncatedStreamError
 
 CHUNK_BITS = 1 << 16
+# Tokens per packing block: the fastest of 2^12 .. 2^15 on long-entropy
+# streams of 100k tokens.
+PACK_TOKENS = 1 << 13
 LOOKAHEAD_BITS = 128
 PEEK_BITS = 12
 JUMP_ROUNDS = 3
@@ -82,37 +91,47 @@ def bit_length_u64(values: np.ndarray) -> np.ndarray:
     return np.frexp(np.where(wide, high, v).astype(np.float64))[1] + np.where(wide, 32, 0)
 
 
-def pack_codes(codes: np.ndarray, lengths: np.ndarray) -> BitStream:
-    """Concatenate variable-length codewords into one bit stream.
+def pack_codes(values, codeword: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]) -> BitStream:
+    """Concatenate the codewords of ``values`` into one bit stream.
 
-    ``codes[i]`` holds the codeword value in its low ``lengths[i]`` bits;
-    lengths must be in [1, 64].
+    ``codeword(block)`` maps a slice of at most ``PACK_TOKENS`` values to
+    (codes, lengths): ``codes[i]`` holds the codeword value in its low
+    ``lengths[i]`` bits, and lengths must be in [1, 64].
     """
-    codes = codes.astype(np.uint64, copy=False)
-    lengths = lengths.astype(np.int64, copy=False)
-    if codes.size == 0:
-        return BitStream(b"", 0)
-    if int(lengths.min()) < 1 or int(lengths.max()) > 64:
-        raise ValueError("codeword lengths must be in [1, 64]")
-    ends = np.cumsum(lengths)
-    total = int(ends[-1])
-    starts = ends - lengths
-    word = starts >> 6
-    offset = (starts & 63).astype(np.uint64)
-    # Left-align each code (shift 0..63), then move it to its bit offset in
-    # the word where it starts (shift 0..63): bits past the word fall off.
-    aligned = codes << (np.uint64(64) - lengths.astype(np.uint64))
-    high = aligned >> offset
-    out = np.zeros((total + 63) >> 6, dtype=np.uint64)
-    # Starts are sorted, so the codes sharing a word are contiguous.
-    first = np.flatnonzero(np.concatenate(([True], word[1:] != word[:-1])))
-    out[word[first]] = np.bitwise_or.reduceat(high, first)
-    # The bits that fell off go to the top of the next word. Only a code
-    # with offset >= 1 can cross (shift 1..63), and at most one code crosses
-    # each boundary, so the scatter indices are unique.
-    cross = np.flatnonzero(ends > (word + 1) << 6)
-    out[word[cross] + 1] |= aligned[cross] << (np.uint64(64) - offset[cross])
-    return BitStream(out.astype(">u8").tobytes()[: (total + 7) >> 3], total)
+    out = io.BytesIO()
+    carry, used = np.uint64(0), 0  # the open word and its bits in use
+    for at in range(0, len(values), PACK_TOKENS):
+        codes, lengths = codeword(values[at : at + PACK_TOKENS])
+        codes = codes.astype(np.uint64, copy=False)
+        lengths = lengths.astype(np.int64, copy=False)
+        if int(lengths.min()) < 1 or int(lengths.max()) > 64:
+            raise ValueError("codeword lengths must be in [1, 64]")
+        ends = np.cumsum(lengths)
+        ends += used
+        total = int(ends[-1])
+        starts = ends - lengths
+        word = starts >> 6
+        offset = (starts & 63).astype(np.uint64)
+        # Left-align each code (shift 0..63), then move it to its bit offset in
+        # the word where it starts (shift 0..63): bits past the word fall off.
+        aligned = codes << (np.uint64(64) - lengths.astype(np.uint64))
+        high = aligned >> offset
+        words = np.zeros((total >> 6) + 1, dtype=np.uint64)  # the last one stays open
+        # Starts are sorted, so the codes sharing a word are contiguous.
+        first = np.flatnonzero(np.concatenate(([True], word[1:] != word[:-1])))
+        words[word[first]] = np.bitwise_or.reduceat(high, first)
+        # The bits that fell off go to the top of the next word. Only a code
+        # with offset >= 1 can cross (shift 1..63), and at most one code crosses
+        # each boundary, so the scatter indices are unique.
+        cross = np.flatnonzero(ends > (word + 1) << 6)
+        words[word[cross] + 1] |= aligned[cross] << (np.uint64(64) - offset[cross])
+        words[0] |= carry
+        full, used = total >> 6, total & 63
+        out.write(words[:full].astype(">u8"))
+        carry = words[full]
+    nbits = 8 * out.tell() + used
+    out.write(int(carry).to_bytes(8, "big")[: (used + 7) >> 3])
+    return BitStream(out.getvalue(), nbits)
 
 
 def byte_windows(buf: np.ndarray) -> np.ndarray:

@@ -11,9 +11,12 @@ this coder.
 Value j of a block starts at bit j*w, so the blocks of one width share a
 bit layout, which both directions apply to all of them at once on 64-bit
 words (as in SIMD-BP128, arXiv:1209.2137). The encoder packs words as
-``bitio.pack_codes`` does. The decoder reads value j as the big-endian
-64-bit window at byte j*w >> 3 of its block, shifted right by
-64 - w - (j*w & 7) and masked; w <= 32 keeps each field inside one window.
+``bitio.pack_codes`` packs each of its blocks: the values, left-aligned
+and shifted to their offsets, are OR-ed together by one ``reduceat``, and
+the low bits of a value that crosses a word go there in one scatter. The
+decoder reads value j as the big-endian 64-bit window at byte j*w >> 3 of
+its block, shifted right by 64 - w - (j*w & 7) and masked; w <= 32 keeps
+each field inside one window.
 A loop over the width bytes finds every block before the output is
 allocated, so a corrupt count cannot trigger a huge allocation; blocks of
 one width then unpack ``_SLAB_BLOCKS`` at a time: besides the output and a

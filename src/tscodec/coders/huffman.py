@@ -10,6 +10,10 @@ Headers grow linearly with cardinality (5 bytes per distinct symbol),
 which is exactly the effect that makes dynamic codes unattractive on
 high-cardinality data.
 
+Encoding looks each token's codeword up ``bitio.PACK_TOKENS`` tokens at a
+time, so beside its input and payload it holds one block and each token's
+symbol index from ``token_histogram``.
+
 Decoding is table-driven, as in zlib's inflate and zstd's Huff0, and runs
 chunk by chunk through ``bitio.decode_chunks``. For every bit position of a
 chunk, a primary table of at most ``bitio.PEEK_BITS`` bits, indexed by the
@@ -112,7 +116,7 @@ def encode(values) -> tuple[bytes, BitStream]:
     lengths = code_lengths_from_counts(counts)
     codes = canonical_codes(symbols, lengths)
     header = symtable.write(ENTRY, symbols, lengths)
-    payload = pack_codes(codes[inverse], lengths[inverse])
+    payload = pack_codes(inverse, lambda idx: (codes.take(idx), lengths.take(idx)))
     return header, payload
 
 

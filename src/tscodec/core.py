@@ -26,6 +26,8 @@ INT32_MAX = (1 << 31) - 1
 #: score. 16 matches the quantized integer width of the source data.
 SAMPLE_BITS = 16
 
+_RANK_BLOCK = 1 << 13
+
 
 def as_samples(series) -> np.ndarray:
     """Return the sample array of a series-like object as 1-D int64."""
@@ -50,11 +52,16 @@ def token_histogram(series) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if x.size:
         lo = int(x.min())
         if int(x.max()) - lo <= max(x.size, 1 << 16):
-            shifted = x - lo
-            hist = np.bincount(shifted)
+            inverse = x - lo
+            hist = np.bincount(inverse)
             present = np.flatnonzero(hist)
             rank = np.cumsum(hist > 0) - 1
-            return present + lo, hist[present], rank[shifted]
+            # Ranked in place a block at a time: beside the input and the
+            # result, only one block is held.
+            for at in range(0, x.size, _RANK_BLOCK):
+                block = inverse[at : at + _RANK_BLOCK]
+                rank.take(block, out=block)
+            return present + lo, hist[present], inverse
     symbols, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
     return symbols, counts, inverse
 

@@ -10,6 +10,7 @@ import itertools
 import math
 import struct
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tscodec import symtable
 from tscodec.coders import bitpack, drh, expgolomb, huffman, lzss, rangecoder
-from tscodec.coders.bitio import BitStream, bit_length_u64, pack_codes
+from tscodec.coders.bitio import PACK_TOKENS, BitStream, bit_length_u64, pack_codes
 from tscodec.errors import FormatError, TruncatedStreamError
 
 import oracles
@@ -34,6 +35,12 @@ def entropy_oracle(values) -> float:
 
 def bits_of(stream: BitStream) -> str:
     return "".join(format(b, "08b") for b in stream.data)[: stream.bit_length]
+
+
+def packed(codes, lengths) -> BitStream:
+    """``pack_codes`` over tokens 0..n-1, token i having codeword (codes[i], lengths[i])."""
+    codes, lengths = np.asarray(codes, dtype=np.uint64), np.asarray(lengths, dtype=np.int64)
+    return pack_codes(np.arange(codes.size), lambda idx: (codes[idx], lengths[idx]))
 
 
 class TestBitIO:
@@ -58,15 +65,14 @@ class TestBitIO:
         rng = np.random.default_rng(0)
         lengths = rng.integers(1, 33, 500)
         codes = np.array([int(rng.integers(0, 1 << int(l))) for l in lengths], dtype=np.uint64)
-        assert self.written(codes.tolist(), lengths.tolist()) == pack_codes(codes, lengths)
+        assert self.written(codes.tolist(), lengths.tolist()) == packed(codes, lengths)
 
     @given(st.lists(st.integers(1, 64).flatmap(
         lambda n: st.tuples(st.integers(0, (1 << n) - 1), st.just(n))), max_size=200))
     def test_pack_codes_matches_writer_all_lengths(self, items):
         codes = [c for c, _ in items]
         lengths = [n for _, n in items]
-        packed = pack_codes(np.array(codes, dtype=np.uint64), np.array(lengths, dtype=np.int64))
-        assert packed == self.written(codes, lengths)
+        assert packed(codes, lengths) == self.written(codes, lengths)
 
     @pytest.mark.parametrize("offset", range(64))
     def test_pack_codes_64_bit_code_at_every_offset(self, offset):
@@ -77,25 +83,52 @@ class TestBitIO:
         lengths = [max(offset, 1), 64, 64, 64]
         if not offset:
             codes, lengths = codes[1:], lengths[1:]
-        packed = pack_codes(np.array(codes, dtype=np.uint64), np.array(lengths))
-        assert packed == self.written(codes, lengths)
+        assert packed(codes, lengths) == self.written(codes, lengths)
 
     def test_pack_codes_crossing_word_boundaries(self):
         # Odd lengths walk the codes across every bit offset of the words.
         lengths = [63, 5, 61, 7, 64, 1, 33, 31, 62, 3] * 7
         codes = [((1 << n) - 1) >> (i % 3) for i, n in enumerate(lengths)]
-        packed = pack_codes(np.array(codes, dtype=np.uint64), np.array(lengths))
-        assert packed == self.written(codes, lengths)
+        assert packed(codes, lengths) == self.written(codes, lengths)
 
     def test_pack_codes_single_and_empty(self):
-        assert pack_codes(np.array([5], dtype=np.uint64), np.array([3])) == BitStream(b"\xa0", 3)
-        assert pack_codes(np.array([1], dtype=np.uint64), np.array([64])) == BitStream(bytes(7) + b"\x01", 64)
-        assert pack_codes(np.array([], dtype=np.uint64), np.array([], dtype=np.int64)) == BitStream(b"", 0)
+        assert packed([5], [3]) == BitStream(b"\xa0", 3)
+        assert packed([1], [64]) == BitStream(bytes(7) + b"\x01", 64)
+        assert packed([], []) == BitStream(b"", 0)
+
+    @staticmethod
+    def random_codewords(rng, count: int) -> tuple[list[int], list[int]]:
+        lengths = rng.integers(1, 65, count)
+        codes = rng.integers(0, 2**64, count, dtype=np.uint64) >> (64 - lengths).astype(np.uint64)
+        return codes.tolist(), lengths.tolist()
+
+    @pytest.mark.parametrize("count", [PACK_TOKENS - 1, PACK_TOKENS, PACK_TOKENS + 1, 2 * PACK_TOKENS + 1])
+    def test_pack_codes_at_block_boundaries(self, count):
+        codes, lengths = self.random_codewords(np.random.default_rng(count), count)
+        assert packed(codes, lengths) == self.written(codes, lengths)
+
+    @pytest.mark.parametrize("offset", range(64))
+    def test_pack_codes_64_bit_codes_across_the_block_boundary_at_every_offset(self, offset):
+        # One-bit codes and one filler put the last code of the first block
+        # and the first codes of the second at bit ``offset`` of a word.
+        lead = PACK_TOKENS - 2
+        filler = (offset - lead) % 64 or 64
+        codes = [i & 1 for i in range(lead)] + [(1 << filler) - 1]
+        codes += [2**64 - 1, 0x8000_0000_0000_0001, 0x0123_4567_89AB_CDEF]
+        lengths = [1] * lead + [filler, 64, 64, 64]
+        assert (sum(lengths[: PACK_TOKENS - 1]) % 64, len(codes)) == (offset, PACK_TOKENS + 2)
+        assert packed(codes, lengths) == self.written(codes, lengths)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(PACK_TOKENS + 1, 3 * PACK_TOKENS), st.integers(0, 2**32 - 1))
+    def test_pack_codes_matches_writer_across_blocks(self, count, seed):
+        codes, lengths = self.random_codewords(np.random.default_rng(seed), count)
+        assert packed(codes, lengths) == self.written(codes, lengths)
 
     @pytest.mark.parametrize("bad", [0, 65])
     def test_pack_codes_rejects_lengths_outside_1_64(self, bad):
         with pytest.raises(ValueError, match=r"\[1, 64\]"):
-            pack_codes(np.array([1, 1], dtype=np.uint64), np.array([3, bad]))
+            packed([1, 1], [3, bad])
 
     def test_bit_length_matches_python(self):
         v = [0, 1, 2, 3, 255, 256, 65535, 2**31, 2**40 - 1, 2**64 - 1]
@@ -372,7 +405,7 @@ class TestHuffman:
                 huffman.parse_header(header)
             return
         assert huffman.parse_header(header)[1].tolist() == lengths
-        payload = pack_codes(huffman.canonical_codes(symbols, lens), lens)
+        payload = packed(huffman.canonical_codes(symbols, lens), lens)
         assert huffman.decode(header, payload, symbols.size).tolist() == symbols.tolist()
 
     def test_code_length_limit(self):
@@ -698,3 +731,24 @@ class TestOrderZeroFloor:
         }
         for name, bits in payload_bits.items():
             assert bits >= floor_bits, (name, bits, floor_bits)
+
+
+@pytest.mark.parametrize(
+    ("encode", "index_bytes"),
+    [(expgolomb.encode, 0), (drh.encode, 0), (lambda v: huffman.encode(v)[1], 8)],
+    ids=["expgolomb", "drh", "huffman"],
+)
+def test_encode_memory_is_bounded_by_one_block(encode, index_bytes):
+    """Beside its input, its payload and Huffman's index of each token's
+    symbol (``index_bytes`` per token), a prefix encoder holds one block of
+    codewords at a time, so the rest of its peak does not grow from 2^17 to
+    2^20 tokens. Packing whole arrays held 10-13 and 78-103 MB there."""
+    for n in (1 << 17, 1 << 20):
+        tokens = np.random.default_rng(n).geometric(0.02, n).astype(np.int64)
+        tracemalloc.start()
+        try:
+            payload = encode(tokens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - len(payload.data) - index_bytes * n < 2_000_000, n

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from tscodec import container
 from tscodec.backends import is_available
+from tscodec.coders.bitio import PACK_TOKENS
 from tscodec.coders.registry import CODER_BY_ID, CODERS, INTERNAL_CODER_NAMES
 from tscodec.container import build_container, decode_channel, read_container
 from tscodec.core import TimeSeries
@@ -226,6 +227,17 @@ def test_int32_extremes_encode_or_fail_with_the_coders_message(coder, stage):
     else:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build_container(channels, chain, coder)
+
+
+@pytest.mark.parametrize("coder", ["expgolomb", "drh"])
+def test_an_int32_min_blocks_after_the_start_still_fails_the_whole_stream(coder):
+    # The blocks before it pack cleanly; its 65-bit codeword fails the last.
+    samples = np.zeros(3 * PACK_TOKENS + 1, dtype=np.int64)
+    samples[-1] = -(2**31)
+    blob = None
+    with pytest.raises(ValueError, match=r"^codeword lengths must be in \[1, 64\]$"):
+        blob = build_container([TimeSeries(samples=samples)], TransformChain(()), coder)
+    assert blob is None
 
 
 def test_unknown_coder_name_is_rejected():
