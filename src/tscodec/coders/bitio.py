@@ -16,18 +16,20 @@ first word is OR-ed onto the open word, its whole words are written
 big-endian, and its last partial word stays open for the next block, so
 no per-bit array is ever built.
 
-Prefix codes decode chunk by chunk (``decode_chunks``). For every bit
-position of a chunk of ``CHUNK_BITS`` positions, a coder computes with
-numpy how many bits a codeword starting there would spend, mostly by one
-table lookup on the ``PEEK_BITS`` bits at that position (``peek_bits``).
-The true codeword starts are then found by pointer jumping (Wyllie's list
-ranking): the next-start table is squared ``JUMP_ROUNDS`` times, Python
-walks only every 2^JUMP_ROUNDS-th start, and 2^JUMP_ROUNDS - 1 gathers of
-the table on those starts recover the ones between. One gather then
-decodes the codewords at the starts. Each chunk sees ``LOOKAHEAD_BITS`` past its last position,
-enough for the longest codeword and a 64-bit field window, so
-per-position arrays are sized by the chunk, not the payload: working
-memory stays a few MB at any payload size.
+Prefix codes decode chunk by chunk (``decode_chunks``). For each chunk of
+``CHUNK_BITS`` positions the driver makes the byte windows and the
+``PEEK_BITS`` bits at every position (``peek_bits``), from which a coder
+computes with numpy how many bits a codeword starting there would spend,
+mostly by one table lookup. The true codeword starts are then found by
+pointer jumping (Wyllie's list ranking): the next-start table is squared
+``JUMP_ROUNDS`` times, Python walks only every 2^JUMP_ROUNDS-th start, and
+2^JUMP_ROUNDS - 1 gathers of the table on those starts recover the ones
+between. A codeword ends where the next starts, so the driver bounds the
+stream once, at the chunk's last codeword, before the coder decodes the
+codewords at the starts in one gather. Each chunk sees ``LOOKAHEAD_BITS``
+past its last position, enough for the longest codeword and a 64-bit field
+window, so per-position arrays are sized by the chunk, not the payload:
+working memory stays a few MB at any payload size.
 """
 
 from __future__ import annotations
@@ -168,13 +170,13 @@ def peek_bits(words: np.ndarray, limit: int) -> np.ndarray:
     return peek.ravel()[:limit]
 
 
-# step(seg, limit, avail) -> (lengths, finish). ``seg`` holds the chunk's
-# bytes from a byte-aligned base bit; ``avail`` is the number of stream bits
-# from there. ``lengths[j]`` >= 1, for j < limit, is the number of bits a
-# codeword starting at bit j spends, so the next one starts at j +
-# lengths[j]. ``finish(starts)`` validates the codewords at those starts,
+# step(words, peek) -> (lengths, finish), on the driver's ``byte_windows``
+# and ``peek_bits`` of a chunk from a byte-aligned base bit. ``lengths[j]``
+# >= 1, for j < peek.size, is the number of bits a codeword starting at bit
+# j spends, so the next one starts at j + lengths[j]. ``finish(starts)``
+# validates the codewords at those starts, already bounded by the stream,
 # including positions that hold no valid codeword, and returns their values.
-Step = Callable[[np.ndarray, int, int], tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]
+Step = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]
 
 
 def _codeword_starts(lengths: np.ndarray, first: int, limit: int) -> np.ndarray:
@@ -224,14 +226,16 @@ def decode_chunks(stream: BitStream | bytes, count: int, step: Step) -> np.ndarr
         if pos >= nbits:
             raise TruncatedStreamError("truncated stream")
         base = pos & ~7
-        avail = nbits - base
-        limit = min(avail, CHUNK_BITS)
-        lengths, finish = step(buf[base >> 3 : (base >> 3) + _SEGMENT_BYTES], limit, avail)
+        limit = min(nbits - base, CHUNK_BITS)
+        words = byte_windows(buf[base >> 3 : (base >> 3) + _SEGMENT_BYTES])
+        lengths, finish = step(words, peek_bits(words, limit))
         starts = _codeword_starts(lengths, pos - base, limit)[: count - done]
-        out[done : done + starts.size] = finish(starts)
-        done += starts.size
         last = int(starts[-1])
         pos = base + last + int(lengths[last])
+        if pos > nbits:
+            raise TruncatedStreamError("truncated stream")
+        out[done : done + starts.size] = finish(starts)
+        done += starts.size
     return out
 
 
@@ -255,9 +259,8 @@ def decode_prefix_codes(
     run = _ZERO_RUN if stop_bit else _ZERO_RUN[::-1]
     flip = np.uint64(0 if stop_bit else (1 << _LONG_PREFIX_BITS) - 1)
 
-    def step(seg: np.ndarray, limit: int, avail: int):
-        words = byte_windows(seg)
-        k = run.take(peek_bits(words, limit))
+    def step(words: np.ndarray, peek: np.ndarray):
+        k = run.take(peek)
         longer = np.flatnonzero(k == PEEK_BITS)
         if longer.size:
             field = read_fields(words, longer, np.uint64(_LONG_PREFIX_BITS)) ^ flip
@@ -265,8 +268,6 @@ def decode_prefix_codes(
 
         def finish(starts: np.ndarray) -> np.ndarray:
             ks = k[starts].astype(np.int64)
-            if int((starts + 2 * ks).max()) >= avail:
-                raise TruncatedStreamError("truncated stream")
             if int(ks.max()) > MAX_PREFIX:
                 raise FormatError(f"codeword prefix longer than {MAX_PREFIX} bits")
             return value(ks, read_fields(words, starts + ks + 1, ks))

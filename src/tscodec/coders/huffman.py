@@ -20,9 +20,9 @@ chunk, a primary table of at most ``bitio.PEEK_BITS`` bits, indexed by the
 bits at that position, gives the code length; positions that start a
 longer code are resolved by a ``searchsorted`` over the left-justified
 canonical codes. ``decode_chunks`` finds the true codeword starts from those
-lengths, and only there is the symbol looked up. The tables are built per
-call from the header; working memory is bounded by ``bitio.CHUNK_BITS``,
-not by the payload.
+lengths and bounds the stream, and only there is the symbol looked up. The
+tables are built per call from the header; working memory is bounded by
+``bitio.CHUNK_BITS``, not by the payload.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import as_samples, token_histogram
-from ..errors import FormatError, TruncatedStreamError
+from ..errors import FormatError
 from .. import symtable
-from .bitio import PEEK_BITS, BitStream, byte_windows, decode_chunks, pack_codes, peek_bits, read_fields
+from .bitio import PEEK_BITS, BitStream, decode_chunks, pack_codes, read_fields
 
 MAX_CODE_LENGTH = 32
 ENTRY = symtable.entry("u1")
@@ -143,9 +143,7 @@ def decode(header: bytes, payload: BitStream | bytes, count: int) -> np.ndarray:
     table_len[:filled] = np.repeat(lens[short], reps)
     table_idx[:filled] = np.repeat(short, reps)
 
-    def step(seg: np.ndarray, limit: int, avail: int):
-        words = byte_windows(seg)
-        primary = peek_bits(words, limit)
+    def step(words: np.ndarray, primary: np.ndarray):
         if bits < PEEK_BITS:
             primary >>= np.uint32(PEEK_BITS - bits)
         ln = table_len.take(primary)
@@ -157,8 +155,6 @@ def decode(header: bytes, payload: BitStream | bytes, count: int) -> np.ndarray:
 
         def finish(starts: np.ndarray) -> np.ndarray:
             ln_s = ln[starts]
-            if int((starts + ln_s).max()) > avail:
-                raise TruncatedStreamError("truncated stream")
             if int(ln_s.max()) == _INVALID:
                 raise FormatError("invalid codeword")
             idx = table_idx.take(primary[starts])

@@ -2,7 +2,8 @@
 
 The layout is declared once, by the ``struct.Struct`` constants below:
 ``build_container`` and ``encode_channel`` write through them, and one
-bounded walker reads the channel table through them. A read error names
+bounded walker reads the channel table through them, yielding each
+channel's fields with its coder header and payload apart. A read error names
 its byte offset and, past the header, the channel; a framing error also
 names the field (channel table, side header or payload).
 
@@ -142,8 +143,9 @@ def _take(blob: bytes, pos: int, size: int, cause: str, ch: int, field: str) -> 
     return blob[pos:end], end
 
 
-def _channel_table(blob: bytes, pos: int, nch: int):
-    """Yield each channel's entry offset, token count, width, side and coded bytes."""
+def _channel_table(blob: bytes, pos: int, nch: int, split):
+    """Yield each channel's entry offset, token count, width, side bytes,
+    coder header and payload, separated by the coder's rule ``split``."""
     for ch in range(nch):
         fields, end = _take(blob, pos, _ENTRY.size, _CUT_TABLE, ch, "channel table")
         token_count, width, side_len = _ENTRY.unpack(fields)
@@ -153,7 +155,7 @@ def _channel_table(blob: bytes, pos: int, nch: int):
         fields, end = _take(blob, end, _PAYLOAD_LEN.size, _CUT_TABLE, ch, "channel table")
         coded, end = _take(blob, end, *_PAYLOAD_LEN.unpack(fields), "truncated stream", ch, "payload")
         # A bytearray blob slices to bytearrays; the coders get bytes.
-        yield pos, token_count, width, bytes(side), bytes(coded)
+        yield pos, token_count, width, bytes(side), *split(bytes(coded))
         pos = end
     if pos != len(blob):
         raise FormatError(f"unsupported container: trailing bytes at byte {pos}")
@@ -196,9 +198,9 @@ def read_container(blob: bytes) -> DecodedContainer:
         raise FormatError(f"unsupported container: no channels at byte {pos + 1}")
     channels = []
     payload_bytes = 0
-    for ch, (entry, token_count, width, side, coded) in enumerate(_channel_table(blob, pos + _HEAD_TAIL.size, nch)):
+    table = _channel_table(blob, pos + _HEAD_TAIL.size, nch, coder.split)
+    for ch, (entry, token_count, width, side, header, payload) in enumerate(table):
         try:
-            header, payload = coder.split(coded)
             samples = decode_channel(token_count, width, side, header, payload, chain, coder)
         except FormatError as exc:
             raise type(exc)(f"{exc}: channel {ch} entry at byte {entry}") from exc

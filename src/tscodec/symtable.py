@@ -3,11 +3,13 @@
 
 Layout: symbol count as u16, then one packed little-endian entry per
 symbol, (value as i32, field as a fixed-width integer), sorted by symbol
-value. Each user names its entry as a packed structured dtype, so the
-table is written with one ``tobytes`` and read with one ``frombuffer``.
-A blob is this table followed by the user's payload or trailer; ``split``
-separates the two, and ``read`` rejects a table that is cut short or
-empty, since no encoder writes one for an empty input.
+value. ``write`` owns the count's 65,535-entry cap for all three tables:
+it refuses a larger table before any byte is written. Each user names its
+entry as a packed structured dtype, so the table is written with one
+``tobytes`` and read with one ``frombuffer``. A blob is this table
+followed by the user's payload or trailer; ``split`` separates the two,
+and ``read`` rejects a table that is cut short or empty, since no encoder
+writes one for an empty input.
 """
 
 from __future__ import annotations

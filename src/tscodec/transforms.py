@@ -130,40 +130,24 @@ class QuarsMap:
     Bins partition the observed value range into contiguous integer
     intervals. Bin i covers [lower_bounds[i], next lower bound), the last
     bin ends at ``upper_exclusive``. Each bin is shifted as a block to its
-    target range, so order and spacing inside a bin are preserved.
+    target range, so order and spacing inside a bin are preserved. The
+    map holds the bins and their bytes; :func:`quars_decode` applies its
+    inverse.
     """
 
     lower_bounds: np.ndarray  # sorted ascending, int64
     target_offsets: np.ndarray  # aligned with lower_bounds
     upper_exclusive: int
 
-    @property
-    def bin_count(self) -> int:
-        return int(self.lower_bounds.size)
-
     def widths(self) -> np.ndarray:
         return np.r_[self.lower_bounds[1:], self.upper_exclusive] - self.lower_bounds
-
-    def invert(self, mapped) -> np.ndarray:
-        """Inverse of the fitted map; a token no bin maps to raises FormatError."""
-        symbols, _, inverse = token_histogram(as_samples(mapped))
-        order = np.argsort(self.target_offsets, kind="stable")
-        t_sorted = self.target_offsets[order]
-        lo_sorted = self.lower_bounds[order]
-        w_sorted = self.widths()[order]
-        idx = np.searchsorted(t_sorted, symbols, side="right") - 1
-        bad = (idx < 0) | (symbols - t_sorted[np.clip(idx, 0, None)] >= w_sorted[np.clip(idx, 0, None)])
-        if np.any(bad):
-            raise FormatError("value not in QuaRs map")
-        return (symbols - t_sorted[idx] + lo_sorted[idx])[inverse]
 
     def to_bytes(self) -> bytes:
         """A ``symtable`` table of (lower bound, target offset) bins, then
         the exclusive upper bound of the observed range as i32, little-endian.
         The upper bound is written mod 2^32, so 2^31 (a series holding
-        INT32_MAX) is stored as the bytes of INT32_MIN."""
-        if self.bin_count > 0xFFFF:
-            raise ValueError("too many bins to serialize")
+        INT32_MAX) is stored as the bytes of INT32_MIN. ``symtable.write``
+        caps the bin count."""
         offs = self.target_offsets
         lowest = min(int(self.lower_bounds[0]), int(offs.min()))
         if lowest < INT32_MIN or int(offs.max()) > INT32_MAX or self.upper_exclusive > 1 << 31:
@@ -238,8 +222,19 @@ def quars_encode(series, bin_count: int = DEFAULT_QUARS_BINS) -> tuple[np.ndarra
 
 
 def quars_decode(mapped, qmap: QuarsMap) -> np.ndarray:
-    """Exact inverse of :func:`quars_encode` via the stored bijection."""
-    return qmap.invert(mapped)
+    """Exact inverse of :func:`quars_encode` via the stored bijection, and
+    the map's only inverse: each distinct token is found in the bin whose
+    target range holds it, and a token no bin maps to raises FormatError."""
+    symbols, _, inverse = token_histogram(as_samples(mapped))
+    order = np.argsort(qmap.target_offsets, kind="stable")
+    t_sorted = qmap.target_offsets[order]
+    lo_sorted = qmap.lower_bounds[order]
+    w_sorted = qmap.widths()[order]
+    idx = np.searchsorted(t_sorted, symbols, side="right") - 1
+    bad = (idx < 0) | (symbols - t_sorted[np.clip(idx, 0, None)] >= w_sorted[np.clip(idx, 0, None)])
+    if np.any(bad):
+        raise FormatError("value not in QuaRs map")
+    return (symbols - t_sorted[idx] + lo_sorted[idx])[inverse]
 
 
 @dataclass(frozen=True)

@@ -533,7 +533,7 @@ def quars_apply(qmap, values) -> np.ndarray:
 
 
 def quars_invert(qmap, mapped) -> np.ndarray:
-    """``QuarsMap.invert`` with one bin search per token."""
+    """``quars_decode`` with one bin search per token."""
     m = as_samples(mapped)
     if m.size == 0:
         return m.copy()

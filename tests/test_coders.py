@@ -224,6 +224,20 @@ class TestBitpack:
         with pytest.raises(ValueError, match="^bit packing requires non-negative values$"):
             bitpack.encode([3, -1])
 
+    # A value in the second of three full blocks, and in a short last block.
+    @pytest.mark.parametrize("at, n", [(bitpack.BLOCK_SIZE + 5, 3 * bitpack.BLOCK_SIZE), (2 * bitpack.BLOCK_SIZE + 2, 2 * bitpack.BLOCK_SIZE + 7)])
+    def test_width_rule_past_the_first_block(self, at, n):
+        values = np.arange(n) % 100
+        values[at] = 2**32 - 1
+        assert bitpack.decode(bitpack.encode(values), n).tolist() == values.tolist()
+        values[at] = 2**32
+        with pytest.raises(ValueError, match="^value wider than 32 bits$"):
+            bitpack.encode(values)
+        # Behind a larger positive value, -1 leaves its block's width at 21 bits.
+        values[at - 1], values[at] = 2**20, -1
+        with pytest.raises(ValueError, match="^bit packing requires non-negative values$"):
+            bitpack.encode(values)
+
 
 # Alphabets for the symbol-table header checks: one symbol, two, a wide
 # one, and the int32 extremes.

@@ -254,20 +254,36 @@ def test_long_prefixes_at_every_bit_offset(name, prefixes, limit, offset):
 @pytest.mark.parametrize("name", ["expgolomb", "drh", "huffman"])
 def test_codeword_one_bit_past_the_end_is_truncated(name):
     """The last codeword ends exactly at the stream's end; one bit fewer cuts
-    it, and so does asking for one codeword more."""
-    values = [5, 0, 300, 2, 70_000, 1]
+    it, and so does asking for one codeword more. That holds in the first
+    chunk and in a later one, and a cut ranks before an invalid codeword or
+    a prefix over the cap in the same last codeword."""
+    for values in ([5, 0, 300, 2, 70_000, 1], [5, 0, 300, 2, 70_000, 1] * 12_000):
+        if name == "huffman":
+            header, stream = huffman.encode(values)
+            decode = lambda s, n: huffman.decode(header, s, n)  # noqa: E731
+        else:
+            coder = expgolomb if name == "expgolomb" else drh
+            stream, decode = coder.encode(values), coder.decode
+        assert decode(stream, len(values)).tolist() == values
+        cut = bitio.BitStream(stream.data, stream.bit_length - 1)
+        with pytest.raises(TruncatedStreamError):
+            decode(cut, len(values))
+        with pytest.raises(TruncatedStreamError, match="^truncated stream$"):
+            decode(stream, len(values) + 1)
+    # The long stream's last codeword, at most 64 bits, starts past the first chunk.
+    assert stream.bit_length - 64 > bitio.CHUNK_BITS
     if name == "huffman":
-        header, stream = huffman.encode(values)
-        decode = lambda s, n: huffman.decode(header, s, n)  # noqa: E731
+        # ``decode`` now reads a table of one symbol, coded "0": a 1 and the
+        # 32 bits after it match no codeword.
+        header = huffman.encode([7])[0]
+        text, error = "000" + "1" + "0" * 32, "^invalid codeword$"
     else:
-        coder = expgolomb if name == "expgolomb" else drh
-        stream, decode = coder.encode(values), coder.decode
-    assert decode(stream, len(values)).tolist() == values
-    cut = bitio.BitStream(stream.data, stream.bit_length - 1)
-    with pytest.raises(TruncatedStreamError):
-        decode(cut, len(values))
+        text = _codeword(name, 0, 0)[0] * 3 + _codeword(name, bitio.MAX_PREFIX + 1, 0)[0]
+        error = f"^codeword prefix longer than {bitio.MAX_PREFIX} bits$"
+    with pytest.raises(FormatError, match=error):
+        decode(bitio.BitStream(_bits(text), len(text)), 4)
     with pytest.raises(TruncatedStreamError, match="^truncated stream$"):
-        decode(stream, len(values) + 1)
+        decode(bitio.BitStream(_bits(text), len(text) - 1), 4)
 
 def _lzss_stream(tokens) -> bytes:
     """LZSS bytes of ``tokens``: each a literal byte, or a (distance, length) match."""
