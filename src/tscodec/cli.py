@@ -90,9 +90,17 @@ def _cmd_decompress(args) -> int:
     return EXIT_OK
 
 
+def _synth_series(case: str, args):
+    """The synthetic series of ``case`` at ``--n`` and ``--seed``."""
+    try:
+        spec = SynthSpec(case=case, n=args.n, seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return generate(spec)
+
+
 def _cmd_synth(args) -> int:
-    spec = SynthSpec(case=args.case, n=args.n, seed=args.seed)
-    series = generate(spec)
+    series = _synth_series(args.case, args)
     write_csv(args.output, [series], header=not args.no_header)
     print(f"wrote {args.case} n={args.n} seed={args.seed} to {args.output}")
     return EXIT_OK
@@ -124,9 +132,7 @@ def _load_datasets(args) -> dict:
     if args.cases:
         names = list(CASES) if args.cases == "all" else args.cases.split(",")
         for case in names:
-            if case not in CASES:
-                raise UsageError(f"unknown case {case!r}; expected one of {', '.join(CASES)}")
-            _add_dataset(datasets, case, generate(SynthSpec(case=case, n=args.n, seed=args.seed)))
+            _add_dataset(datasets, case, _synth_series(case, args))
     data_dir = os.environ.get("TSCODEC_DATA_DIR")
     for path in args.inputs or []:
         candidate = os.path.join(data_dir, path) if data_dir else path

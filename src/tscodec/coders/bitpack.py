@@ -63,17 +63,18 @@ def encode(values) -> bytes:
     v = as_samples(values)
     if v.size == 0:
         return b""
-    # A negative value can hide under its block's positive maximum.
-    if int(v.min()) < 0:
-        raise ValueError("bit packing requires non-negative values")
     n = v.size
     nblocks = -(-n // BLOCK_SIZE)
     pad = nblocks * BLOCK_SIZE - n
     padded = np.concatenate([v, np.zeros(pad, dtype=v.dtype)]) if pad else v
     blocks = padded.reshape(nblocks, BLOCK_SIZE)
-    widths = bit_length_u64(blocks.max(axis=1))
+    # Unsigned block maxima carry both value rules: read as uint64, a
+    # negative value is at least 2**63, so its block is too wide as well.
+    widths = bit_length_u64(blocks.view(np.uint64).max(axis=1))
     widest = int(widths.max())
     if widest > MAX_WIDTH:
+        if int(v.min()) < 0:
+            raise ValueError("bit packing requires non-negative values")
         raise ValueError("value wider than 32 bits")
     sizes = np.take(_BLOCK_BYTES, widths)
     sizes[-1] = 1 + ((BLOCK_SIZE - pad) * widths[-1] + 7) // 8

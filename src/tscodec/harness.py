@@ -133,29 +133,20 @@ def run_job(
         t2 = time.perf_counter()
         best_enc = min(best_enc, t1 - t0)
         best_dec = min(best_dec, t2 - t1)
-        try:
-            same = all(
-                np.array_equal(got.samples, want.samples)
-                for got, want in zip(decoded.channels, channels, strict=True)
-            )
-        except ValueError:  # channel count differs
-            same = False
-        if not same:
+        if len(decoded.channels) != len(channels) or not all(
+            np.array_equal(got.samples, want.samples) for got, want in zip(decoded.channels, channels)
+        ):
             raise TscodecError(
                 f"round-trip mismatch: {dataset_name} chain={chain.label()} coder={coder_name}"
             )
-    report = size_metrics(original_bytes, len(container))
     return BenchRecord(
         dataset=dataset_name,
         chain=chain.label(),
         coder=coder_name,
         level=level,
-        original_bytes=original_bytes,
-        compressed_bytes=len(container),
+        **asdict(size_metrics(original_bytes, len(container))),
         payload_bytes=decoded.payload_bytes,
         header_bytes=len(container) - decoded.payload_bytes,
-        cr=report.cr,
-        cs=report.cs,
         compress_seconds=best_enc,
         decompress_seconds=best_dec,
         speed_mb_s=compression_speed_mb_s(original_bytes, best_enc),
@@ -173,14 +164,7 @@ def ablation_rows(
 
 def _ablation_row(name: str, series: TimeSeries, chain: TransformChain) -> AblationRow:
     stats = entropy_and_limit(chain_apply(series, chain)[0])
-    return AblationRow(
-        dataset=name,
-        chain=chain.label(),
-        cardinality=stats.cardinality,
-        aad=stats.aad,
-        entropy_bits=stats.entropy_bits,
-        shannon_cs=stats.shannon_cs,
-    )
+    return AblationRow(dataset=name, chain=chain.label(), **asdict(stats))
 
 
 def run_matrix(

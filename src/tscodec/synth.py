@@ -56,9 +56,11 @@ class SynthSpec:
 
     def __post_init__(self):
         if self.case not in CASES:
-            raise ValueError(f"unknown case {self.case!r}; expected one of {CASES}")
+            raise ValueError(f"unknown case {self.case!r}; expected one of {', '.join(CASES)}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _rng(spec: SynthSpec, component: int) -> np.random.Generator:

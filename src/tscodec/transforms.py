@@ -90,14 +90,14 @@ def rle0_decode(tokens) -> np.ndarray:
         return t.copy()
     zero = t == 0
     # Every zero opens a (0, length) pair, so the slot after it holds the
-    # length: two adjacent zeros are a run of length 0.
-    if np.any(zero[1:] & zero[:-1]):
+    # length: a zero length slot is a run of length 0.
+    markers = np.flatnonzero(zero[:-1])
+    lengths = t[markers + 1]
+    if np.any(lengths == 0):
         raise FormatError("malformed run token: run length of 0")
     if zero[-1]:
         raise FormatError("malformed run token: trailing 0 without run length")
-    markers = np.flatnonzero(zero)
-    lengths = t[markers + 1]
-    if np.any(lengths <= 0):
+    if np.any(lengths < 0):
         raise FormatError("malformed run token: non-positive run length")
     counts = np.ones(t.size, dtype=np.int64)
     counts[markers] = lengths

@@ -194,6 +194,17 @@ class TestSynthCommand:
         assert code == EXIT_USAGE
         assert "triangle" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, message", [(["--n", "0"], "n must be >= 1"),
+                                                 (["--seed", "-1"], "seed must be >= 0")])
+    @pytest.mark.parametrize("command", [["synth", "--case", "sine"], ["ablate", "--cases", "sine"],
+                                         ["bench", "--cases", "sine"]])
+    def test_bad_length_or_seed_is_usage_error(self, command, option, message, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = run([*command, *option, "-o", str(out)])
+        assert code == EXIT_USAGE
+        assert f"usage error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStatsCommand:
     def test_reports_post_transform_stats(self, tmp_path, capsys):

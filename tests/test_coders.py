@@ -237,6 +237,10 @@ class TestBitpack:
         values[at - 1], values[at] = 2**20, -1
         with pytest.raises(ValueError, match="^bit packing requires non-negative values$"):
             bitpack.encode(values)
+        # A too-wide value in an earlier block does not hide the -1.
+        values[at - bitpack.BLOCK_SIZE] = 2**32
+        with pytest.raises(ValueError, match="^bit packing requires non-negative values$"):
+            bitpack.encode(values)
 
 
 # Alphabets for the symbol-table header checks: one symbol, two, a wide

@@ -98,19 +98,21 @@ class TestRunJob:
             run_job(small_suite["sine"], TransformChain(()), "drh", dataset_name="sine")
 
     def test_missing_channel_is_a_mismatch(self, small_suite, monkeypatch):
-        # A decoded container one channel short must not pass the check.
+        # A decoded container one channel short, or one channel long, must
+        # not pass the check.
         from tscodec import harness
 
         real = harness.read_container
-
-        def drop_last(blob):
-            decoded = real(blob)
-            return dataclasses.replace(decoded, channels=decoded.channels[:-1])
-
-        monkeypatch.setattr(harness, "read_container", drop_last)
         dataset = Dataset(name="two", channels=[small_suite["sine"], small_suite["noise"]])
-        with pytest.raises(TscodecError, match="round-trip mismatch"):
-            run_job(dataset, TransformChain(("delta",)), "drh", repetitions=1, dataset_name="two")
+        for edit in (lambda chs: chs[:-1], lambda chs: [*chs, chs[0]]):
+
+            def edited(blob, edit=edit):
+                decoded = real(blob)
+                return dataclasses.replace(decoded, channels=edit(decoded.channels))
+
+            monkeypatch.setattr(harness, "read_container", edited)
+            with pytest.raises(TscodecError, match="round-trip mismatch"):
+                run_job(dataset, TransformChain(("delta",)), "drh", repetitions=1, dataset_name="two")
 
     @pytest.mark.parametrize("coder", [*INTERNAL_CODER_NAMES, "deflate"])
     def test_payload_bytes_come_from_the_coder_payloads(self, small_suite, coder):

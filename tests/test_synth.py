@@ -147,6 +147,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             SynthSpec(case="sine", n=0)
 
+    @pytest.mark.parametrize("case", CASES)
+    def test_negative_seed(self, case):
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            SynthSpec(case=case, n=10, seed=-1)
+
     def test_suite_covers_all_cases(self):
         s = suite(n=100, seed=0)
         assert set(s) == set(CASES)
