@@ -80,7 +80,7 @@ def encode(values) -> bytes:
     sizes[-1] = 1 + ((BLOCK_SIZE - pad) * widths[-1] + 7) // 8
     nw = 2 * widest
     words = np.zeros((nblocks, nw), dtype=np.uint64)
-    for w in np.unique(widths).tolist():
+    for w in np.flatnonzero(np.bincount(widths)).tolist():
         if w:
             offset, first, cross, cross_word, cross_shift, _, _ = _block_layout(w)
             idx = np.flatnonzero(widths == w)
@@ -117,11 +117,11 @@ def decode(data: bytes, count: int) -> np.ndarray:
     buf = np.zeros(len(data) + 4 * BLOCK_SIZE + 7, dtype=np.uint8)
     buf[: len(data)] = np.frombuffer(data, dtype=np.uint8)
     windows = byte_windows(buf)
-    widths = np.array(widths)
+    widths = np.array(widths, dtype=np.int64)
     starts = np.array(starts)
     out = np.zeros(nblocks * BLOCK_SIZE, dtype=np.int64)
     blocks = out.reshape(nblocks, BLOCK_SIZE)
-    for w in np.unique(widths).tolist():
+    for w in np.flatnonzero(np.bincount(widths)).tolist():
         if w:
             *_, byte, shift = _block_layout(w)
             idx = np.flatnonzero(widths == w)

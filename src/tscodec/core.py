@@ -43,25 +43,27 @@ def token_histogram(series) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct values, their counts, and each sample's index into them.
 
     The results equal ``np.unique(x, return_inverse=True, return_counts=True)``
-    (in the order symbols, counts, inverse). Tokens from 16-bit samples span
-    a few hundred values, so when ``max - min <= max(n, 2**16)`` one
+    (in the order symbols, counts, inverse). A delta of 16-bit samples spans
+    at most ``2**17 - 2`` values, so when ``max - min <= max(n, 2**17)`` one
     ``bincount`` over ``x - min`` and a rank gather replace the sort; the
-    table then holds at most ``max(n, 2**16) + 1`` entries. Wider spans sort.
+    table then holds at most ``max(n, 2**17) + 1`` entries. Wider spans sort.
     """
     x = as_samples(series)
     if x.size:
         lo = int(x.min())
-        if int(x.max()) - lo <= max(x.size, 1 << 16):
+        if int(x.max()) - lo <= max(x.size, 1 << 17):
             inverse = x - lo
             hist = np.bincount(inverse)
-            present = np.flatnonzero(hist)
-            rank = np.cumsum(hist > 0) - 1
+            present = np.flatnonzero(hist > 0)
+            counts = hist[present]
+            rank = hist  # reused: absent values are never looked up
+            rank[present] = np.arange(present.size)
             # Ranked in place a block at a time: beside the input and the
             # result, only one block is held.
             for at in range(0, x.size, _RANK_BLOCK):
                 block = inverse[at : at + _RANK_BLOCK]
                 rank.take(block, out=block)
-            return present + lo, hist[present], inverse
+            return present + lo, counts, inverse
     symbols, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
     return symbols, counts, inverse
 

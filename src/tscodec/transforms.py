@@ -66,20 +66,23 @@ def rle0_encode(series) -> np.ndarray:
     x = as_samples(series)
     if x.size == 0:
         return x.copy()
-    zero = x == 0
-    start = zero.copy()
-    np.greater(zero[1:], zero[:-1], out=start[1:])  # a zero after a nonzero
-    # Keep every nonzero and the first zero of each run; the first zero is
-    # emitted twice, and its second copy becomes the run length.
-    keep = np.greater_equal(start, zero)
-    reps = start[keep].view(np.uint8)
-    marks = np.flatnonzero(reps)
-    reps += 1
-    out = np.repeat(x[keep], reps)
-    last = keep  # reused: the last zero of each run
-    np.greater(zero[:-1], zero[1:], out=last[:-1])
-    last[-1] = zero[-1]
-    out[marks + np.arange(1, marks.size + 1)] = np.flatnonzero(last) + 1 - np.flatnonzero(start)
+    nonzero = x != 0
+    # Keep every nonzero and the first zero of each run; a run lasts up to
+    # the next kept position (or the end, kept past the last sample), and
+    # its length takes the slot after its zero.
+    keep = np.empty(x.size + 1, dtype=bool)
+    keep[0] = keep[-1] = True
+    np.logical_or(nonzero[1:], nonzero[:-1], out=keep[1:-1])
+    bounds = np.flatnonzero(keep)
+    kept = bounds[:-1]
+    samples = x.take(kept)
+    marks = np.flatnonzero(samples == 0)
+    slots = marks + np.arange(1, marks.size + 1)
+    out = np.empty(kept.size + marks.size, dtype=np.int64)
+    fill = np.ones(out.size, dtype=bool)
+    fill[slots] = False
+    out[fill] = samples
+    out[slots] = bounds.take(marks + 1) - kept.take(marks)
     return out
 
 
@@ -204,7 +207,11 @@ def quars_encode(series, bin_count: int = DEFAULT_QUARS_BINS) -> tuple[np.ndarra
     else:
         cum_before = np.cumsum(counts) - counts
         bin_idx = (cum_before * bin_count) // x.size
-        first = np.unique(bin_idx, return_index=True)[1]
+        # bin_idx never decreases, so a bin opens wherever it steps.
+        opens = np.empty(bin_idx.size, dtype=bool)
+        opens[0] = True
+        np.not_equal(bin_idx[1:], bin_idx[:-1], out=opens[1:])
+        first = np.flatnonzero(opens)
     last = np.r_[first[1:] - 1, values.size - 1]
     los = values[first]
     his = values[last]

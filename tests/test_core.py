@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tscodec.core import (
     INT32_MAX,
@@ -174,10 +174,10 @@ class TestTokenHistogram:
     @pytest.mark.parametrize(
         "values,branch",
         [
-            ([0, 1 << 16, 5], "bincount"),  # span at the threshold max(n, 2^16)
-            ([0, (1 << 16) + 1, 5], "unique"),  # one above it
-            (np.r_[np.arange(70_000), 70_001], "bincount"),  # span == n > 2^16
-            (np.r_[np.arange(70_000), 70_002], "unique"),
+            ([0, 1 << 17, 5], "bincount"),  # span at the threshold max(n, 2^17)
+            ([0, (1 << 17) + 1, 5], "unique"),  # one above it
+            (np.r_[np.arange(140_000), 140_001], "bincount"),  # span == n > 2^17
+            (np.r_[np.arange(140_000), 140_002], "unique"),  # span == n + 1
             ([7], "bincount"),
             ([-3] * 9, "bincount"),
             ([-40, -7, -40, -1, -7], "bincount"),
@@ -217,3 +217,25 @@ class TestTokenHistogram:
         assert np.array_equal(symbols, want[0])
         assert np.array_equal(inverse, want[1])
         assert np.array_equal(counts, want[2])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 64) | st.integers((1 << 17) - 4, (1 << 17) + 64),
+        beyond=st.integers(-3, 3),
+        lo=st.integers(INT32_MIN, INT32_MAX - (1 << 18)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_unique_near_the_span_bound(self, n, beyond, lo, seed):
+        # Spans a few values either side of the bound max(n, 2^17), with n
+        # on both sides of 2^17: spans past the bound sort, the rest count.
+        span = max(n, 1 << 17) + beyond
+        rng = np.random.default_rng(seed)
+        x = lo + rng.integers(0, span + 1, n)
+        x[rng.choice(n, 2, replace=False)] = lo, lo + span
+        want_symbols, want_inverse, want_counts = np.unique(
+            x, return_inverse=True, return_counts=True
+        )
+        symbols, counts, inverse = token_histogram(x)
+        for got, want in ((symbols, want_symbols), (counts, want_counts), (inverse, want_inverse)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)

@@ -7,7 +7,10 @@ registry, once, and checks the round trip. The decode benchmarks also run
 on the ``sine`` series' tokens, whose codewords are short (about 4.7 bits
 for expgolomb and drh), and LZSS decodes one short-matrix-sized input: the
 serialized tokens of a 2,000-sample ``noise`` series. The transform benchmarks run
-rle0 on that series' deltas and QuaRs on the rle0 tokens. The bitpack
+rle0 on that series' deltas and QuaRs on the rle0 tokens. The token
+histogram and QuaRs also run on the delta,rle0 tokens of one 50,000-row
+``noise`` column quantized to 16 bits as the wide-bitpack workload's are;
+they span 131,070 values. The bitpack
 kernel benchmarks pack the zigzagged deltas of one 50,000-sample series of
 each synthetic case, quantized to 16 bits as the columns of the
 wide-bitpack workload are; their block widths span 4-17 bits. The
@@ -149,6 +152,37 @@ def test_quars_decode(benchmark, runs):
     benchmark.group = "transform decode"
     out = benchmark.pedantic(quars_decode, args=(mapped, qmap), rounds=1, iterations=1)
     assert np.array_equal(out, runs)
+
+
+@pytest.fixture(scope="module")
+def noise_column_runs():
+    """delta,rle0 tokens of one wide-bitpack-style ``noise`` column."""
+    series = generate(SynthSpec(case="noise", n=50_000, seed=0))
+    column, _ = ingest_column(series.samples / 100.0)
+    return rle0_encode(delta_encode(column))
+
+
+def test_token_histogram_wide_span(benchmark, noise_column_runs):
+    benchmark.group = "token histogram"
+    symbols, counts, inverse = benchmark.pedantic(
+        token_histogram, args=(noise_column_runs,), rounds=1, iterations=1
+    )
+    want = np.unique(noise_column_runs, return_inverse=True, return_counts=True)
+    for got, expected in zip((symbols, inverse, counts), want):
+        assert np.array_equal(got, expected)
+
+
+def test_quars_encode_wide_span(benchmark, noise_column_runs):
+    benchmark.group = "transform encode"
+    mapped, qmap = benchmark.pedantic(quars_encode, args=(noise_column_runs,), rounds=1, iterations=1)
+    assert np.array_equal(quars_decode(mapped, qmap), noise_column_runs)
+
+
+def test_quars_decode_wide_span(benchmark, noise_column_runs):
+    mapped, qmap = quars_encode(noise_column_runs)
+    benchmark.group = "transform decode"
+    out = benchmark.pedantic(quars_decode, args=(mapped, qmap), rounds=1, iterations=1)
+    assert np.array_equal(out, noise_column_runs)
 
 
 @pytest.fixture(scope="module", params=CASES)

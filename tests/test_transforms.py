@@ -17,7 +17,8 @@ import oracles
 from tscodec.container import build_container
 from tscodec.core import INT32_MAX, INT32_MIN, TimeSeries, aad, cardinality
 from tscodec.errors import FormatError
-from tscodec.synth import SynthSpec, generate, suite
+from tscodec.ingest import ingest_column
+from tscodec.synth import CASES, SynthSpec, generate, suite
 from tscodec.transforms import (
     QuarsMap,
     TransformChain,
@@ -156,6 +157,30 @@ class TestRle0:
     @given(st.lists(st.integers(-2, 2), max_size=300) | token_series)
     def test_encode_matches_oracle(self, values):
         assert rle0_encode(values).tolist() == oracles.rle0_encode(values).tolist()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_encode_matches_oracle_on_a_workload_column(self, case):
+        # The deltas of one 50,000-row wide-bitpack column, quantized to 16
+        # bits from the series scaled as the workload's CSV holds it.
+        series = generate(SynthSpec(case=case, n=50_000, seed=0))
+        deltas = delta_encode(ingest_column(series.samples / 100.0)[0])
+        tokens = rle0_encode(deltas)
+        assert np.array_equal(tokens, oracles.rle0_encode(deltas))
+        assert np.array_equal(rle0_decode(tokens), deltas)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.zeros(50_000, dtype=np.int64),
+            np.arange(1, 50_001),
+            np.r_[np.zeros(7, dtype=np.int64), np.arange(-25_000, 25_000), np.zeros(3, dtype=np.int64)],
+        ],
+        ids=["all-zeros", "no-zeros", "run-at-each-end"],
+    )
+    def test_encode_matches_oracle_on_long_inputs(self, values):
+        tokens = rle0_encode(values)
+        assert np.array_equal(tokens, oracles.rle0_encode(values))
+        assert np.array_equal(rle0_decode(tokens), values)
 
     @given(st.lists(st.integers(-3, 4), max_size=60))
     def test_decode_matches_oracle(self, tokens):
