@@ -770,3 +770,19 @@ def test_encode_memory_is_bounded_by_one_block(encode, index_bytes):
         finally:
             tracemalloc.stop()
         assert peak - len(payload.data) - index_bytes * n < 2_000_000, n
+
+
+def test_range_encode_memory_is_bounded_by_one_block():
+    """Beside its input, each token's symbol index (8 bytes) and the payload,
+    held twice as it is built and returned, range encode boxes one block of
+    indices at a time, so the rest of its peak does not grow from 2^17 to
+    2^20 tokens. Boxing every index at once left 7.7 MB beyond that at 2^20."""
+    for n in (1 << 17, 1 << 20):
+        tokens = np.random.default_rng(n).geometric(0.02, n).astype(np.int64)
+        tracemalloc.start()
+        try:
+            header, payload = rangecoder.encode(tokens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 2 * len(payload) - 8 * n < 2_000_000, n

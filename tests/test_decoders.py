@@ -395,6 +395,51 @@ def test_lzss_decode_memory_is_bounded_by_the_block():
     assert peak <= 5_250_000
 
 
+def test_range_decode_memory_is_bounded_by_the_window():
+    """Beside the index of each token, in a list and in an array, and the
+    output (24 bytes per token), range decode holds one window of codes, so
+    the rest of its peak stays under 2 MB at 2^17 and 2^20 tokens. Codes for
+    the whole payload would take about 40 bytes per payload byte (37 MB at
+    2^20)."""
+    for n in (1 << 17, 1 << 20):
+        tokens = np.random.default_rng(n).geometric(0.02, n).astype(np.int64)
+        header, payload = rangecoder.encode(tokens)
+        tracemalloc.start()
+        try:
+            out = rangecoder.decode(header, payload, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out, tokens)
+        assert peak - 24 * n < 2_000_000, n
+
+
+def test_range_outcomes_at_window_edges(monkeypatch):
+    """A stream several windows long, cut at or flipped in each byte within
+    8 of every window edge and of its end, decodes at counts n - 1, n and
+    n + 1 to the oracle's values or fails with the oracle's error. The one
+    exception is a count the payload cannot hold, which is refused before
+    decoding. Small windows keep the oracle's share of the test short."""
+    monkeypatch.setattr(rangecoder, "CODE_CHUNK", 64)
+    values = np.random.default_rng(31).geometric(0.01, 400)
+    header, payload = rangecoder.encode(values)
+    n, size = values.size, len(payload)
+    assert size > 5 * rangecoder.CODE_CHUNK
+    max_freq = int(rangecoder.parse_header(header)[1].max())
+    edges = [*range(rangecoder.CODE_CHUNK, size, rangecoder.CODE_CHUNK), size]
+    for at in sorted({p for edge in edges for p in range(edge - 8, edge + 9) if p <= size}):
+        blobs = [payload[:at]]
+        if at < size:
+            blobs.append(payload[:at] + bytes([payload[at] ^ 0xFF]) + payload[at + 1 :])
+        for blob in blobs:
+            for count in (n - 1, n, n + 1):
+                got = _outcome(rangecoder.decode, header, blob, count)
+                if got == (FormatError, f"token count {count} exceeds what {len(blob)} payload bytes can hold"):
+                    assert count * np.log2(rangecoder.TOTAL / max_freq) > 17 + 8 * (len(blob) - 4)
+                else:
+                    assert got == _outcome(oracles.range_decode, header, blob, count), (at, len(blob), count)
+
+
 def test_bitpack_width_groups_spanning_many_slabs():
     """Width groups larger than one unpacking slab, plus a short last block."""
     rng = np.random.default_rng(0)
