@@ -101,6 +101,16 @@ _CSV = {"delimiter": ",", "quotechar": '"', "comments": None}
 _EMPTY_CELL = re.compile(r'(^|,)(?:"[^\S\n]*")?[^\S\n]*(?=,|$)', re.MULTILINE)
 
 
+def _fill_blanks(line: str) -> str:
+    """``line``, a non-empty row, with its empty and blank cells made nan.
+    Only a row with ``,,``, a comma at either end, a quote, a space or a
+    non-printable character (every whitespace but the space is one) can
+    hold such a cell, so the others skip the regex."""
+    if ",," in line or line[0] == "," or line[-1] == "," or '"' in line or " " in line or not line.isprintable():
+        return _EMPTY_CELL.sub(r"\1nan", line)
+    return line
+
+
 def _cells(line: str) -> list[str]:
     # One row: without max_rows numpy sizes its first chunk for 50,000 rows.
     return np.loadtxt([line], dtype=str, ndmin=1, max_rows=1, **_CSV).tolist()
@@ -166,7 +176,7 @@ def load_csv(path, columns: list[int | str] | None = None, missing: str = "drop"
             fh.seek(0)
             rows = islice(_rows(path, fh), header is not None, None)
             try:
-                data = parse(chain(islice(rows, first), map(partial(_EMPTY_CELL.sub, r"\1nan"), rows)))
+                data = parse(chain(islice(rows, first), map(_fill_blanks, rows)))
             except ValueError as exc:
                 raise _bad_cell(exc, path, fh, header, ncols) from None
     data = data[:, : len(selected)]

@@ -441,23 +441,35 @@ def test_range_outcomes_at_window_edges(monkeypatch):
 
 
 def test_bitpack_width_groups_spanning_many_slabs():
-    """Width groups larger than one unpacking slab, plus a short last block."""
+    """Width groups larger than one slab, plus a short last block
+    alone in its slab; then inputs ending one value before, at and one value
+    after the second slab's end, whose first slab holds only width-0 blocks
+    and whose second mixes widths 1 and 32."""
     rng = np.random.default_rng(0)
-    n = 3 * bitpack._SLAB_BLOCKS * bitpack.BLOCK_SIZE + 77
+    slab = bitpack._SLAB_BLOCKS * bitpack.BLOCK_SIZE
+    n = 3 * slab + 77
     # Per-block widths of (almost surely) 0, 3 or 17.
     widths = rng.choice([0, 3, 17], n // bitpack.BLOCK_SIZE + 1, p=[0.1, 0.2, 0.7])
     assert (widths == 17).sum() > 2 * bitpack._SLAB_BLOCKS
     shifts = 17 - np.repeat(widths, bitpack.BLOCK_SIZE)[:n]
-    values = rng.integers(0, 1 << 17, n) >> shifts
-    data = bitpack.encode(values)
-    assert data == oracles.bitpack_encode(values)
-    got = bitpack.decode(data, n)
-    assert np.array_equal(got, oracles.bitpack_decode(data, n))
-    assert np.array_equal(got, values)
+    inputs = [rng.integers(0, 1 << 17, n) >> shifts]
+    mixed = rng.choice([1, 32], bitpack._SLAB_BLOCKS)
+    widths = np.concatenate([np.zeros(bitpack._SLAB_BLOCKS, dtype=np.int64), mixed, [32]])
+    for n in (2 * slab - 1, 2 * slab, 2 * slab + 1):
+        shifts = 32 - np.repeat(widths, bitpack.BLOCK_SIZE)[:n]
+        inputs.append(rng.integers(0, 1 << 32, n) >> shifts)
+    for values in inputs:
+        data = bitpack.encode(values)
+        assert data == oracles.bitpack_encode(values)
+        got = bitpack.decode(data, values.size)
+        assert np.array_equal(got, oracles.bitpack_decode(data, values.size))
+        assert np.array_equal(got, values)
 
 
 def test_bitpack_matches_scalar_oracles_at_every_width():
-    """Two blocks of each width 0-32, then a last block of every length 1-16.
+    """Two blocks of each width 0-32, then a last block of every length 1-16;
+    then those blocks repeated to one value before, at and one value after
+    the end of one slab.
 
     The first block of each width holds only 2^w - 1, the second holds it
     once among random values below it.
@@ -468,16 +480,21 @@ def test_bitpack_matches_scalar_oracles_at_every_width():
     body = rng.integers(0, top[:, None] + 1, (widths.size, bitpack.BLOCK_SIZE))
     body[: bitpack.MAX_WIDTH + 1] = top[: bitpack.MAX_WIDTH + 1, None]
     body[np.arange(widths.size), rng.integers(0, bitpack.BLOCK_SIZE, widths.size)] = top
+    inputs = []
     for last in range(1, 17):
         for w in (0, (3 * last) % (bitpack.MAX_WIDTH + 1), bitpack.MAX_WIDTH):
             tail = rng.integers(0, 1 << w, last)
             tail[-1] = (1 << w) - 1
-            values = np.concatenate([body.ravel(), tail])
-            data = bitpack.encode(values)
-            assert data == oracles.bitpack_encode(values)
-            got = bitpack.decode(data, values.size)
-            assert np.array_equal(got, oracles.bitpack_decode(data, values.size))
-            assert np.array_equal(got, values)
+            inputs.append(np.concatenate([body.ravel(), tail]))
+    slab = bitpack._SLAB_BLOCKS * bitpack.BLOCK_SIZE
+    repeated = np.resize(body.ravel(), slab + 1)
+    inputs += [repeated[: slab - 1], repeated[:slab], repeated]
+    for values in inputs:
+        data = bitpack.encode(values)
+        assert data == oracles.bitpack_encode(values)
+        got = bitpack.decode(data, values.size)
+        assert np.array_equal(got, oracles.bitpack_decode(data, values.size))
+        assert np.array_equal(got, values)
 
 
 def _outcome(decode, *args):

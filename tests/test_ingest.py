@@ -180,6 +180,19 @@ class TestLoadCsv:
         assert ds.dropped_rows == 1
         assert ds.channels[2].samples.tolist() == [10 * i + 2 for i in range(7) if i != row]
 
+    def test_blank_cells_of_every_kind_are_missing(self, tmp_path):
+        """A space, a tab, an NBSP, a quoted blank, a doubled, a leading and
+        a trailing comma each make a missing cell, after a clean first row
+        and between clean rows, one of them quoted."""
+        rows = ["0,1,2", "3, ,5", "6,7,8", "9,\t,11", '12,"13",14', "15,\xa0,17", '18,"",20', "21,,23", ",25,26", "27,28,"]
+        path = _write(tmp_path, "a,b,c\n" + "\n".join(rows + ["29,30,31"]) + "\n")
+        ds = load_csv(path)
+        assert ds == oracles.load_csv(path)
+        assert ds.dropped_rows == 7
+        assert [ch.samples.tolist() for ch in ds.channels] == [[0, 6, 12, 29], [1, 7, 13, 30], [2, 8, 14, 31]]
+        with pytest.raises(ValueError, match="missing value at row 1, column b"):
+            load_csv(path, missing="error")
+
     def test_unparseable_cell_location(self, tmp_path):
         path = _write(tmp_path, "1,2\n3,fish\n")
         with pytest.raises(ValueError, match="row 1, column 1"):
