@@ -168,8 +168,8 @@ def read_container(blob: bytes) -> DecodedContainer:
     Raises :class:`FormatError` on bad magic, unknown version or ids, a
     truncated header or entry, no channels or tokens, or a chain out of
     order. Each error names its byte offset and, past the header, its
-    channel; coder and transform errors (truncated payloads and the like)
-    keep their class.
+    channel and the container's coder; coder and transform errors
+    (truncated payloads and the like) keep their class.
     """
     if not MAGIC.startswith(blob[: len(MAGIC)]):
         raise FormatError("unsupported container: bad magic at byte 0")
@@ -203,7 +203,7 @@ def read_container(blob: bytes) -> DecodedContainer:
         try:
             samples = decode_channel(token_count, width, side, header, payload, chain, coder)
         except FormatError as exc:
-            raise type(exc)(f"{exc}: channel {ch} entry at byte {entry}") from exc
+            raise type(exc)(f"{exc}: channel {ch} entry at byte {entry} ({coder.name})") from exc
         payload_bytes += len(payload)
         channels.append(TimeSeries._adopt(samples, ch))
     return DecodedContainer(

@@ -6,8 +6,10 @@ signed 32 bits, which is the alphabet every coder accepts. Multichannel data
 is a list of :class:`TimeSeries`, one per channel, processed independently.
 
 :func:`token_histogram` is the one place that counts distinct values: the
-QuaRs fit and map, the Huffman and range models, and the statistics here
-all take their symbols, counts and per-token indices from it.
+QuaRs fit, the Huffman and range models, and the statistics here all take
+their symbols, counts and per-token indices from it. :func:`fits_dense_table`
+is the one bound on a table indexed by value, for the histogram and for
+the QuaRs inverse alike.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ INT32_MAX = (1 << 31) - 1
 SAMPLE_BITS = 16
 
 _RANK_BLOCK = 1 << 13
+# A delta of 16-bit samples spans at most 2**17 - 2 values.
+_DENSE_SPAN = 1 << 17
 
 
 def as_samples(series) -> np.ndarray:
@@ -39,19 +43,28 @@ def as_samples(series) -> np.ndarray:
     return arr
 
 
+def fits_dense_table(span: int, n: int) -> bool:
+    """Whether a table indexed by value, over values ``span`` = max - min
+    apart, may serve ``n`` tokens: ``span <= max(n, 2**17)``.
+
+    Such a table holds at most ``max(n, 2**17) + 1`` entries, so it costs
+    no more than the tokens themselves or a 16-bit series' delta span.
+    """
+    return span <= max(n, _DENSE_SPAN)
+
+
 def token_histogram(series) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct values, their counts, and each sample's index into them.
 
     The results equal ``np.unique(x, return_inverse=True, return_counts=True)``
-    (in the order symbols, counts, inverse). A delta of 16-bit samples spans
-    at most ``2**17 - 2`` values, so when ``max - min <= max(n, 2**17)`` one
-    ``bincount`` over ``x - min`` and a rank gather replace the sort; the
-    table then holds at most ``max(n, 2**17) + 1`` entries. Wider spans sort.
+    (in the order symbols, counts, inverse). When :func:`fits_dense_table`
+    allows ``max - min``, one ``bincount`` over ``x - min`` and a rank
+    gather replace the sort. Wider spans sort.
     """
     x = as_samples(series)
     if x.size:
         lo = int(x.min())
-        if int(x.max()) - lo <= max(x.size, 1 << 17):
+        if fits_dense_table(int(x.max()) - lo, x.size):
             inverse = x - lo
             hist = np.bincount(inverse)
             present = np.flatnonzero(hist > 0)

@@ -13,7 +13,11 @@ small magnitudes stay small; coders whose natural alphabet is non-negative
 apply it internally.
 
 QuaRs fits its bins and evaluates its map once per distinct value, taken
-from :func:`tscodec.core.token_histogram`, then gathers per token.
+from :func:`tscodec.core.token_histogram`, then gathers per token. Its
+inverse needs no histogram: the map already lists every bin, so one table
+over the targets, as wide as :func:`tscodec.core.fits_dense_table` allows,
+gives each token its shift back with one gather. A forged map with targets
+wider than that falls back to the histogram and a search over the bins.
 :func:`chain_apply` returns the tokens with the chain's side bytes, the
 serialized map, and :func:`chain_invert` is the one parser of those bytes.
 The map is a :mod:`tscodec.symtable` table of (lower bound, target
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symtable
-from .core import INT32_MAX, INT32_MIN, as_samples, token_histogram
+from .core import INT32_MAX, INT32_MIN, as_samples, fits_dense_table, token_histogram
 from .errors import FormatError
 
 TRANSFORM_ORDER = ("delta", "rle0", "quars")
@@ -119,7 +123,13 @@ def unzigzag(series) -> np.ndarray:
     u = as_samples(series)
     if u.size and int(u.min()) < 0:
         raise FormatError("zigzag stream contains negative values")
-    return (u >> 1) ^ -(u & 1)
+    # (u >> 1) ^ -(u & 1), built in one array: -(u & 1) is 0 or -1, which
+    # the arithmetic shift keeps, so the xor may come first.
+    out = u & 1
+    np.negative(out, out=out)
+    out ^= u
+    out >>= 1
+    return out
 
 
 # One serialized QuaRs bin: (lower bound, target offset).
@@ -228,15 +238,53 @@ def quars_encode(series, bin_count: int = DEFAULT_QUARS_BINS) -> tuple[np.ndarra
     return (values + shift)[inverse], QuarsMap(los, offsets, int(values[-1]) + 1)
 
 
+# Marks the table entries of targets no bin maps back: no shift is this low.
+_HOLE = np.iinfo(np.int64).min
+
+
 def quars_decode(mapped, qmap: QuarsMap) -> np.ndarray:
     """Exact inverse of :func:`quars_encode` via the stored bijection, and
-    the map's only inverse: each distinct token is found in the bin whose
-    target range holds it, and a token no bin maps to raises FormatError."""
-    symbols, _, inverse = token_histogram(as_samples(mapped))
+    the map's only inverse: a token is mapped back by the bin with the
+    largest target offset at or below it, and a token past that bin's
+    width, or below every offset, raises FormatError.
+
+    The targets from the smallest offset to the end of the bin with the
+    largest one form a table of shifts, one ``np.repeat`` of each bin's ``lower -
+    offset`` over the gap to the next offset. A gap wider than its bin
+    leaves holes, which a fitted map never has (its bins tile the targets)
+    but a forged one may. Each token then costs a subtract, a range check,
+    one ``take`` and an add. A table wider than
+    :func:`tscodec.core.fits_dense_table` allows is never built: such a
+    map's distinct tokens are searched among its bins instead.
+    """
+    m = as_samples(mapped)
     order = np.argsort(qmap.target_offsets, kind="stable")
     t_sorted = qmap.target_offsets[order]
     lo_sorted = qmap.lower_bounds[order]
     w_sorted = qmap.widths()[order]
+    base = int(t_sorted[0])
+    extent = int(t_sorted[-1] + w_sorted[-1]) - base
+    if not fits_dense_table(extent - 1, m.size):
+        return _quars_search(m, t_sorted, lo_sorted, w_sorted)
+    gaps = np.diff(t_sorted, append=base + extent)
+    kept = np.minimum(w_sorted, gaps)
+    shifts = np.column_stack((lo_sorted - t_sorted, np.full(gaps.size, _HOLE))).ravel()
+    table = np.repeat(shifts, np.column_stack((kept, gaps - kept)).ravel())
+    out = m - base
+    # Read unsigned, a token below the smallest offset is past the end too.
+    if out.size and int(out.view(np.uint64).max()) >= extent:
+        raise FormatError("value not in QuaRs map")
+    table.take(out, out=out, mode="clip")  # in range: no bounds check
+    if np.any(kept < gaps) and np.any(out == _HOLE):
+        raise FormatError("value not in QuaRs map")
+    out += m
+    return out
+
+
+def _quars_search(m: np.ndarray, t_sorted, lo_sorted, w_sorted) -> np.ndarray:
+    """:func:`quars_decode` over the distinct tokens, each searched among
+    the bins sorted by target offset."""
+    symbols, _, inverse = token_histogram(m)
     idx = np.searchsorted(t_sorted, symbols, side="right") - 1
     bad = (idx < 0) | (symbols - t_sorted[np.clip(idx, 0, None)] >= w_sorted[np.clip(idx, 0, None)])
     if np.any(bad):

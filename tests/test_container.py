@@ -440,5 +440,5 @@ def test_truncated_huffman_payload_keeps_its_class_and_names_the_channel():
     # Channel 1 is last: drop its payload's last 4 bytes and declare the shorter length.
     cut = bytearray(blob[:-4])
     struct.pack_into("<Q", cut, entry + 13 + side_len, plen - 4)
-    with pytest.raises(TruncatedStreamError, match=f"^truncated stream: channel 1 entry at byte {entry}$"):
+    with pytest.raises(TruncatedStreamError, match=rf"^truncated stream: channel 1 entry at byte {entry} \(huffman\)$"):
         read_container(bytes(cut))

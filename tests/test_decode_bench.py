@@ -14,6 +14,9 @@ they span 131,070 values. The bitpack
 kernel benchmarks pack the zigzagged deltas of one 50,000-sample series of
 each synthetic case, quantized to 16 bits as the columns of the
 wide-bitpack workload are; their block widths span 4-17 bits. The
+container benchmark reads one ``delta,rle0,quars`` bitpack container of
+32 such columns, cycling through the synthetic cases as the wide-bitpack
+workload does, and checks every channel. The
 generator benchmark builds the 100,000-sample ``switching`` series and
 checks it against the segment-at-a-time oracle. The range model
 benchmarks quantize the noise tokens' counts, whose floored sum is short
@@ -28,9 +31,10 @@ import numpy as np
 import pytest
 
 import oracles
-from tscodec import SynthSpec, TransformChain
+from tscodec import SynthSpec, TimeSeries, TransformChain
 from tscodec.backends import serialize_series
 from tscodec.coders import INTERNAL_CODER_NAMES, bitpack, get_coder, rangecoder
+from tscodec.container import build_container, read_container
 from tscodec.core import token_histogram
 from tscodec.ingest import ingest_column
 from tscodec.synth import CASES, generate
@@ -204,6 +208,25 @@ def test_bitpack_kernel_decode(benchmark, column_deltas):
     benchmark.group = "bitpack kernel decode"
     out = benchmark.pedantic(bitpack.decode, args=(data, column_deltas.size), rounds=1, iterations=1)
     assert np.array_equal(out, column_deltas)
+
+
+@pytest.fixture(scope="module")
+def wide_columns():
+    """32 wide-bitpack-style columns of 50,000 rows, one synthetic case after another."""
+    columns = []
+    for i in range(32):
+        series = generate(SynthSpec(case=CASES[i % len(CASES)], n=50_000, seed=i))
+        columns.append(TimeSeries(ingest_column(series.samples / 100.0)[0], i))
+    return columns
+
+
+def test_read_wide_bitpack_container(benchmark, wide_columns):
+    blob = build_container(wide_columns, TransformChain.parse("delta,rle0,quars"), "bitpack")
+    benchmark.group = "container decode"
+    decoded = benchmark.pedantic(read_container, args=(blob,), rounds=1, iterations=1)
+    assert len(decoded.channels) == len(wide_columns)
+    for got, want in zip(decoded.channels, wide_columns):
+        assert np.array_equal(got.samples, want.samples)
 
 
 def test_switching_generate(benchmark):

@@ -505,24 +505,32 @@ def _outcome(decode, *args):
         return type(e), str(e)
 
 
-def _bitpack_stream():
-    """Full blocks of widths 3, 0 and 17, then a short one of width 3."""
+def _bitpack_stream(short_last=True):
+    """Full blocks of widths 3, 0 and 17, then a last one of width 3, short
+    (three values) or full."""
     full = bitpack.BLOCK_SIZE
-    values = np.concatenate([np.arange(full) % 8, np.zeros(full, dtype=np.int64), np.full(full, 2**16), [7, 1, 6]])
+    last = [7, 1, 6] if short_last else np.arange(full) % 8
+    values = np.concatenate([np.arange(full) % 8, np.zeros(full, dtype=np.int64), np.full(full, 2**16), last])
     return bitpack.encode(values), values.size
 
 
 @pytest.mark.parametrize("width", [bitpack.MAX_WIDTH + 1, 255])
 @pytest.mark.parametrize("block", range(4))
 def test_bitpack_bad_width_byte_raises_as_oracle(width, block):
-    data, n = _bitpack_stream()
-    header = 0
-    for _ in range(block):
-        header += 1 + bitpack.BLOCK_SIZE * data[header] // 8
-    damaged = data[:header] + bytes([width]) + data[header + 1 :]
-    got = _outcome(bitpack.decode, damaged, n)
-    assert got == _outcome(oracles.bitpack_decode, damaged, n)
-    assert got == (FormatError, "corrupt block header")
+    # Block 3 is the last, short or full. Cut anywhere after the bad width
+    # and read with a count around the true one, the stream still raises
+    # the bad width first, as the oracle does.
+    for short_last in (True, False):
+        data, n = _bitpack_stream(short_last)
+        header = 0
+        for _ in range(block):
+            header += 1 + bitpack.BLOCK_SIZE * data[header] // 8
+        damaged = data[:header] + bytes([width]) + data[header + 1 :]
+        for cut in range(header + 1, len(damaged) + 1):
+            for count in (n - 1, n, n + 1):
+                got = _outcome(bitpack.decode, damaged[:cut], count)
+                assert got == _outcome(oracles.bitpack_decode, damaged[:cut], count)
+                assert got == (FormatError, "corrupt block header")
 
 
 def test_bitpack_cut_at_every_byte_raises_as_oracle():
@@ -531,6 +539,17 @@ def test_bitpack_cut_at_every_byte_raises_as_oracle():
         got = _outcome(bitpack.decode, data[:cut], n)
         assert got == _outcome(oracles.bitpack_decode, data[:cut], n)
         assert got == (TruncatedStreamError, "truncated stream")
+
+
+@pytest.mark.parametrize("payload", [b"", b"\x00", b"\x21", b"\x03\x01"])
+@pytest.mark.parametrize("count", [0, 1, 2])
+def test_bitpack_tiny_counts_match_oracle(payload, count):
+    # count == 0 reads nothing, so any payload, even an empty one, decodes
+    # to no values.
+    got = _outcome(bitpack.decode, payload, count)
+    assert got == _outcome(oracles.bitpack_decode, payload, count)
+    if count == 0:
+        assert got == []
 
 
 def _bits(text: str) -> bytes:

@@ -8,14 +8,16 @@ tests compare rle0 and the QuaRs map with the per-token implementations in
 """
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
+from tscodec import transforms
 from tscodec.container import build_container
-from tscodec.core import INT32_MAX, INT32_MIN, TimeSeries, aad, cardinality
+from tscodec.core import INT32_MAX, INT32_MIN, TimeSeries, aad, cardinality, fits_dense_table
 from tscodec.errors import FormatError
 from tscodec.ingest import ingest_column
 from tscodec.synth import CASES, SynthSpec, generate, suite
@@ -478,6 +480,113 @@ class TestQuars:
     def test_upper_bound_above_2_31_rejected(self):
         with pytest.raises(ValueError, match="int32"):
             QuarsMap(np.array([0]), np.array([0]), 2**31 + 1).to_bytes()
+
+
+def _wire_map(lows, offsets, upper) -> QuarsMap:
+    """A QuaRs map as a container would carry it: through its bytes."""
+    return QuarsMap.from_bytes(QuarsMap(np.array(lows), np.array(offsets), upper).to_bytes())
+
+
+# Forged maps a valid container may carry: targets with holes between the
+# bins, and full bin widths that overlap the next bin's targets.
+FORGED_MAPS = {
+    "holes": _wire_map([0, 10, 20], [0, 50, 100], 25),
+    "overlap": _wire_map([0, 100], [0, 5], 101),
+    "overlap-below": _wire_map([-40, -3, 60], [-7, -37, 0], 64),
+}
+
+
+class TestQuarsInversePaths:
+    """``quars_decode`` maps back through a dense table when the targets
+    span little enough, and through a search over the bins otherwise; both
+    return what ``oracles.quars_invert`` returns or raise its error."""
+
+    @pytest.fixture(params=["dense", "search"])
+    def path(self, request, monkeypatch):
+        dense = request.param == "dense"
+        monkeypatch.setattr(transforms, "fits_dense_table", lambda span, n: dense)
+        return request.param
+
+    @staticmethod
+    def check(tokens, qmap):
+        # All tokens at once, then one per call, so that an error cannot hide
+        # a token the library wrongly accepts.
+        assert outcome(quars_decode, tokens, qmap) == outcome(oracles.quars_invert, qmap, tokens)
+        for token in tokens:
+            assert outcome(quars_decode, [token], qmap) == outcome(oracles.quars_invert, qmap, [token])
+
+    @pytest.mark.parametrize("name", FORGED_MAPS)
+    def test_forged_maps_match_oracle(self, path, name):
+        qmap = FORGED_MAPS[name]
+        top = int((qmap.target_offsets + qmap.widths()).max())
+        tokens = list(range(int(qmap.target_offsets.min()) - 3, top + 3))
+        self.check(tokens, qmap)
+        valid = [t for t in tokens if outcome(oracles.quars_invert, qmap, [t])[0] is not FormatError]
+        assert outcome(quars_decode, valid, qmap) == outcome(oracles.quars_invert, qmap, valid)
+
+    def test_fitted_map_with_gaps_matches_oracle(self, path):
+        # Unobserved gaps widen the bins, so full widths overlap.
+        values = [1, 5, 5, 9, 9, 9, 40, -30]
+        mapped, qmap = quars_encode(values, 3)
+        assert quars_decode(mapped, qmap).tolist() == values
+        self.check(list(range(-60, 60)), qmap)
+
+    @pytest.mark.parametrize("token", [-(2**63), -(2**40), -1, 106, 2**40, 2**63 - 1])
+    def test_tokens_outside_the_targets_raise(self, path, token):
+        qmap = FORGED_MAPS["holes"]
+        with pytest.raises(FormatError, match="^value not in QuaRs map$"):
+            quars_decode([0, token, 1], qmap)
+        assert outcome(oracles.quars_invert, qmap, [token])[0] is FormatError
+
+    def test_empty_input(self, path):
+        for qmap in FORGED_MAPS.values():
+            out = quars_decode([], qmap)
+            assert out.dtype == np.int64 and out.shape == (0,)
+
+    @pytest.mark.parametrize("over", [0, 1])
+    @pytest.mark.parametrize("n", [3, 2**17 + 5])
+    def test_table_bound_picks_the_path(self, monkeypatch, n, over):
+        # Two one-value bins whose targets span just under or just over the bound.
+        span = max(n, 2**17) + over
+        qmap = _wire_map([0, 1], [0, span], 2)
+        histograms = []
+        histogram = transforms.token_histogram
+        monkeypatch.setattr(transforms, "token_histogram", lambda x: histograms.append(1) or histogram(x))
+        tokens = np.resize([0, span, 0, span], n)
+        assert quars_decode(tokens, qmap).tolist() == oracles.quars_invert(qmap, tokens).tolist()
+        assert bool(histograms) == (not fits_dense_table(span, n)) == bool(over)
+        for token in (-1, 1, span - 1, span + 1):
+            probe = np.resize([0, token], n)
+            assert outcome(quars_decode, probe, qmap) == outcome(oracles.quars_invert, qmap, probe)
+
+    @pytest.mark.parametrize("n", [2**10, 2**20])
+    @pytest.mark.parametrize("kind", ["fitted", "holes", "bound", "wide"])
+    def test_memory_is_bounded_by_tokens_or_table(self, monkeypatch, n, kind):
+        # Beside its input and output, a decode holds the table (8 bytes per
+        # target) or, on the search path, the histogram.
+        histograms = []
+        histogram = transforms.token_histogram
+        monkeypatch.setattr(transforms, "token_histogram", lambda x: histograms.append(1) or histogram(x))
+        rng = np.random.default_rng(n)
+        if kind == "holes":
+            qmap = _wire_map(np.arange(0, 2560, 10), np.arange(0, 51200, 200), 2560)
+            mapped = rng.integers(0, 256, n) * 200 + rng.integers(0, 10, n)
+        elif kind == "bound":
+            qmap = _wire_map([0, 1], [0, max(n, 2**17)], 2)
+            mapped = np.resize([0, max(n, 2**17)], n)
+        else:
+            scale = 2**15 if kind == "fitted" else 2**30
+            mapped, qmap = quars_encode(rng.integers(-scale, scale, n) * (rng.random(n) < 0.5))
+        histograms.clear()
+        tracemalloc.start()
+        try:
+            out = quars_decode(mapped, qmap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bool(histograms) == (kind == "wide")
+        per_token = 64 if histograms else 9
+        assert peak - out.nbytes < per_token * max(n, 2**17) + 2**16
 
 
 class TestChain:
