@@ -18,13 +18,12 @@ place: one ``take``, two shifts and one ``bitwise_or.reduceat`` give the
 2w words of every block of width w. The words go straight into the
 payload through ``bitio.byte_windows`` of the output buffer: a block's
 words are disjoint 8-byte windows between its width byte and the next
-block's, and the width bytes go in with one scatter. Blocks are read
-``_SLAB_BLOCKS`` at a time, full ones as views of the input; only a short
-last block is copied, into a zero-padded row that joins the last slab's
-group of its width and packs as a full block whose padding is cut off the
-end. Besides the input, the payload (held twice, as it is built and as it
-is returned) and a few bytes per block, the encoder holds one slab's
-temporaries, under 2 MB.
+block's, and the width bytes go in with one scatter. Full blocks are
+read from views of the input, ``_SLAB_BLOCKS`` at a time; only a short
+last block is copied, into a zero-padded row, and packs on its own as a
+full one whose padding is cut off the end. Besides the input, the payload
+(held twice, as it is built and as it is returned) and a few bytes per
+block, the encoder holds one slab's temporaries, under 2 MB.
 
 The decoder reads value j as the big-endian 64-bit window at byte j*w >> 3 of
 its block, shifted right by 64 - w - (j*w & 7) and masked; w <= 32 keeps
@@ -33,11 +32,11 @@ of the payload that the decoder makes anyway, reversed a word at a time
 and read as little-endian words, so a gather yields native words and no
 field is byte-swapped. A walk over the width bytes finds every block before the
 output is allocated, so a corrupt count cannot trigger a huge allocation:
-each width byte indexes ``_STEP``, the bytes its block spans, and an
-invalid width steps past any payload, so the walk ends at the next block
-on the ``IndexError`` of a width byte past the end. That error and the
-last block's width are then read as the errors of a block-by-block check,
-in its order. Blocks then unpack in order, ``_SLAB_BLOCKS`` at a time,
+each width byte indexes ``_STEP``, the bytes its block spans. The walk
+raises where it reads, in the order of a block-by-block check: a width
+byte past the payload is an ``IndexError``, a truncated stream, and an
+invalid width's step is None, whose ``TypeError`` is a corrupt header.
+Blocks then unpack in order, ``_SLAB_BLOCKS`` at a time,
 straight into the output: each block takes the row of its width from
 tables of every value's window byte and shift and of each width's mask.
 Besides the output and the payload copy, the temporaries stay a few MB.
@@ -58,8 +57,8 @@ MAX_WIDTH = 32
 _SLAB_BLOCKS = 512
 # Bytes spanned by a full block of each width, width byte included.
 _BLOCK_BYTES = tuple(1 + BLOCK_SIZE * w // 8 for w in range(MAX_WIDTH + 1))
-# The same for every byte value: an invalid width steps past any payload.
-_STEP = _BLOCK_BYTES + (1 << 62,) * (255 - MAX_WIDTH)
+# The same for every byte value; an invalid width has no step.
+_STEP = _BLOCK_BYTES + (None,) * (255 - MAX_WIDTH)
 # Zero bytes past the payload, so that a short last block unpacks as a full one.
 _PAD = 4 * BLOCK_SIZE + 7
 
@@ -128,16 +127,6 @@ def _pack(windows: np.ndarray, rows: np.ndarray, w: int, at: np.ndarray) -> None
     windows[at[:, None] + word_at] = np.bitwise_or.reduceat(x, first, axis=1)
 
 
-def _group(slab: np.ndarray, sel: np.ndarray, last: np.ndarray | None) -> np.ndarray:
-    """The rows ``sel`` of ``slab``, where row ``len(slab)`` is ``last``."""
-    if sel[-1] < len(slab):
-        return slab if sel.size == len(slab) else slab.take(sel, axis=0)
-    rows = np.empty((sel.size, BLOCK_SIZE), dtype=np.uint64)
-    slab.take(sel[:-1], axis=0, out=rows[:-1], mode="clip")  # no bounds check: sel[:-1] < len(slab)
-    rows[-1] = last
-    return rows
-
-
 def encode(values) -> bytes:
     v = as_samples(values)
     if v.size == 0:
@@ -146,10 +135,9 @@ def encode(values) -> bytes:
     u = v.view(np.uint64)
     full = u[: nfull * BLOCK_SIZE].reshape(nfull, BLOCK_SIZE)
     maxima = full.max(axis=1)
-    last = None
     if rest:
-        last = np.zeros(BLOCK_SIZE, dtype=np.uint64)
-        last[:rest] = u[nfull * BLOCK_SIZE :]
+        last = np.zeros((1, BLOCK_SIZE), dtype=np.uint64)
+        last[0, :rest] = u[nfull * BLOCK_SIZE :]
         maxima = np.append(maxima, last.max())
     # Unsigned block maxima carry both value rules: read as uint64, a
     # negative value is at least 2**63, so its block is too wide as well.
@@ -167,13 +155,16 @@ def encode(values) -> bytes:
     at += 1
     if widest:
         windows = byte_windows(out)
-        for s in range(0, widths.size, _SLAB_BLOCKS):
-            # The last slab's widths may end with the short block's, past its rows.
-            slab, slab_widths = full[s : s + _SLAB_BLOCKS], widths[s : s + _SLAB_BLOCKS]
+        full_widths = widths[:nfull]
+        for s in range(0, nfull, _SLAB_BLOCKS):
+            slab, slab_widths = full[s : s + _SLAB_BLOCKS], full_widths[s : s + _SLAB_BLOCKS]
             for w in np.flatnonzero(np.bincount(slab_widths)).tolist():
                 if w:
                     sel = np.flatnonzero(slab_widths == w)
-                    _pack(windows, _group(slab, sel, last), w, at[s + sel])
+                    rows = slab if sel.size == len(slab) else slab.take(sel, axis=0)
+                    _pack(windows, rows, w, at[s + sel])
+        if rest and widths[-1]:
+            _pack(windows, last, int(widths[-1]), at[-1:])
     cut = (BLOCK_SIZE - rest) * int(widths[-1]) // 8 if rest else 0
     return out[: out.size - cut].tobytes()
 
@@ -189,14 +180,10 @@ def decode(data: bytes, count: int) -> np.ndarray:
             append(pos)
             pos += _STEP[data[pos]]
     except IndexError:
-        # The walk reached a width byte past the payload: a block before it
-        # was cut short, unless an invalid width jumped there.
-        if len(starts) > 1 and data[starts[-2]] > MAX_WIDTH:
-            raise FormatError("corrupt block header") from None
         raise TruncatedStreamError("truncated stream") from None
+    except TypeError:
+        raise FormatError("corrupt block header") from None
     w = data[starts[-1]]
-    if w > MAX_WIDTH:
-        raise FormatError("corrupt block header")
     last_take = count - (nblocks - 1) * BLOCK_SIZE
     if last_take < BLOCK_SIZE:
         pos += 1 + (last_take * w + 7) // 8 - _BLOCK_BYTES[w]

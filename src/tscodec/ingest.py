@@ -68,16 +68,19 @@ def quantize_column(values) -> tuple[np.ndarray, ChannelQuantization]:
         shown = ", ".join(str(i) for i in bad[:20].tolist())
         more = "" if bad.size <= 20 else f" (+{bad.size - 20} more)"
         raise ValueError(f"non-finite values at rows: {shown}{more}")
-    lo = float(x.min())
-    hi = float(x.max())
+    meta = ChannelQuantization(lo=float(x.min()), hi=float(x.max()))
+    lo, hi = meta.lo, meta.hi
     if hi == lo:
-        q = np.zeros(x.size, dtype=np.int64)
-    else:
-        # Ratio first: (x - lo) / (hi - lo) stays in [0, 1] even when the
-        # span is subnormal, where 65535 / (hi - lo) would overflow.
-        q = np.floor((x - lo) / (hi - lo) * QUANT_STEPS).astype(np.int64) - 32768
-        np.clip(q, INT16_MIN, INT16_MAX, out=q)
-    return q, ChannelQuantization(lo=lo, hi=hi)
+        return np.zeros(x.size, dtype=np.int64), meta
+    if hi - lo == np.inf:
+        # A span wider than the largest float fits once halved. Halving is
+        # exact but for subnormals, whose rounding is far below one step.
+        x, lo, hi = x / 2, lo / 2, hi / 2
+    # Ratio first: (x - lo) / (hi - lo) stays in [0, 1] even when the
+    # span is subnormal, where 65535 / (hi - lo) would overflow.
+    q = np.floor((x - lo) / (hi - lo) * QUANT_STEPS).astype(np.int64) - 32768
+    np.clip(q, INT16_MIN, INT16_MAX, out=q)
+    return q, meta
 
 
 def ingest_column(values) -> tuple[np.ndarray, ChannelQuantization]:

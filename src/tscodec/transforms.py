@@ -17,7 +17,7 @@ from :func:`tscodec.core.token_histogram`, then gathers per token. Its
 inverse needs no histogram: the map already lists every bin, so one table
 over the targets, as wide as :func:`tscodec.core.fits_dense_table` allows,
 gives each token its shift back with one gather. A forged map with targets
-wider than that falls back to the histogram and a search over the bins.
+wider than that searches each token among the bins instead.
 :func:`chain_apply` returns the tokens with the chain's side bytes, the
 serialized map, and :func:`chain_invert` is the one parser of those bytes.
 The map is a :mod:`tscodec.symtable` table of (lower bound, target
@@ -255,7 +255,7 @@ def quars_decode(mapped, qmap: QuarsMap) -> np.ndarray:
     but a forged one may. Each token then costs a subtract, a range check,
     one ``take`` and an add. A table wider than
     :func:`tscodec.core.fits_dense_table` allows is never built: such a
-    map's distinct tokens are searched among its bins instead.
+    map's tokens are searched among its bins instead.
     """
     m = as_samples(mapped)
     order = np.argsort(qmap.target_offsets, kind="stable")
@@ -282,14 +282,12 @@ def quars_decode(mapped, qmap: QuarsMap) -> np.ndarray:
 
 
 def _quars_search(m: np.ndarray, t_sorted, lo_sorted, w_sorted) -> np.ndarray:
-    """:func:`quars_decode` over the distinct tokens, each searched among
-    the bins sorted by target offset."""
-    symbols, _, inverse = token_histogram(m)
-    idx = np.searchsorted(t_sorted, symbols, side="right") - 1
-    bad = (idx < 0) | (symbols - t_sorted[np.clip(idx, 0, None)] >= w_sorted[np.clip(idx, 0, None)])
-    if np.any(bad):
+    """:func:`quars_decode` with each token searched among the bins sorted by
+    target offset; ``m >= t + w`` tests a bin's end, where ``m - t`` may wrap."""
+    idx = np.searchsorted(t_sorted, m, side="right") - 1
+    if np.any(m < t_sorted[0]) or np.any(m >= (t_sorted + w_sorted).take(idx)):
         raise FormatError("value not in QuaRs map")
-    return (symbols - t_sorted[idx] + lo_sorted[idx])[inverse]
+    return (lo_sorted - t_sorted).take(idx) + m
 
 
 @dataclass(frozen=True)

@@ -542,7 +542,8 @@ def quars_invert(qmap, mapped) -> np.ndarray:
     lo_sorted = qmap.lower_bounds[order]
     w_sorted = qmap.widths()[order]
     idx = np.searchsorted(t_sorted, m, side="right") - 1
-    bad = (idx < 0) | (m - t_sorted[np.clip(idx, 0, None)] >= w_sorted[np.clip(idx, 0, None)])
+    # Against the bin's end: m - t would wrap for tokens near 2**63.
+    bad = (idx < 0) | (m >= t_sorted[np.clip(idx, 0, None)] + w_sorted[np.clip(idx, 0, None)])
     if np.any(bad):
         raise FormatError("value not in QuaRs map")
     return m - t_sorted[idx] + lo_sorted[idx]

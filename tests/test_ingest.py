@@ -31,7 +31,9 @@ class TestQuantizeColumn:
         with pytest.raises(ValueError, match="rows: 1, 3"):
             quantize_column([1.0, float("nan"), 2.0, float("inf")])
 
-    @given(st.lists(finite_floats, min_size=2, max_size=300))
+    @pytest.mark.filterwarnings("error")
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=300))
+    @example([-1.7976931348623157e308, 5e-324, 1.7976931348623157e308])
     def test_monotone(self, values):
         q, _ = quantize_column(values)
         order = np.argsort(np.asarray(values), kind="stable")
@@ -46,6 +48,19 @@ class TestQuantizeColumn:
         # One quantization step, plus float slack on huge magnitudes.
         tol = step + 1e-6 * max(1.0, abs(meta.hi), abs(meta.lo))
         assert np.all(np.abs(back - x) <= tol)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ([-1e308, 0.0, 1e308], [-32768, -1, 32767]),
+            ([-1e308, -5e307, 0.0, 5e307, 1e308], [-32768, -16385, -1, 16383, 32767]),
+        ],
+    )
+    def test_span_wider_than_the_largest_float(self, values, expected):
+        q, meta = quantize_column(values)
+        assert q.tolist() == expected
+        assert (meta.lo, meta.hi) == (min(values), max(values))
 
     def test_range_always_16bit(self):
         q, _ = quantize_column(np.linspace(-1e9, 1e9, 999))

@@ -493,7 +493,18 @@ FORGED_MAPS = {
     "holes": _wire_map([0, 10, 20], [0, 50, 100], 25),
     "overlap": _wire_map([0, 100], [0, 5], 101),
     "overlap-below": _wire_map([-40, -3, 60], [-7, -37, 0], 64),
+    # Negative offsets: token - offset wraps past int64 for tokens near 2**63.
+    "negative": _wire_map([0, 10], [-30, -20], 20),
 }
+
+
+def spy_on_the_search(monkeypatch) -> list:
+    """Record each call of the search path; fail on any of ``token_histogram``,
+    which no decode calls."""
+    searches, search = [], transforms._quars_search
+    monkeypatch.setattr(transforms, "_quars_search", lambda *args: searches.append(1) or search(*args))
+    monkeypatch.setattr(transforms, "token_histogram", lambda x: pytest.fail("a decode called token_histogram"))
+    return searches
 
 
 class TestQuarsInversePaths:
@@ -531,11 +542,12 @@ class TestQuarsInversePaths:
         assert quars_decode(mapped, qmap).tolist() == values
         self.check(list(range(-60, 60)), qmap)
 
-    @pytest.mark.parametrize("token", [-(2**63), -(2**40), -1, 106, 2**40, 2**63 - 1])
-    def test_tokens_outside_the_targets_raise(self, path, token):
-        qmap = FORGED_MAPS["holes"]
+    @pytest.mark.parametrize("name, inside", [("holes", [0, 1]), ("negative", [-30, -11])])
+    @pytest.mark.parametrize("token", [-(2**63), -(2**63) + 1, -(2**40), -1, 106, 2**40, 2**63 - 2, 2**63 - 1])
+    def test_tokens_outside_the_targets_raise(self, path, name, inside, token):
+        qmap = FORGED_MAPS[name]
         with pytest.raises(FormatError, match="^value not in QuaRs map$"):
-            quars_decode([0, token, 1], qmap)
+            quars_decode([inside[0], token, inside[1]], qmap)
         assert outcome(oracles.quars_invert, qmap, [token])[0] is FormatError
 
     def test_empty_input(self, path):
@@ -549,12 +561,10 @@ class TestQuarsInversePaths:
         # Two one-value bins whose targets span just under or just over the bound.
         span = max(n, 2**17) + over
         qmap = _wire_map([0, 1], [0, span], 2)
-        histograms = []
-        histogram = transforms.token_histogram
-        monkeypatch.setattr(transforms, "token_histogram", lambda x: histograms.append(1) or histogram(x))
+        searches = spy_on_the_search(monkeypatch)
         tokens = np.resize([0, span, 0, span], n)
         assert quars_decode(tokens, qmap).tolist() == oracles.quars_invert(qmap, tokens).tolist()
-        assert bool(histograms) == (not fits_dense_table(span, n)) == bool(over)
+        assert bool(searches) == (not fits_dense_table(span, n)) == bool(over)
         for token in (-1, 1, span - 1, span + 1):
             probe = np.resize([0, token], n)
             assert outcome(quars_decode, probe, qmap) == outcome(oracles.quars_invert, qmap, probe)
@@ -563,10 +573,7 @@ class TestQuarsInversePaths:
     @pytest.mark.parametrize("kind", ["fitted", "holes", "bound", "wide"])
     def test_memory_is_bounded_by_tokens_or_table(self, monkeypatch, n, kind):
         # Beside its input and output, a decode holds the table (8 bytes per
-        # target) or, on the search path, the histogram.
-        histograms = []
-        histogram = transforms.token_histogram
-        monkeypatch.setattr(transforms, "token_histogram", lambda x: histograms.append(1) or histogram(x))
+        # target) or, on the search path, each token's bin.
         rng = np.random.default_rng(n)
         if kind == "holes":
             qmap = _wire_map(np.arange(0, 2560, 10), np.arange(0, 51200, 200), 2560)
@@ -577,15 +584,15 @@ class TestQuarsInversePaths:
         else:
             scale = 2**15 if kind == "fitted" else 2**30
             mapped, qmap = quars_encode(rng.integers(-scale, scale, n) * (rng.random(n) < 0.5))
-        histograms.clear()
+        searches = spy_on_the_search(monkeypatch)
         tracemalloc.start()
         try:
             out = quars_decode(mapped, qmap)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert bool(histograms) == (kind == "wide")
-        per_token = 64 if histograms else 9
+        assert bool(searches) == (kind == "wide")
+        per_token = 64 if searches else 9
         assert peak - out.nbytes < per_token * max(n, 2**17) + 2**16
 
 
