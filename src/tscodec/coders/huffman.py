@@ -16,12 +16,12 @@ symbol index from ``token_histogram``.
 
 Decoding is table-driven, as in zlib's inflate and zstd's Huff0, and runs
 chunk by chunk through ``bitio.decode_chunks``. For every bit position of a
-chunk, a primary table of at most ``bitio.PEEK_BITS`` bits, indexed by the
-bits at that position, gives the code length; positions that start a
-longer code are resolved by a ``searchsorted`` over the left-justified
-canonical codes. ``decode_chunks`` finds the true codeword starts from those
-lengths and bounds the stream, and only there is the symbol looked up. The
-tables are built per call from the header; working memory is bounded by
+chunk, a primary table indexed by the ``bitio.PEEK_BITS`` bits at that
+position gives the code length; positions that start a longer code are
+resolved by a ``searchsorted`` over the left-justified canonical codes.
+``decode_chunks`` finds the true codeword starts from those lengths and
+bounds the stream, and only there is the symbol looked up. The tables are
+built per call from the header; working memory is bounded by
 ``bitio.CHUNK_BITS``, not by the payload.
 """
 
@@ -134,18 +134,15 @@ def decode(header: bytes, payload: BitStream | bytes, count: int) -> np.ndarray:
     order, span, first = _canonical(symbols, lengths)
     syms = symbols[order]
     lens = lengths[order]
-    bits = min(PEEK_BITS, int(lens[-1]))
-    short = np.flatnonzero(lens <= bits)
-    reps = (span[short] >> np.uint64(MAX_CODE_LENGTH - bits)).astype(np.int64)
+    short = np.flatnonzero(lens <= PEEK_BITS)
+    reps = (span[short] >> np.uint64(MAX_CODE_LENGTH - PEEK_BITS)).astype(np.int64)
     filled = int(reps.sum())
-    table_len = np.zeros(1 << bits, dtype=np.int8)
-    table_idx = np.zeros(1 << bits, dtype=np.int64)
+    table_len = np.zeros(1 << PEEK_BITS, dtype=np.int8)
+    table_idx = np.zeros(1 << PEEK_BITS, dtype=np.int64)
     table_len[:filled] = np.repeat(lens[short], reps)
     table_idx[:filled] = np.repeat(short, reps)
 
     def step(words: np.ndarray, primary: np.ndarray):
-        if bits < PEEK_BITS:
-            primary >>= np.uint32(PEEK_BITS - bits)
         ln = table_len.take(primary)
         longer = np.flatnonzero(ln == 0)
         if longer.size:
@@ -158,7 +155,7 @@ def decode(header: bytes, payload: BitStream | bytes, count: int) -> np.ndarray:
             if int(ln_s.max()) == _INVALID:
                 raise FormatError("invalid codeword")
             idx = table_idx.take(primary[starts])
-            long = np.flatnonzero(ln_s > bits)
+            long = np.flatnonzero(ln_s > PEEK_BITS)
             if long.size:
                 w = read_fields(words, starts[long], _WINDOW_BITS)
                 idx[long] = np.searchsorted(first, w, side="right") - 1

@@ -44,7 +44,7 @@ import numpy as np
 from ..core import as_samples, token_histogram
 from ..errors import FormatError, TruncatedStreamError
 from .. import symtable
-from .bitio import PACK_TOKENS, byte_windows
+from .bitio import byte_windows
 
 TOTAL_BITS = 14
 TOTAL = 1 << TOTAL_BITS
@@ -93,25 +93,24 @@ def encode(values) -> tuple[bytes, bytes]:
     out = bytearray()
     low = 0
     rng = MASK
-    # Boxed PACK_TOKENS indices at a time, so working memory is one block.
-    for at in range(0, inverse.size, PACK_TOKENS):
-        for idx in inverse[at : at + PACK_TOKENS].tolist():
-            r = rng // TOTAL
-            low += r * cum[idx]
-            rng = r * freq_list[idx]
-            # A range of at least TOP spans a change in bit 24 or above, so its
-            # top byte is unsettled and it is at least BOT: nothing to emit.
-            # Below TOP, emit a settled top byte, break on an unsettled one
-            # while the range is at least BOT, and clip it to the next BOT
-            # boundary otherwise.
-            while rng < TOP:
-                if (low ^ (low + rng)) >= TOP:
-                    if rng >= BOT:
-                        break
-                    rng = -low & (BOT - 1)
-                out.append(low >> 24)
-                low = (low << 8) & MASK
-                rng <<= 8
+    # A memoryview boxes one index at a time, so nothing grows with the tokens.
+    for idx in memoryview(inverse):
+        r = rng // TOTAL
+        low += r * cum[idx]
+        rng = r * freq_list[idx]
+        # A range of at least TOP spans a change in bit 24 or above, so its
+        # top byte is unsettled and it is at least BOT: nothing to emit.
+        # Below TOP, emit a settled top byte, break on an unsettled one
+        # while the range is at least BOT, and clip it to the next BOT
+        # boundary otherwise.
+        while rng < TOP:
+            if (low ^ (low + rng)) >= TOP:
+                if rng >= BOT:
+                    break
+                rng = -low & (BOT - 1)
+            out.append(low >> 24)
+            low = (low << 8) & MASK
+            rng <<= 8
     # The clipped range keeps low + range <= 2^32, so low fits in 4 bytes
     # and low >> 24 is one byte.
     out += low.to_bytes(4, "big")

@@ -28,7 +28,6 @@ INT32_MAX = (1 << 31) - 1
 #: score. 16 matches the quantized integer width of the source data.
 SAMPLE_BITS = 16
 
-_RANK_BLOCK = 1 << 13
 # A delta of 16-bit samples spans at most 2**17 - 2 values.
 _DENSE_SPAN = 1 << 17
 
@@ -59,7 +58,9 @@ def token_histogram(series) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The results equal ``np.unique(x, return_inverse=True, return_counts=True)``
     (in the order symbols, counts, inverse). When :func:`fits_dense_table`
     allows ``max - min``, one ``bincount`` over ``x - min`` and a rank
-    gather replace the sort. Wider spans sort.
+    gather replace the sort. The gather runs in place on ``x - min``, so
+    beside the input and the results only the bincount table is held.
+    Wider spans sort.
     """
     x = as_samples(series)
     if x.size:
@@ -71,11 +72,8 @@ def token_histogram(series) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             counts = hist[present]
             rank = hist  # reused: absent values are never looked up
             rank[present] = np.arange(present.size)
-            # Ranked in place a block at a time: beside the input and the
-            # result, only one block is held.
-            for at in range(0, x.size, _RANK_BLOCK):
-                block = inverse[at : at + _RANK_BLOCK]
-                rank.take(block, out=block)
+            # In range: "clip" gathers in place, where "raise" buffers the output.
+            rank.take(inverse, out=inverse, mode="clip")
             return present + lo, counts, inverse
     symbols, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
     return symbols, counts, inverse

@@ -68,8 +68,6 @@ def rle0_encode(series) -> np.ndarray:
     because a zero datum always opens a run of length >= 1.
     """
     x = as_samples(series)
-    if x.size == 0:
-        return x.copy()
     nonzero = x != 0
     # Keep every nonzero and the first zero of each run; a run lasts up to
     # the next kept position (or the end, kept past the last sample), and

@@ -609,7 +609,13 @@ def dequantize_column(q, meta: ChannelQuantization) -> np.ndarray:
         return arr.copy()
     if meta.hi == meta.lo:
         return np.full(arr.shape, meta.lo)
-    return meta.lo + (arr + 32768) * ((meta.hi - meta.lo) / QUANT_STEPS)
+    lo, hi, scale = meta.lo, meta.hi, 1.0
+    if hi - lo == np.inf:
+        # As in quantize_column: a span wider than the largest float fits once halved.
+        lo, hi, scale = lo / 2, hi / 2, 2.0
+    # Ratio first, as in quantize_column. Rounding can pass hi, and twice a
+    # value past half the largest float overflows, so stop at hi.
+    return scale * np.minimum(lo + (arr + 32768) / QUANT_STEPS * (hi - lo), hi)
 
 
 def _parse_cell(text: str, row: int, col) -> float:

@@ -774,9 +774,10 @@ def test_encode_memory_is_bounded_by_one_block(encode, index_bytes):
 
 def test_range_encode_memory_is_bounded_by_one_block():
     """Beside its input, each token's symbol index (8 bytes) and the payload,
-    held twice as it is built and returned, range encode boxes one block of
-    indices at a time, so the rest of its peak does not grow from 2^17 to
-    2^20 tokens. Boxing every index at once left 7.7 MB beyond that at 2^20."""
+    held twice as it is built and returned, range encode boxes one index at
+    a time, through a memoryview, so the rest of its peak does not grow from
+    2^17 to 2^20 tokens. Boxing every index at once left 7.7 MB beyond that
+    at 2^20."""
     for n in (1 << 17, 1 << 20):
         tokens = np.random.default_rng(n).geometric(0.02, n).astype(np.int64)
         tracemalloc.start()

@@ -10,7 +10,7 @@ from tscodec.core import TimeSeries
 from oracles import dequantize_column
 from tscodec.ingest import WRITE_ROWS, ChannelQuantization, ingest_column, load_csv, quantize_column, write_csv
 
-finite_floats = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False)
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
 
 class TestQuantizeColumn:
@@ -44,7 +44,8 @@ class TestQuantizeColumn:
         x = np.asarray(values)
         q, meta = quantize_column(x)
         back = dequantize_column(q, meta)
-        step = (meta.hi - meta.lo) / 65535 if meta.hi > meta.lo else 0.0
+        # Halved as the quantizer does, so a span past the largest float is finite.
+        step = (meta.hi / 2 - meta.lo / 2) / 65535 * 2
         # One quantization step, plus float slack on huge magnitudes.
         tol = step + 1e-6 * max(1.0, abs(meta.hi), abs(meta.lo))
         assert np.all(np.abs(back - x) <= tol)
@@ -212,6 +213,22 @@ class TestLoadCsv:
         path = _write(tmp_path, "1,2\n3,fish\n")
         with pytest.raises(ValueError, match="row 1, column 1"):
             load_csv(path)
+
+    def test_parse_error_naming_no_row_is_prefixed_with_the_path(self, tmp_path, monkeypatch):
+        """A ``loadtxt`` error that names no row is re-raised with the path
+        and numpy's message, after the blank-filling retry fails as well."""
+        path = _write(tmp_path, "a,b\n1,2\n3,4\n")
+        real_loadtxt = np.loadtxt
+
+        def loadtxt(*args, **kwargs):
+            if "usecols" in kwargs:
+                raise ValueError("no row here")
+            return real_loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        with pytest.raises(ValueError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: no row here"
 
     def test_float_columns_quantized(self, tmp_path):
         # floor(0.5 * 65535) - 32768 = -1 for the midpoint
