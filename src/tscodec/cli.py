@@ -59,6 +59,7 @@ def _parse_chain(args) -> TransformChain:
 def _cmd_compress(args) -> int:
     if args.level is not None and not takes_level(args.coder):
         raise UsageError(f"--level: coder {args.coder!r} takes no level")
+    chain = _parse_chain(args)
     dataset = load_csv(
         args.input,
         columns=[int(c) if c.isdigit() else c for c in args.columns.split(",")]
@@ -66,7 +67,6 @@ def _cmd_compress(args) -> int:
         else None,
         missing=args.missing,
     )
-    chain = _parse_chain(args)
     blob = build_container(dataset.channels, chain, args.coder, level=args.level)
     Path(args.output).write_bytes(blob)
     report = size_metrics(source_bytes(dataset.channels), len(blob))
@@ -107,8 +107,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    dataset = load_csv(args.input, missing=args.missing)
     chain = _parse_chain(args)
+    dataset = load_csv(args.input, missing=args.missing)
     for ch, meta in zip(dataset.channels, dataset.quantization):
         tokens, _ = chain_apply(ch, chain)
         stats = entropy_and_limit(tokens)

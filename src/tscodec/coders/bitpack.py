@@ -184,9 +184,9 @@ def decode(data: bytes, count: int) -> np.ndarray:
     except TypeError:
         raise FormatError("corrupt block header") from None
     w = data[starts[-1]]
+    # A short last block spans fewer bytes; a full one corrects by 0.
     last_take = count - (nblocks - 1) * BLOCK_SIZE
-    if last_take < BLOCK_SIZE:
-        pos += 1 + (last_take * w + 7) // 8 - _BLOCK_BYTES[w]
+    pos += 1 + (last_take * w + 7) // 8 - _BLOCK_BYTES[w]
     if pos > len(data):
         raise TruncatedStreamError("truncated stream")
     windows = _reversed_windows(data)

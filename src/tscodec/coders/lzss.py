@@ -68,15 +68,15 @@ def _links(buf: np.ndarray) -> tuple[list[int], list[int]]:
     """
     n = buf.size
     prev = np.full(n + 1, -1, dtype=np.int64)
-    if n >= MIN_MATCH:
-        # Sorting (key, position) pairs packed in one int64 gives the order
-        # of a stable sort of the keys, and sorts faster than argsort.
-        b = buf.astype(np.int64)
-        pairs = (b[:-2] | (b[1:-1] << 8) | (b[2:] << 16)) << 32 | np.arange(n - 2)
-        pairs.sort()
-        order = pairs & 0xFFFFFFFF
-        same = (pairs[1:] >> 32) == (pairs[:-1] >> 32)
-        prev[order[1:][same]] = order[:-1][same]
+    # Sorting (key, position) pairs packed in one int64 gives the order of a
+    # stable sort of the keys, and sorts faster than argsort. Below 3 bytes
+    # every slice is empty, so ``prev`` stays -1.
+    b = buf.astype(np.int64)
+    pairs = (b[:-2] | (b[1:-1] << 8) | (b[2:] << 16)) << 32 | np.arange(n - 2)
+    pairs.sort()
+    order = pairs & 0xFFFFFFFF
+    same = (pairs[1:] >> 32) == (pairs[:-1] >> 32)
+    prev[order[1:][same]] = order[:-1][same]
     pos = np.arange(n + 1)
     start = np.where((prev >= 0) & (pos - prev <= WINDOW), pos, n)
     after = np.minimum.accumulate(start[::-1])[::-1]
@@ -144,8 +144,7 @@ def decompress(data: bytes, expected_size: int | None = None) -> bytes:
     """
     n = len(data)
     step = data.translate(_GROUP_BYTES)
-    buf = np.zeros(n + 2, dtype=np.uint8)
-    buf[:n] = np.frombuffer(data, dtype=np.uint8)
+    buf = np.frombuffer(data, dtype=np.uint8)
     blocks = []
     window = buf[:0]  # the last WINDOW output bytes, resolved
     total = 0
@@ -167,7 +166,9 @@ def decompress(data: bytes, expected_size: int | None = None) -> bytes:
         ntok = int(np.searchsorted(off.ravel(), n))
         lit, off = lit.ravel()[:ntok], off.ravel()[:ntok]
         b0 = buf[off].astype(np.int64)
-        b1 = buf[off + 1].astype(np.int64)
+        # Only a match cut at the last byte reads past the end, clipped; it
+        # is dropped below before its length or distance is used.
+        b1 = buf.take(off + 1, mode="clip").astype(np.int64)
         length = np.where(lit, 1, (b1 & 0xF) + MIN_MATCH)
         dist = np.where(lit, 0, ((b0 << 4) | (b1 >> 4)) + 1)
         start = np.cumsum(length) - length  # from the block's first output byte

@@ -20,17 +20,17 @@ than slots a uint16 ``array`` filled from numpy in one copy.
 The decoder never shifts payload bytes into its code. Each shift of the
 byte-at-a-time loop drops the code's top byte and appends the next
 payload byte, so after ``pos`` shifts the code is payload bytes ``pos ..
-pos + 3`` read big-endian: the top 32 bits of the ``bitio.byte_windows``
-word at ``pos``. So a shift only counts, and each token reads its code as
-``win[pos]`` from a list of those codes. The list is made ``CODE_CHUNK``
-payload bytes at a time and refilled when ``pos`` runs past its end, so
-it stays near 0.7 MB at any payload size. The tokens and errors are
-those of the byte-at-a-time loop: its codes are the same bytes, and it
-runs out of bytes exactly when a code past the last one, at position
-``len(payload) - 4``, is needed, by the next token or at the end of the
-last token's shifts. A single-symbol model reads no payload byte past the
-first four, so it decodes as one check of the first code and one
-``np.full``.
+pos + 3`` read big-endian, the word at ``pos`` of a stride-1 ``>u4``
+view of the payload, read with no copy. So a shift only counts, and each
+token reads its code as ``win[pos]`` from a list of those codes. The
+list is made ``CODE_CHUNK`` payload bytes at a time and refilled when
+``pos`` runs past its end, so it stays near 0.7 MB at any payload size.
+The tokens and errors are those of the byte-at-a-time loop: its codes
+are the same bytes, and it runs out of bytes exactly when a code past
+the last one, at position ``len(payload) - 4``, is needed, by the next
+token or at the end of the last token's shifts. A single-symbol model
+reads no payload byte past the first four, so it decodes as one check of
+the first code and one ``np.full``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ import numpy as np
 from ..core import as_samples, token_histogram
 from ..errors import FormatError, TruncatedStreamError
 from .. import symtable
-from .bitio import byte_windows
 
 TOTAL_BITS = 14
 TOTAL = 1 << TOTAL_BITS
@@ -163,17 +162,13 @@ def decode(header: bytes, payload: bytes, count: int) -> np.ndarray:
     # and indexes slower, so it pays only for fewer tokens than slots.
     slot = np.repeat(np.arange(freqs.size, dtype=np.uint16), freqs)
     slot = array("H", slot.tobytes()) if count < TOTAL else slot.tolist()
-    data = np.frombuffer(payload, dtype=np.uint8)
     last = nbytes - 4  # the position of the last code
+    words = np.ndarray((last + 1,), dtype=">u4", buffer=payload, strides=(1,))
 
     def codes(start: int) -> list:
-        # The codes at start .. start + CODE_CHUNK - 1, up to the last, from
-        # the byte windows of a copy zero-padded to hold every window.
-        stop = min(start + CODE_CHUNK, last + 1)
-        seg = np.zeros(stop - start + 7, dtype=np.uint8)
-        held = data[start : stop + 7]
-        seg[: held.size] = held
-        return (byte_windows(seg) >> np.uint64(32)).tolist()
+        # The codes at start .. start + CODE_CHUNK - 1, up to the last; native
+        # words box into a list faster than big-endian ones.
+        return words[start : start + CODE_CHUNK].astype(np.uint32).tolist()
 
     start = pos = 0  # the window's first position, and shifts past it
     win = codes(0)

@@ -52,8 +52,9 @@ def encode_channel(
     chain: TransformChain,
     coder: CoderInfo,
     level: int | None = None,
-) -> bytes:
-    """Transform and code one channel into its channel-table entry."""
+) -> tuple[bytes, ...]:
+    """Transform and code one channel into the five parts of its
+    channel-table entry, in order; ``build_container`` joins them once."""
     x = as_samples(series)
     if x.size == 0:
         raise ValueError("undefined on empty input")
@@ -68,13 +69,13 @@ def encode_channel(
         else:
             desc = BackendDescriptor(coder.name, level, width)
             header, payload = b"", backend_compress(data, desc)
-    return b"".join((
+    return (
         _ENTRY.pack(tokens.size, width, len(side)),
         side,
         _PAYLOAD_LEN.pack(len(header) + len(payload)),
         header,
         payload,
-    ))
+    )
 
 
 def decode_channel(
@@ -116,13 +117,14 @@ def build_container(
         raise ValueError("no channels to compress")
     if len(channels) > 0xFFFF:
         raise ValueError(f"{len(channels)} channels: a container holds at most 65535")
-    out = bytearray(_HEAD.pack(MAGIC, VERSION, len(chain.stages)))
-    for s in chain.stages:
-        out.append(TRANSFORM_ORDER.index(s) + 1)
-    out += _HEAD_TAIL.pack(coder.id_byte, len(channels))
+    parts = [
+        _HEAD.pack(MAGIC, VERSION, len(chain.stages)),
+        bytes(TRANSFORM_ORDER.index(s) + 1 for s in chain.stages),
+        _HEAD_TAIL.pack(coder.id_byte, len(channels)),
+    ]
     for ch in channels:
-        out += encode_channel(ch, chain, coder, level)
-    return bytes(out)
+        parts += encode_channel(ch, chain, coder, level)
+    return b"".join(parts)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,9 @@ The cases isolate one signal characteristic each:
   low cardinality but high average magnitude
 
 Randomness comes from PCG64 seeded through ``SeedSequence(seed,
-spawn_key=(case, component))``, so a (case, seed) pair yields the same
-samples on every platform, and the noise inside ``sine_noise`` is an
-independent stream from the plain ``noise`` case.
+spawn_key=(CASES.index(case), component))``, so a (case, seed) pair
+yields the same samples on every platform, and the noise inside
+``sine_noise`` is an independent stream from the plain ``noise`` case.
 
 ``switching`` samples are those of a loop over segments: draw the opening
 level index from 5, then per segment draw a dwell of ``DWELL_MIN`` plus
@@ -30,8 +30,6 @@ import numpy as np
 from .core import TimeSeries
 
 CASES = ("sine", "noise", "sine_noise", "switching")
-
-_CASE_INDEX = {name: i for i, name in enumerate(CASES)}
 
 AMPLITUDE = 1000
 # A period of 997 samples (not a divisor of the default length) lets the
@@ -65,7 +63,7 @@ class SynthSpec:
 
 def _rng(spec: SynthSpec, component: int) -> np.random.Generator:
     seq = np.random.SeedSequence(
-        entropy=spec.seed, spawn_key=(_CASE_INDEX[spec.case], component)
+        entropy=spec.seed, spawn_key=(CASES.index(spec.case), component)
     )
     return np.random.Generator(np.random.PCG64(seq))
 

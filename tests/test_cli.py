@@ -77,6 +77,13 @@ class TestCompressDecompress:
         assert code == EXIT_USAGE
         assert "invalid chain order" in capsys.readouterr().err
 
+    def test_invalid_chain_is_rejected_before_the_input_is_read(self, tmp_path, capsys):
+        code = run(["compress", str(tmp_path / "missing.csv"), "-o", str(tmp_path / "x.tsc"),
+                    "--transforms", "quars,delta"])
+        assert code == EXIT_USAGE
+        assert "invalid chain order" in capsys.readouterr().err
+        assert not (tmp_path / "x.tsc").exists()
+
     def test_level_for_a_coder_without_levels_is_an_error(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
         out = tmp_path / "x.tsc"
@@ -214,6 +221,10 @@ class TestStatsCommand:
         out = capsys.readouterr().out
         assert "cardinality=2" in out  # (10, 0, 0, ...)
         assert "shannon_cs=" in out
+
+    def test_invalid_chain_is_rejected_before_the_input_is_read(self, tmp_path, capsys):
+        assert run(["stats", str(tmp_path / "missing.csv"), "--transforms", "delta,delta"]) == EXIT_USAGE
+        assert "invalid chain order" in capsys.readouterr().err
 
 
 class TestAblateCommand:

@@ -718,7 +718,9 @@ class TestLzss:
         tiny = [bytes(t) for k in range(5) for t in itertools.product(range(3), repeat=k)]
         tails = [b"abcdeabcde", b"abcdabc", b"abcdab", b"abcab", b"aaaaa", b"xyzxyzxy"]
         for data in tiny + tails:
-            assert lzss.compress(data) == oracles.lzss_compress(data), data
+            out = lzss.compress(data)
+            assert out == oracles.lzss_compress(data), data
+            assert lzss.decompress(out) == lzss.decompress(out, len(data)) == oracles.lzss_decompress(out) == data
 
     def test_matches_oracle_on_100k_zeros(self):
         data = bytes(100_000)

@@ -6,6 +6,7 @@ instead raise a ``FormatError`` subclass, but never any other exception,
 and never return something the oracle would not.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -345,6 +346,34 @@ def test_lzss_outcomes_equal_the_oracle():
             want = _outcome(lambda *a: np.frombuffer(oracles.lzss_decompress(*a), dtype=np.uint8), *args)
             assert _outcome(lambda *a: np.frombuffer(lzss.decompress(*a), dtype=np.uint8), *args) == want
 
+def test_lzss_streams_of_one_to_three_bytes_equal_the_oracle():
+    """Every stream of 1 byte, and of 2-3 bytes over a few flag and body
+    bytes, decodes as the oracle does, at no size and at sizes around the
+    bytes it can hold."""
+    flags = (0x00, 0x40, 0x7F, 0x80, 0xC0, 0xFF)
+    body = (0x00, 0x01, 0x10, 0xFF)
+    streams = [bytes([b]) for b in range(256)]
+    streams += [bytes([f, *rest]) for f in flags for k in (1, 2) for rest in itertools.product(body, repeat=k)]
+    for data in streams:
+        for size in (None, 0, 1, 2, 3, 4):
+            want = _outcome(lambda *a: np.frombuffer(oracles.lzss_decompress(*a), dtype=np.uint8), data, size)
+            assert _outcome(lambda *a: np.frombuffer(lzss.decompress(*a), dtype=np.uint8), data, size) == want
+
+
+@pytest.mark.parametrize("head", [[], [1, 2, 3], list(range(8)), list(range(7)) + [(1, 3)] * 9])
+def test_lzss_match_opened_by_the_last_byte_is_truncated(head):
+    """A stream whose last byte is a match's first raises the oracle's
+    TruncatedStreamError at no size and at any size past the bytes before
+    it, and returns those bytes at their own size."""
+    data = _lzss_stream(head + [(1, 3)])[:-1]
+    before = oracles.lzss_decompress(_lzss_stream(head))
+    want = (TruncatedStreamError, "truncated stream")
+    for size in (None, len(before) + 1, len(before) + 3, len(before) + 100):
+        assert _outcome(lambda *a: np.frombuffer(oracles.lzss_decompress(*a), dtype=np.uint8), data, size) == want
+        assert _outcome(lambda *a: np.frombuffer(lzss.decompress(*a), dtype=np.uint8), data, size) == want
+    assert lzss.decompress(data, len(before)) == oracles.lzss_decompress(data, len(before)) == before
+
+
 def test_lzss_long_zero_run():
     data = bytes(100_000)
     packed = lzss.compress(data)
@@ -440,6 +469,28 @@ def test_range_outcomes_at_window_edges(monkeypatch):
                     assert got == _outcome(oracles.range_decode, header, blob, count), (at, len(blob), count)
 
 
+def test_range_payloads_of_four_to_seven_bytes_equal_the_oracle():
+    """Payloads of 4-7 bytes hold 1-4 codes. Whole streams of short inputs,
+    the first 4-7 bytes of a longer one, and each with its last byte
+    flipped decode at every count up to one past the input's to the
+    oracle's values or fail with its error, but for a count the payload
+    cannot hold, refused before decoding."""
+    rng = np.random.default_rng(4)
+    inputs = [[0, 1], [5, -5, 5], [1, 2, 3, 4, 5, 6], [0] * 30 + [1], rng.geometric(0.2, 40).tolist()]
+    for values in inputs:
+        header, payload = rangecoder.encode(values)
+        max_freq = int(rangecoder.parse_header(header)[1].max())
+        for size in range(4, min(len(payload), 7) + 1):
+            cut = payload[:size]
+            for blob in (cut, cut[:-1] + bytes([cut[-1] ^ 0xFF])):
+                for count in range(len(values) + 2):
+                    got = _outcome(rangecoder.decode, header, blob, count)
+                    if got == (FormatError, f"token count {count} exceeds what {size} payload bytes can hold"):
+                        assert count * np.log2(rangecoder.TOTAL / max_freq) > 17 + 8 * (size - 4)
+                    else:
+                        assert got == _outcome(oracles.range_decode, header, blob, count), (values, size, count)
+
+
 def test_bitpack_width_groups_spanning_many_slabs():
     """Width groups larger than one slab, plus a short last block
     alone in its slab; then inputs ending one value before, at and one value
@@ -533,12 +584,26 @@ def test_bitpack_bad_width_byte_raises_as_oracle(width, block):
                 assert got == (FormatError, "corrupt block header")
 
 
-def test_bitpack_cut_at_every_byte_raises_as_oracle():
-    data, n = _bitpack_stream()
+@pytest.mark.parametrize("short_last", [True, False])
+def test_bitpack_cut_at_every_byte_raises_as_oracle(short_last):
+    data, n = _bitpack_stream(short_last)
     for cut in range(len(data)):
         got = _outcome(bitpack.decode, data[:cut], n)
         assert got == _outcome(oracles.bitpack_decode, data[:cut], n)
         assert got == (TruncatedStreamError, "truncated stream")
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("width", [0, 1, bitpack.MAX_WIDTH])
+def test_bitpack_full_last_block_cut_by_one_byte_raises_as_oracle(blocks, width):
+    # A count that is a multiple of the block size: the last block is full.
+    n = blocks * bitpack.BLOCK_SIZE
+    values = np.zeros(n, dtype=np.int64)
+    values[-1] = (1 << width) - 1
+    data = bitpack.encode(values)
+    assert bitpack.decode(data, n).tolist() == values.tolist()
+    got = _outcome(bitpack.decode, data[:-1], n)
+    assert got == _outcome(oracles.bitpack_decode, data[:-1], n) == (TruncatedStreamError, "truncated stream")
 
 
 @pytest.mark.parametrize("payload", [b"", b"\x00", b"\x21", b"\x03\x01"])
